@@ -217,9 +217,12 @@ def _cmd_check_k5(args) -> tuple[int, dict]:
     H = StepUpHypergraph(phi)
     V = H.vertex_count if args.vertex_cap is None else min(args.vertex_cap,
                                                            H.vertex_count)
+    stats = {}
     violation = check_k5_free(H, args.vertex_cap, budget=args.budget,
-                              force=args.force, threads=args.threads)
-    report["counters"] = {"colorings": 1, "five_sets_each": math.comb(V, 5)}
+                              force=args.force, threads=args.threads,
+                              stats=stats)
+    report["counters"] = {"colorings": 1, "five_sets_each": math.comb(V, 5),
+                          **stats}
     if violation is not None:
         report["verdict"] = "Violation"
         report["violation"] = violation.as_dict()
@@ -395,10 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify that every n-subset has a good triple")
     _add_phi_source(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="exact enumeration (the default mode)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sampled mode with this many trials")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true",
+                      help="exact enumeration (the default mode)")
+    mode.add_argument("--samples", type=int, default=None,
+                      help="sampled mode with this many trials")
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=EXACT_CAP_DEFAULT)
     p.set_defaults(handler=_cmd_verify_coloring)

@@ -12,13 +12,23 @@ coloring phi then decides edge membership inside the slot:
 In the valley slots d1 = d3 is impossible for genuine vertex tuples
 (Property III), so that case is asserted, never branched on.
 
-K5(4)-freeness of H holds for EVERY phi; check_k5_free verifies it
-exhaustively at desk scale.  Enumerating binom(2^D, 5) five-sets one
-python tuple at a time is hopeless already at D = 7, so the checker runs
-a blockwise numpy sweep over a precomputed delta-triple edge table and
-falls back to a plain lexicographic scalar scan (kept as the reference
-implementation) only to pin down the first violation if the sweep ever
-detects one.
+K5(4)-freeness of H holds for EVERY phi, and check_k5_free verifies it
+without enumerating vertices.  Whether a 4-tuple is an edge depends only
+on its delta triple, and the delta triples of the five 4-subsets of a
+5-set depend only on its consecutive deltas (d1, d2, d3, d4).  A pattern
+is realized by increasing vertices iff any two equal entries have a
+strictly larger entry between them, so over all 2^D vertices the check
+reads the edge table at each realizable pattern over [0, D) (1,190 at
+D = 7 in place of binom(128, 5) five-sets).  A firing pattern is turned
+back into the lexicographically first violating 5-set by a greedy
+realization.  Because edge3 depends only on the order type of its inputs
+and the colors among them, the 64 colorings at D = 4 cover every phi at
+every D.  Capped vertex prefixes run a blockwise numpy sweep instead; a
+plain lexicographic scalar scan stays as the reference implementation.
+
+exact_alpha reads the edges off the same delta-triple table, and its
+branch and bound carries the set of vertices that would complete an edge
+down the recursion as one bitmask.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ __all__ = [
     "classify_4tuple",
     "is_edge",
     "check_k5_free",
+    "delta_patterns",
     "find_nonedge_in_5set",
     "is_independent",
     "exact_alpha",
@@ -292,43 +303,121 @@ def _scan_scalar_lex(H: StepUpHypergraph, V: int,
     Consecutive deltas are cached per enumeration prefix.  Returns the
     first 5-set whose four-subsets are all edges, or None.
     """
-    pm = H.coloring.as_matrix()
     D = H.D
-    dt = _msb_matrix(V)
+    E3 = _edge3_table(H.coloring, flip_rule2=flip_rule2).tolist()
+    dt = _msb_matrix(V).tolist()
 
     def edge3(d1, d2, d3) -> bool:
-        x, y, z = pm[d1, d2], pm[d2, d3], pm[d1, d3]
-        if d1 < d2 < d3:
-            if flip_rule2 and x == y == z:
-                return True  # corrupted rule (iii) firing on increasing runs
-            return x == y != z
-        if d1 > d2 > d3:
-            return x == y != z
-        if flip_rule2 or d1 < d2:
-            return False  # local max; under the flip valleys match no rule
-        if d1 > d3:
-            return x == z != y
-        return x == y == z
+        return E3[(d1 * D + d2) * D + d3]
 
     for v1 in range(V - 4):
         for v2 in range(v1 + 1, V - 3):
-            d12 = dt[v1, v2]
+            d12 = dt[v1][v2]
             for v3 in range(v2 + 1, V - 2):
-                d23 = dt[v2, v3]
+                d23 = dt[v2][v3]
                 d13 = max(d12, d23)
                 for v4 in range(v3 + 1, V - 1):
-                    d34 = dt[v3, v4]
+                    d34 = dt[v3][v4]
                     if not edge3(d12, d23, d34):
                         continue
                     d24 = max(d23, d34)
                     for v5 in range(v4 + 1, V):
-                        d45 = dt[v4, v5]
+                        d45 = dt[v4][v5]
                         if (edge3(d23, d34, d45)
                                 and edge3(d13, d34, d45)
                                 and edge3(d12, d24, d45)
                                 and edge3(d12, d23, max(d34, d45))):
                             return (v1, v2, v3, v4, v5)
     return None
+
+
+def delta_patterns(D: int):
+    """Realizable consecutive-delta patterns (d1, d2, d3, d4) over [0, D).
+
+    A pattern is the delta sequence of some increasing 5-set iff any two
+    equal entries have a strictly larger entry between them.  Yields one
+    slice per d1, in lexicographic order: the int d1 and the int64 arrays
+    d2, d3, d4, so memory stays O(D^3) (10, 64, 220 and 1,190 patterns at
+    D = 3, 4, 5 and 7).
+    """
+    b, c, d = (x.ravel() for x in np.meshgrid(
+        np.arange(D), np.arange(D), np.arange(D), indexing="ij"))
+    shape_ok = (b != c) & (c != d) & ((b != d) | (c > b))
+    for a in range(D):
+        ok = (shape_ok & (b != a) & ((c != a) | (b > a))
+              & ((d != a) | (np.maximum(b, c) > a)))
+        yield a, b[ok], c[ok], d[ok]
+
+
+def _realize(pattern) -> tuple[int, ...]:
+    """Lexicographically first increasing 5-set with these consecutive deltas.
+
+    From v1 = 0 each step takes the least larger vertex whose top differing
+    bit is d: clear the bits up to d, then set bit d.  On a realizable
+    pattern bit d is always clear before the step, so no step can fail.
+    Of two patterns that first differ at d_k < d_k', the one with d_k gets
+    the smaller v_{k+1}: the realization is increasing in pattern order.
+    """
+    vs = [0]
+    for d in pattern:
+        vs.append((vs[-1] >> (d + 1) << (d + 1)) | (1 << d))
+    return tuple(vs)
+
+
+def _check_k5_patterns(H: StepUpHypergraph, flip_rule2: bool
+                       ) -> tuple[Optional[FiveSetViolation], int]:
+    """K5 check over every 5-set of all 2^D vertices, by delta pattern.
+
+    The five 4-subsets of a 5-set with consecutive deltas (d1..d4) have the
+    delta triples that _sweep_block reads, with the same max-merges.
+    delta_patterns yields the patterns in lexicographic order, so the
+    realization of the first firing one is the lexicographically first
+    violating 5-set.  Returns it (or None) and the number of patterns
+    checked.
+    """
+    D = H.D
+    E3 = _edge3_table(H.coloring, flip_rule2=flip_rule2)
+    checked = 0
+    for a, b, c, d in delta_patterns(D):
+        ab = (a * D + b) * D
+        fire = (E3[ab + c] & E3[ab + np.maximum(c, d)]
+                & E3[(a * D + np.maximum(b, c)) * D + d]
+                & E3[(np.maximum(a, b) * D + c) * D + d]
+                & E3[(b * D + c) * D + d])
+        if fire.any():
+            i = int(np.argmax(fire))
+            checked += i + 1
+            vs = _realize((a, int(b[i]), int(c[i]), int(d[i])))
+            return _violation_report(H, vs, flip_rule2), checked
+        checked += b.size
+    return None, checked
+
+
+def _check_k5_sweep(H: StepUpHypergraph, V: int, threads: int,
+                    flip_rule2: bool) -> Optional[FiveSetViolation]:
+    """K5 check over the 5-sets of the vertex prefix [0, V), by vertex."""
+    E3 = _edge3_table(H.coloring, flip_rule2=flip_rule2)
+    dt = _msb_matrix(V)
+
+    hit = False
+    if threads <= 1:
+        hit = _sweep_block(E3, dt, H.D, V, 2, V - 2)
+    else:
+        lo_list = list(range(2, V - 2))
+        if lo_list:
+            bounds = np.array_split(np.array(lo_list), threads)
+            jobs = [(E3, dt, H.D, V, int(b[0]), int(b[-1]) + 1)
+                    for b in bounds if len(b)]
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                hit = any(pool.map(_sweep_block_star, jobs))
+
+    if not hit:
+        return None
+    first = _scan_scalar_lex(H, V, flip_rule2=flip_rule2)
+    assert first is not None, (
+        "block sweep detected a K5 but the scalar reference scan found "
+        "none; the engines disagree")
+    return _violation_report(H, first, flip_rule2)
 
 
 def _violation_report(H: StepUpHypergraph, vs: tuple,
@@ -353,15 +442,22 @@ def check_k5_free(
     budget: int = K5_BUDGET_DEFAULT,
     force: bool = False,
     threads: int = 1,
+    stats: Optional[dict] = None,
     _flip_rule2: bool = False,
 ) -> Optional[FiveSetViolation]:
     """Exhaustively verify that no 5-set of {0,...,V-1} induces a K5(4).
 
     V defaults to 2^D, clamped by vertex_cap.  Returns None (the theorem
     says always) or the lexicographically first violating 5-set, which
-    signals an implementation bug and is reported verbatim.  Thread count
-    never changes the verdict: any detection is re-resolved by the scalar
-    lexicographic reference scan.
+    signals an implementation bug and is reported verbatim.  The budget
+    gate counts binom(V, 5) five-sets whichever engine runs.
+
+    Over all 2^D vertices the check runs over delta patterns and never
+    touches a vertex; a capped prefix runs the vertex sweep, split over
+    `threads` processes.  Thread count never changes the verdict: any
+    detection is re-resolved by the scalar lexicographic reference scan.
+    If given, `stats` receives the engine name (delta-patterns or
+    vertex-sweep) and the number of patterns checked.
     """
     V = H.vertex_count if vertex_cap is None else min(vertex_cap, H.vertex_count)
     if V < 5:
@@ -372,28 +468,15 @@ def check_k5_free(
             f"binom({V},5) = {total} five-sets exceed budget {budget}; "
             "pass force to run anyway", required=total, budget=budget)
 
-    E3 = _edge3_table(H.coloring, flip_rule2=_flip_rule2)
-    dt = _msb_matrix(V)
-
-    hit = False
-    if threads <= 1:
-        hit = _sweep_block(E3, dt, H.D, V, 2, V - 2)
+    if V == H.vertex_count:
+        engine = "delta-patterns"
+        violation, checked = _check_k5_patterns(H, _flip_rule2)
     else:
-        lo_list = list(range(2, V - 2))
-        if lo_list:
-            bounds = np.array_split(np.array(lo_list), threads)
-            jobs = [(E3, dt, H.D, V, int(b[0]), int(b[-1]) + 1)
-                    for b in bounds if len(b)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                hit = any(pool.map(_sweep_block_star, jobs))
-
-    if not hit:
-        return None
-    first = _scan_scalar_lex(H, V, flip_rule2=_flip_rule2)
-    assert first is not None, (
-        "block sweep detected a K5 but the scalar reference scan found "
-        "none; the engines disagree")
-    return _violation_report(H, first, _flip_rule2)
+        engine = "vertex-sweep"
+        violation, checked = _check_k5_sweep(H, V, threads, _flip_rule2), 0
+    if stats is not None:
+        stats.update(engine=engine, patterns_checked=checked)
+    return violation
 
 
 def find_nonedge_in_5set(H: StepUpHypergraph, P) -> tuple[int, int, int, int]:
@@ -433,24 +516,27 @@ def is_independent(H: StepUpHypergraph, Q,
 
 # --- exact independence number ----------------------------------------------
 
-def _edge_masks(H: StepUpHypergraph, V: int) -> list[int]:
-    masks = []
-    for sub in combinations(range(V), 4):
-        if is_edge(H, sub):
-            m = 0
-            for v in sub:
-                m |= 1 << v
-            masks.append(m)
-    return masks
+def _edge_tensor(H: StepUpHypergraph) -> np.ndarray:
+    """edges[a, b, c, d]: is {a, b, c, d} an edge, for a < b < c < d."""
+    V, D = H.vertex_count, H.D
+    dt = _msb_matrix(V)
+    v = np.arange(V)
+    a, b, c, d = np.ix_(v, v, v, v)
+    E3 = _edge3_table(H.coloring)
+    increasing = (a < b) & (b < c) & (c < d)
+    # the diagonal of dt is -1; clamp it so non-increasing index tuples
+    # stay inside the table before the mask discards them
+    d1, d2, d3 = (np.maximum(x, 0) for x in (dt[a, b], dt[b, c], dt[c, d]))
+    return increasing & E3[(d1 * D + d2) * D + d3]
 
 
 def _alpha_bitmask(H: StepUpHypergraph) -> AlphaResult:
     V = H.vertex_count
-    masks = _edge_masks(H, V)
+    masks = (np.uint32(1) << np.argwhere(_edge_tensor(H)).astype(np.uint32)
+             ).sum(axis=1, dtype=np.uint32)
     subsets = np.arange(1 << V, dtype=np.uint32)
     bad = np.zeros(1 << V, dtype=bool)
-    for m in masks:
-        mm = np.uint32(m)
+    for mm in masks:
         bad |= (subsets & mm) == mm
     sizes = np.bitwise_count(subsets).astype(np.int8)
     sizes[bad] = -1
@@ -462,47 +548,58 @@ def _alpha_bitmask(H: StepUpHypergraph) -> AlphaResult:
 
 def _alpha_branch_and_bound(H: StepUpHypergraph, node_budget: int) -> AlphaResult:
     V = H.vertex_count
-    by_max: list[list[int]] = [[] for _ in range(V)]
-    for m in _edge_masks(H, V):
-        top = m.bit_length() - 1
-        by_max[top].append(m & ~(1 << top))
+    # F[a][b][c]: bitmask of the vertices d > c with {a, b, c, d} an edge
+    weights = np.uint64(1) << np.arange(V, dtype=np.uint64)
+    F = (_edge_tensor(H) * weights).sum(axis=3, dtype=np.uint64).tolist()
+
+    # The chosen set S grows in increasing vertex order, so a vertex v
+    # completes an edge with S iff v lies in F[a][b][c] for some triple of
+    # S.  `forbidden` is the union of those masks; adding u ORs in
+    # F[a][b][u] for each pair {a, b} of S, whose rows F[a][b] sit in
+    # pair_rows.
+    chosen: list[int] = []
+    pair_rows: list[list[int]] = []
+
+    def add(u: int, forbidden: int) -> int:
+        for row in pair_rows:
+            forbidden |= row[u]
+        pair_rows.extend(F[a][u] for a in chosen)
+        chosen.append(u)
+        return forbidden
 
     # greedy seed: take vertices in order unless they complete an edge
-    def completes_edge(chosen_mask: int, v: int) -> bool:
-        for lower in by_max[v]:
-            if chosen_mask & lower == lower:
-                return True
-        return False
-
-    greedy_mask = 0
+    forbidden = 0
     for v in range(V):
-        if not completes_edge(greedy_mask, v):
-            greedy_mask |= 1 << v
-    best_mask = greedy_mask
-    best_size = bin(greedy_mask).count("1")
+        if not (forbidden >> v) & 1:
+            forbidden = add(v, forbidden)
+    best = tuple(chosen)
+    chosen.clear()
+    pair_rows.clear()
 
     nodes = 0
 
-    def rec(v: int, chosen_mask: int, size: int):
-        nonlocal best_mask, best_size, nodes
+    def rec(v: int, forbidden: int):
+        nonlocal best, nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(
                 f"branch-and-bound exceeded {node_budget} nodes",
                 required=nodes, budget=node_budget)
-        if size + (V - v) <= best_size:
+        if len(chosen) + (V - v) <= len(best):
             return
         if v == V:
-            if size > best_size:
-                best_size, best_mask = size, chosen_mask
+            if len(chosen) > len(best):
+                best = tuple(chosen)
             return
-        if not completes_edge(chosen_mask, v):
-            rec(v + 1, chosen_mask | (1 << v), size + 1)
-        rec(v + 1, chosen_mask, size)
+        if not (forbidden >> v) & 1:
+            rows_before = len(pair_rows)
+            rec(v + 1, add(v, forbidden))
+            chosen.pop()
+            del pair_rows[rows_before:]
+        rec(v + 1, forbidden)
 
-    rec(0, 0, 0)
-    witness = tuple(v for v in range(V) if (best_mask >> v) & 1)
-    return AlphaResult(alpha=best_size, witness=witness,
+    rec(0, 0)
+    return AlphaResult(alpha=len(best), witness=best,
                        method="branch-and-bound", nodes=nodes)
 
 

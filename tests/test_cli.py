@@ -63,6 +63,27 @@ def test_check_k5_single_coloring_and_threads(capsys):
     assert rep1["counters"]["five_sets_each"] == 201376
 
 
+def test_check_k5_all_colorings_at_four_bits(capsys):
+    # edge3 depends only on the order type of its inputs and the colors
+    # among at most four delta values, so these 64 colorings cover every
+    # coloring at every D
+    code, rep = run_json(capsys, ["check-k5", "--bits", "4", "--all-colorings"])
+    assert code == 0 and rep["verdict"] == "NoViolation"
+    assert rep["counters"]["colorings"] == 64
+
+
+def test_check_k5_reports_its_engine(capsys):
+    code, rep = run_json(capsys, ["check-k5", "--bits", "5", "--seed", "2"])
+    assert code == 0
+    assert rep["counters"]["engine"] == "delta-patterns"
+    assert rep["counters"]["patterns_checked"] == 220
+    code, rep = run_json(capsys, ["check-k5", "--bits", "5", "--seed", "2",
+                                  "--vertex-cap", "20"])
+    assert code == 0
+    assert rep["counters"] == {"colorings": 1, "five_sets_each": 15504,
+                               "engine": "vertex-sweep", "patterns_checked": 0}
+
+
 def test_verify_coloring_all_red_is_refuted(capsys, tmp_path):
     path = tmp_path / "red.bin"
     save_coloring(PairColoring(10, np.zeros(45, dtype=np.uint8)), path)
@@ -89,6 +110,14 @@ def test_verify_coloring_sampled_mode(capsys, certified12_file):
     assert code == 0
     assert rep["verdict"] == "Estimated"
     assert rep["certification"]["mode"] == "Sampled"
+
+
+def test_verify_coloring_modes_are_exclusive(capsys, certified12_file):
+    code, out, err = run_raw(capsys, ["verify-coloring", "--coloring",
+                                      certified12_file, "--n", "5", "--exact",
+                                      "--samples", "2000"])
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
 
 
 def test_gen_coloring_writes_the_derived_sample(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the stepping-up 4-graph: edge rules, the K5 checker, alpha."""
 
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +25,7 @@ from stepup.hypergraph import (
     _sweep_block,
     check_k5_free,
     classify_4tuple,
+    delta_patterns,
     exact_alpha,
     find_nonedge_in_5set,
     is_edge,
@@ -232,6 +234,72 @@ def test_k5_budget_and_vertex_cap():
     assert check_k5_free(H3, budget=10, force=True) is None
 
 
+# --- the delta-pattern engine -------------------------------------------------
+
+
+def _engine_inputs():
+    for D in (3, 5):
+        for seed in range(12):
+            yield StepUpHypergraph(sample_coloring(D, seed))
+    for mask in range(64):  # every coloring at D = 4
+        yield StepUpHypergraph(coloring_from_mask(4, mask))
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_pattern_engine_matches_vertex_sweep_and_scalar_scan(flip):
+    violations = 0
+    for H in _engine_inputs():
+        V = H.vertex_count
+        by_pattern, checked = hg._check_k5_patterns(H, flip)
+        by_sweep = hg._check_k5_sweep(H, V, 1, flip)
+        first = _scan_scalar_lex(H, V, flip_rule2=flip)
+        by_scan = None if first is None else hg._violation_report(H, first, flip)
+        assert by_pattern == by_sweep == by_scan
+        if by_pattern is None:
+            assert checked == {3: 10, 4: 64, 5: 220}[H.D]
+        violations += by_pattern is not None
+    # the honest rules never fire; the corrupted ones must, or the
+    # comparison says nothing about the violation reports
+    assert (violations >= 10) if flip else violations == 0
+
+
+def test_delta_patterns_are_exactly_the_realizable_ones():
+    for D, count in ((3, 10), (4, 64), (5, 220)):
+        listed = {(a, int(b), int(c), int(d))
+                  for a, bs, cs, ds in delta_patterns(D)
+                  for b, c, d in zip(bs, cs, ds)}
+        assert len(listed) == count
+        five = np.array(list(combinations(range(1 << D), 5)))
+        dt = _msb_matrix(1 << D)
+        seen = {tuple(int(x) for x in row) for row in np.unique(
+            dt[five[:, :-1], five[:, 1:]], axis=0)}
+        assert seen == listed
+        # the greedy realization has exactly the pattern's deltas
+        for p in listed:
+            vs = hg._realize(p)
+            assert tuple(dt[vs[i], vs[i + 1]] for i in range(4)) == p
+
+
+def test_forced_check_over_2_to_the_20_vertices_is_fast():
+    H = graph(20, 4)
+    stats = {}
+    t0 = time.perf_counter()
+    assert check_k5_free(H, force=True, stats=stats) is None
+    assert time.perf_counter() - t0 < 1.0
+    assert stats == {"engine": "delta-patterns", "patterns_checked": 127_680}
+
+
+def test_engine_follows_the_vertex_cap():
+    H = graph(5, 3)
+    for cap, engine in ((None, "delta-patterns"), (32, "delta-patterns"),
+                        (100, "delta-patterns"), (20, "vertex-sweep")):
+        stats = {}
+        assert check_k5_free(H, cap, stats=stats) is None
+        assert stats["engine"] == engine
+        assert stats["patterns_checked"] == (220 if engine == "delta-patterns"
+                                             else 0)
+
+
 # --- the corrupted predicate --------------------------------------------------
 #
 # Reversing rule (ii)'s leading d1 > d2 comparison inside the valley-shape
@@ -428,6 +496,13 @@ def test_exact_alpha_d5_branch_and_bound():
     assert r.nodes == 1_838_983
     assert r.witness == (0, 1, 2, 4, 5, 6, 7, 16, 18, 19, 24, 25)
     assert is_independent(graph(5, 1), r.witness) is None
+
+
+def test_exact_alpha_d5_benchmark_instance():
+    H = graph(5, 2)
+    r = exact_alpha(H)
+    assert (r.alpha, r.nodes, r.method) == (11, 1_243_061, "branch-and-bound")
+    assert r.witness == (0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15)
 
 
 def test_exact_alpha_ge_greedy_invariant():

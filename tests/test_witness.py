@@ -514,6 +514,21 @@ def test_random_subset_large_universe_path():
     assert (s == random_subset(27, 5000, seed=9)).all()
 
 
+def test_random_subset_sparse_stream_path():
+    # sparse draws from at least 2^20 vertices take the iid-stream path
+    m = 3000
+    counts = np.zeros(16, dtype=np.int64)
+    for seed in range(40):
+        s = random_subset(22, m, seed=seed)
+        assert s.size == np.unique(s).size == m
+        assert (s[:-1] < s[1:]).all() and int(s.max()) < (1 << 22)
+        counts += np.bincount((s >> np.uint64(18)).astype(np.int64),
+                              minlength=16)
+    assert (s == random_subset(22, m, seed=39)).all()
+    # 120,000 draws over 16 equal buckets: 7,500 each, sd about 84
+    assert np.abs(counts - 7500).max() < 500
+
+
 def test_random_subset_can_exhaust_the_universe():
     s = random_subset(3, 8, seed=0)
     assert list(s) == list(range(8))
