@@ -21,6 +21,7 @@ from .coloring import (
     sample_coloring,
     save_coloring,
     search_certified_coloring,
+    tt_forcing_order,
 )
 from .delta import (
     check_stepping_properties,
@@ -63,6 +64,7 @@ __all__ = [
     "sample_coloring",
     "save_coloring",
     "search_certified_coloring",
+    "tt_forcing_order",
     "check_stepping_properties",
     "consecutive_deltas",
     "delta",

@@ -43,6 +43,7 @@ from .coloring import (
     sample_coloring,
     save_coloring,
     search_certified_coloring,
+    tt_forcing_order,
 )
 from .errors import (
     BudgetExceeded,
@@ -163,6 +164,12 @@ def _cmd_gen_coloring(args) -> tuple[int, dict]:
             args.bits, args.n, attempts=args.attempts, base_seed=args.seed)
         save_coloring(res.coloring, args.out)
         report["search"] = res.as_dict()
+        if res.certifiable is False:
+            v = tt_forcing_order(args.n)
+            report["note"] = (
+                f"no coloring is certified at n = {args.n} for D >= {v}: every "
+                f"tournament on {v} vertices has a transitive subtournament on "
+                f"{args.n}")
         report["verdict"] = "Certified" if res.success else "Refuted"
         report["out"] = args.out
         return (0 if res.success else 1), report
@@ -328,25 +335,22 @@ def _cmd_bench(args) -> tuple[int, dict]:
     H = StepUpHypergraph(phi)
     five_sets = math.comb(H.vertex_count, 5)
 
-    t0 = time.perf_counter()
-    v1 = check_k5_free(H, budget=args.budget, force=args.force, threads=1)
-    dt = time.perf_counter() - t0
-    verdict1 = "NoViolation" if v1 is None else "Violation"
-    rows.append(["k5-sweep", args.bits, five_sets, 1, round(dt, 4),
-                 round(five_sets / dt) if dt else 0, verdict1])
-
-    if args.threads > 1:
+    verdicts = set()
+    for threads in (1, args.threads) if args.threads > 1 else (1,):
+        stats = {}
         t0 = time.perf_counter()
-        vt = check_k5_free(H, budget=args.budget, force=args.force,
-                           threads=args.threads)
+        v = check_k5_free(H, budget=args.budget, force=args.force,
+                          threads=threads, stats=stats)
         dt = time.perf_counter() - t0
-        verdict_t = "NoViolation" if vt is None else "Violation"
-        rows.append(["k5-sweep", args.bits, five_sets, args.threads,
-                     round(dt, 4), round(five_sets / dt) if dt else 0,
-                     verdict_t])
-        if verdict_t != verdict1:
-            raise AssertionError(
-                "K5 sweep verdict changed with thread count")
+        # the work the engine did: delta patterns, or vertex 5-sets
+        items = (stats["patterns_checked"]
+                 if stats.get("engine") == "delta-patterns" else five_sets)
+        verdict = "NoViolation" if v is None else "Violation"
+        verdicts.add(verdict)
+        rows.append(["k5-sweep", args.bits, items, threads, round(dt, 4),
+                     round(items / dt) if dt else 0, verdict])
+    if len(verdicts) > 1:
+        raise AssertionError("K5 sweep verdict changed with thread count")
 
     q = random_subset(args.q_bits, args.q_size,
                       derive_seed(args.seed, "bench-q"))

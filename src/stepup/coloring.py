@@ -3,11 +3,12 @@
 A coloring assigns Red/Blue to every unordered pair of delta values.  A
 triple a < b < c is *good* when phi(a,b) = phi(b,c) != phi(a,c).  The
 property that matters downstream is that every n-subset of [0, D) contains
-a good triple; certification checks it exhaustively or by sampling.
+a good triple; certification checks it exactly or by sampling.
 
 Read phi as a tournament on [0, D): a -> b for a < b iff phi(a, b) = Red.
 A good triple is then a cyclic triangle, and "certified at n" means "no
-transitive subtournament on n vertices".  Random colorings have this
+transitive subtournament on n vertices", which exact certification checks
+by a depth-first search over transitive prefixes.  Random colorings have this
 property only when binom(D,n)*(3/4)^(n choose 3 packing) is small, so
 besides plain seeded sampling there is a search loop that repairs
 near-misses by simulated annealing on the count of good-triple-free
@@ -24,7 +25,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "certify_good_property",
     "search_certified_coloring",
     "paley_coloring",
+    "tt_forcing_order",
     "greedy_steiner",
     "failure_probability_bound",
     "log_failure_probability_bound",
@@ -146,6 +148,7 @@ class CertificationResult:
     total: int
     counterexample: Optional[tuple[int, ...]] = None
     seed: Optional[int] = None    # sampling seed, when mode is Sampled
+    prefixes_visited: int = 0     # Exact: good-triple-free prefixes searched
 
     @property
     def certified(self) -> bool:
@@ -161,6 +164,7 @@ class CertificationResult:
             "total": self.total,
             "counterexample": list(self.counterexample) if self.counterexample else None,
             "seed": self.seed,
+            "prefixes_visited": self.prefixes_visited,
         }
 
 
@@ -189,15 +193,6 @@ def find_good_triple(phi: PairColoring, values: Iterable[int]) -> Optional[GoodT
     return None
 
 
-def _subset_matrix(D: int, n: int, start, count: int) -> np.ndarray:
-    """`count` consecutive lexicographic n-subsets of range(D) from iterator."""
-    flat = np.fromiter(
-        (v for combo in islice(start, count) for v in combo),
-        dtype=np.int16,
-    )
-    return flat.reshape(-1, n)
-
-
 def _good_any(phi_matrix: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Row mask: does each subset (sorted values) contain a good triple."""
     n = subsets.shape[1]
@@ -211,6 +206,61 @@ def _good_any(phi_matrix: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return good
 
 
+def _out_masks(phi: PairColoring) -> list[int]:
+    """out[v]: bitmask of the w with v -> w (a -> b for a < b iff Red)."""
+    pm = phi.as_matrix()
+    below = np.tri(phi.D, k=-1, dtype=bool)     # column w < row v
+    arrow = np.where(below, pm == BLUE, pm == RED)
+    np.fill_diagonal(arrow, False)
+    packed = np.packbits(arrow, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _lex_first_transitive(out: list[int], n: int
+                          ) -> tuple[Optional[tuple[int, ...]], int]:
+    """Lex-first n-subset with no cyclic triangle, and the prefixes visited.
+
+    Depth-first search in lexicographic order over good-triple-free
+    prefixes.  avail[k] holds the vertices that can still follow the first
+    k chosen ones: larger than the last, and closing no cyclic triangle
+    with any chosen pair.  The vertices closing one with x -> y are
+    out[y] & ~out[x].  A level with fewer candidates than slots left is
+    exhausted.  An explicit stack, because n can exceed the recursion
+    limit.
+    """
+    chosen: list[int] = []
+    avail = [(1 << len(out)) - 1]
+    visited = 0
+    while avail:
+        a = avail[-1]
+        if a.bit_count() < n - len(chosen):
+            avail.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = a & -a
+        v = low.bit_length() - 1
+        a ^= low
+        avail[-1] = a
+        ov = out[v]
+        for x in chosen:
+            ox = out[x]
+            a &= ~(ov & ~ox) if ox & low else ~(ox & ~ov)
+        visited += 1
+        chosen.append(v)
+        if len(chosen) == n:
+            return tuple(chosen), visited
+        avail.append(a)
+    return None, visited
+
+
+def _lex_rank(subset: tuple[int, ...], D: int) -> int:
+    """0-based rank of a sorted n-subset of range(D) in lexicographic order."""
+    n = len(subset)
+    return math.comb(D, n) - 1 - sum(
+        math.comb(D - 1 - v, n - i) for i, v in enumerate(subset))
+
+
 def certify_good_property(
     phi: PairColoring,
     n: int,
@@ -222,17 +272,19 @@ def certify_good_property(
 ) -> CertificationResult:
     """Check that every n-subset of [0, D) contains a good triple.
 
-    Exact mode enumerates all binom(D, n) subsets in lexicographic order
-    and returns Certified, or Refuted with the first bad subset.  Above
-    `cap` subsets it raises BudgetExceeded: switch to sampled mode, which
-    draws `trials` uniform n-subsets under `seed` and returns Estimated
-    when none of them is bad.
+    Exact mode returns Certified, or Refuted with the lexicographically
+    first bad subset.  It searches depth first, in lexicographic order,
+    over good-triple-free prefixes (transitive subtournaments), so it
+    visits `prefixes_visited` prefixes instead of all binom(D, n) subsets;
+    `subsets_checked` is the lex rank + 1 of the bad subset, or binom(D, n)
+    when certified.  Above `cap` = binom(D, n) it still raises
+    BudgetExceeded: switch to sampled mode, which draws `trials` uniform
+    n-subsets under `seed` and returns Estimated when none of them is bad.
     """
     D = phi.D
     if not 3 <= n <= D:
         raise InvalidN(f"need 3 <= n <= D={D}, got n={n}")
     mode_l = mode.lower()
-    pm = phi.as_matrix()
 
     if mode_l == "exact":
         total = math.comb(D, n)
@@ -240,30 +292,21 @@ def certify_good_property(
             raise BudgetExceeded(
                 f"binom({D},{n}) = {total} exceeds exact cap {cap}; use sampled mode",
                 required=total, budget=cap)
-        gen = combinations(range(D), n)
-        checked = 0
-        # refutations usually come early: start small, grow to full chunks
-        chunk = 1 << 10
-        while checked < total:
-            block = _subset_matrix(D, n, gen, min(chunk, total - checked))
-            chunk = min(2 * chunk, 1 << 16)
-            good = _good_any(pm, block)
-            if not good.all():
-                row = int(np.argmin(good))
-                bad = tuple(int(v) for v in block[row])
-                assert find_good_triple(phi, bad) is None
-                return CertificationResult(
-                    verdict="Refuted", mode="Exact", D=D, n=n,
-                    subsets_checked=checked + row + 1, total=total,
-                    counterexample=bad)
-            checked += len(block)
+        bad, visited = _lex_first_transitive(_out_masks(phi), n)
+        if bad is not None:
+            assert find_good_triple(phi, bad) is None
+            return CertificationResult(
+                verdict="Refuted", mode="Exact", D=D, n=n,
+                subsets_checked=_lex_rank(bad, D) + 1, total=total,
+                counterexample=bad, prefixes_visited=visited)
         return CertificationResult(
             verdict="Certified", mode="Exact", D=D, n=n,
-            subsets_checked=total, total=total)
+            subsets_checked=total, total=total, prefixes_visited=visited)
 
     if mode_l == "sampled":
         if trials is None or trials < 1:
             raise InvalidParams("sampled mode requires a positive trials count")
+        pm = phi.as_matrix()
         rng = np.random.default_rng(seed)
         done = 0
         chunk = 1 << 16
@@ -306,9 +349,21 @@ def _certify_exact_scalar(phi: PairColoring, n: int) -> CertificationResult:
 # --- annealing repair -------------------------------------------------------
 #
 # State: per-subset count of good triples (gc) for all binom(D, n) subsets,
-# plus per-triple goodness flags.  Flipping one pair's color touches the
-# D-2 triples through that pair and, through them, binom(D-3, n-3) subsets
-# each; the tables below make that update a handful of gathers.
+# and per triple the colors of its pairs (ab, bc, ac) as a 3-bit code.
+# Flipping one pair's color touches the D-2 triples through that pair and,
+# through them, binom(D-3, n-3) subsets each; the tables below make that
+# update a handful of gathers.
+
+def _code_good(code: int) -> int:
+    """Is the triple with pair colors (ab, bc, ac) = code bits 0, 1, 2 good."""
+    ab, bc, ac = code & 1, (code >> 1) & 1, code >> 2
+    return int(ab == bc != ac)
+
+
+# change in a triple's goodness when the pair in slot s flips, by code
+_FLIP_DELTA = np.array([[_code_good(c ^ (1 << s)) - _code_good(c) for s in range(3)]
+                        for c in range(8)], dtype=np.int8)
+
 
 class _RepairTables:
     def __init__(self, D: int, n: int):
@@ -333,15 +388,15 @@ class _RepairTables:
         ], axis=1).astype(np.int32)
 
         # colex rank of a sorted n-subset: sum of C(v_i, i+1)
+        self.subs_per_triple = math.comb(D - 3, n - 3)
         rest_pairs = np.array(list(combinations(range(D - 3), n - 3)),
-                              dtype=np.int16).reshape(-1, n - 3)
-        self.subs_per_triple = len(rest_pairs)
+                              dtype=np.int16).reshape(self.subs_per_triple, n - 3)
         tri_to_subs = np.empty((self.ntriples, self.subs_per_triple), dtype=np.int32)
         all_vals = np.arange(D, dtype=np.int16)
         for t in range(self.ntriples):
             a, b, c = triples[t]
             rest = np.delete(all_vals, [a, b, c])
-            cols = rest[rest_pairs] if n > 3 else np.empty((1, 0), dtype=np.int16)
+            cols = rest[rest_pairs]
             full = np.concatenate(
                 [np.broadcast_to(triples[t], (len(cols), 3)), cols], axis=1)
             full = np.sort(full, axis=1)
@@ -350,13 +405,25 @@ class _RepairTables:
                 rank += comb_table[full[:, pos], pos + 1]
             tri_to_subs[t] = rank
 
-        # per-pair update tables: the triples through the pair, the subsets
-        # holding the pair, and for each such subset the n-2 of those
-        # triples it contains (as indices into the pair's triples, one
-        # column per slot)
+        # subset keys gc * width + bias: key + dsub still decodes to (gc,
+        # dsub) for dsub in [-(n-2), n-2], so a lookup tells whether the
+        # subset turns bad (gc + dsub == 0 < gc) or stops being bad
+        self.bias = n - 2
+        self.width = 2 * (n - 2) + 1
+        idx = np.arange((math.comb(n, 3) + 1) * self.width)
+        gc_old = idx // self.width
+        gc_new = gc_old + idx % self.width - self.bias
+        self.turns_bad = (gc_new == 0) & (gc_old != 0)
+        self.turns_good = (gc_old == 0) & (gc_new != 0)
+
+        # per-pair update tables: the triples through the pair, the flat
+        # index 3t + slot of the pair in each and that slot's code bit, the
+        # subsets holding the pair, and for each such subset the n-2 of
+        # those triples it contains (as indices into the pair's triples,
+        # one column per slot)
         self.pair_tris: list[np.ndarray] = []
-        self.pair_tri_pairs: list[np.ndarray] = []
-        self.pair_flip: list[np.ndarray] = []
+        self.pair_slot: list[np.ndarray] = []
+        self.pair_bit: list[np.ndarray] = []
         self.pair_sub_uniq: list[np.ndarray] = []
         self.pair_sub_tris: list[list[np.ndarray]] = []
         pair_members = [[] for _ in range(self.npairs)]
@@ -369,24 +436,26 @@ class _RepairTables:
             uniq, pos = np.unique(flat, return_inverse=True)
             members = (np.argsort(pos, kind="stable")
                        // self.subs_per_triple).reshape(len(uniq), n - 2)
+            slot = np.argmax(self.tri_pairs[tris] == p, axis=1)
             self.pair_tris.append(tris)
-            # the pairs of each of those triples, and which one is p
-            self.pair_tri_pairs.append(self.tri_pairs[tris])
-            self.pair_flip.append((self.tri_pairs[tris] == p).astype(np.uint8))
+            self.pair_slot.append(3 * tris.astype(np.intp) + slot)
+            self.pair_bit.append((1 << slot).astype(np.uint8))
             self.pair_sub_uniq.append(uniq.astype(np.int64))
             self.pair_sub_tris.append(
                 [np.ascontiguousarray(members[:, j]) for j in range(n - 2)])
         self.tri_to_subs = tri_to_subs
 
     def initial_state(self, bits: np.ndarray):
+        """Triple codes, flip deltas (triples x 3) and subset keys of bits."""
         colors = bits[self.tri_pairs]
-        good = (colors[:, 0] == colors[:, 1]) & (colors[:, 0] != colors[:, 2])
+        code = colors[:, 0] | (colors[:, 1] << 1) | (colors[:, 2] << 2)
+        good = _FLIP_DELTA[code, 0] < 0     # a good triple loses by any flip
         gc = np.bincount(
             self.tri_to_subs.ravel(),
             weights=np.repeat(good, self.subs_per_triple),
             minlength=self.nsubsets,
-        ).astype(np.int32)
-        return good, gc
+        ).astype(np.intp)
+        return code, _FLIP_DELTA[code], gc * self.width + self.bias
 
 
 def _pair_index_arr(a, b, D):
@@ -412,8 +481,9 @@ def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
     """
     tab = _repair_tables(D, n)
     bits = bits.copy()
-    good, gc = tab.initial_state(bits)
-    nbad = int((gc == 0).sum())
+    code, delta, keys = tab.initial_state(bits)
+    flat_delta = delta.reshape(-1)
+    nbad = int(np.count_nonzero(keys == tab.bias))
     if nbad == 0:
         return bits, 0, 0
     decay = (t_end / t_start) ** (1.0 / max(1, steps))
@@ -421,25 +491,26 @@ def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
     for step in range(1, steps + 1):
         temp *= decay
         p = int(rng.integers(tab.npairs))
-        tris = tab.pair_tris[p]
-        cols = bits[tab.pair_tri_pairs[p]] ^ tab.pair_flip[p]
-        new_good = (cols[:, 0] == cols[:, 1]) & (cols[:, 0] != cols[:, 2])
-        dtri = new_good.astype(np.int8) - good[tris].astype(np.int8)
-        if not dtri.any():
+        dtri = flat_delta[tab.pair_slot[p]]
+        # count_nonzero skips the ufunc reduction machinery of any/sum
+        if not np.count_nonzero(dtri):
             continue
         uniq = tab.pair_sub_uniq[p]
         first, *rest = tab.pair_sub_tris[p]
         dsub = dtri[first]
         for col in rest:
             dsub += dtri[col]
-        old_vals = gc[uniq]
-        new_vals = old_vals + dsub
-        dbad = int(np.count_nonzero(new_vals == 0)
-                   - np.count_nonzero(old_vals == 0))
+        old_keys = keys[uniq]
+        idx = old_keys + dsub
+        dbad = (np.count_nonzero(tab.turns_bad[idx])
+                - np.count_nonzero(tab.turns_good[idx]))
         if dbad <= 0 or rng.random() < math.exp(-dbad / temp):
             bits[p] ^= 1
-            gc[uniq] = new_vals
-            good[tris] = new_good
+            keys[uniq] = old_keys + dsub.astype(np.intp) * tab.width
+            tris = tab.pair_tris[p]
+            new_code = code[tris] ^ tab.pair_bit[p]
+            code[tris] = new_code
+            delta[tris] = _FLIP_DELTA[new_code]
             nbad += dbad
             if nbad == 0:
                 return bits, step, 0
@@ -513,6 +584,21 @@ def paley_coloring(q: int, D: int) -> PairColoring:
     return PairColoring(D, np.array(bits, dtype=np.uint8))
 
 
+# v(n): every tournament on v(n) vertices has a transitive subtournament on
+# n, and some tournament on v(n) - 1 has none (Erdos-Moser 1964; Reid-Parker
+# 1970; Sanchez-Flores 1994).  Known exactly only up to n = 6.
+_TT_FORCING_ORDER = {3: 4, 4: 8, 5: 14, 6: 28}
+
+
+def tt_forcing_order(n: int) -> Optional[int]:
+    """Least D at which no coloring is certified at n, or None if unknown.
+
+    Known for n <= 6 (4, 8, 14, 28); from this D on every tournament has
+    a transitive n-subtournament, so every coloring is refuted.
+    """
+    return _TT_FORCING_ORDER.get(n)
+
+
 @dataclass
 class SearchResult:
     success: bool
@@ -524,9 +610,16 @@ class SearchResult:
     best_bad_count: int
     strategy: str               # seeded | annealed | paley-<q>
 
+    @property
+    def certifiable(self) -> Optional[bool]:
+        """Does any coloring certified at (D, n) exist; None if unknown."""
+        v = tt_forcing_order(self.certification.n)
+        return None if v is None else self.coloring.D < v
+
     def as_dict(self) -> dict:
         return {
             "success": self.success,
+            "certifiable": self.certifiable,
             "attempts": self.attempts,
             "repaired": self.repaired,
             "anneal_steps": self.anneal_steps,

@@ -1,18 +1,21 @@
 """Tests for the command-line harness: exit codes, reports, reproducibility."""
 
 import csv
+import functools
 import io
 import json
 
 import numpy as np
 import pytest
 
+from stepup import cli
 from stepup.cli import BENCH_COLUMNS, derive_seed, main
 from stepup.coloring import (
     PairColoring,
     load_coloring,
     sample_coloring,
     save_coloring,
+    search_certified_coloring,
 )
 from stepup.hypergraph import StepUpHypergraph, exact_alpha, is_edge
 from stepup.witness import random_subset, save_q
@@ -225,6 +228,41 @@ def test_bench_emits_fixed_csv_schema(capsys, tmp_path):
     k5 = [r for r in rows[1:] if r[0] == "k5-sweep"]
     assert len(k5) == 2 and k5[0][6] == k5[1][6]
     assert csv_path.read_text() == out
+
+
+def test_bench_k5_rows_count_the_patterns_checked(capsys):
+    # over all 2^D vertices the engine checks delta patterns (64 at D = 4,
+    # 220 at D = 5), not binom(2^D, 5) vertex 5-sets
+    for bits, patterns in ((4, 64), (5, 220)):
+        code = main(["bench", "--bits", str(bits), "--threads", "2",
+                     "--q-bits", "16", "--q-size", "2000"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert code == 0
+        k5 = [r for r in rows[1:] if r[0] == "k5-sweep"]
+        assert [(r[2], r[3]) for r in k5] == [(str(patterns), "1"),
+                                              (str(patterns), "2")]
+
+
+def test_gen_coloring_search_says_when_no_certified_coloring_exists(
+        capsys, tmp_path, monkeypatch):
+    # the anneal is shortened; the search still fails, as it must at D >= 14
+    monkeypatch.setattr(cli, "search_certified_coloring", functools.partial(
+        search_certified_coloring, repair_steps=300))
+    code, rep = run_json(capsys, ["gen-coloring", "--bits", "14", "--seed", "0",
+                                  "--search", "--n", "5", "--attempts", "1",
+                                  "--out", str(tmp_path / "phi.bin")])
+    assert code == 1 and rep["verdict"] == "Refuted"
+    assert rep["search"]["certifiable"] is False
+    assert "every tournament on 14 vertices" in rep["note"]
+
+
+def test_gen_coloring_search_report_has_no_note_when_certifiable(
+        capsys, tmp_path):
+    code, rep = run_json(capsys, ["gen-coloring", "--bits", "12", "--seed", "0",
+                                  "--search", "--n", "5", "--out",
+                                  str(tmp_path / "phi.bin")])
+    assert code == 0 and rep["search"]["certifiable"] is True
+    assert "note" not in rep
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for pair colorings, certification, repair search, Steiner packing."""
 
+import hashlib
 import math
 from itertools import combinations
 
@@ -24,7 +25,9 @@ from stepup.coloring import (
     paley_coloring,
     sample_coloring,
     save_coloring,
+    SearchResult,
     search_certified_coloring,
+    tt_forcing_order,
 )
 from stepup.errors import (
     BudgetExceeded,
@@ -300,6 +303,111 @@ def test_search_falls_back_to_paley_27_at_26_6():
     assert sr.coloring == paley_coloring(27, 26)
     assert sr.coloring.seed == -1
     assert certify_good_property(sr.coloring, 6).certified
+
+
+def test_dfs_certify_matches_scalar_oracle():
+    # verdict, counterexample, subsets_checked and total against the plain
+    # enumeration: all-red, QR7, QR11, and random colorings at every D <= 12
+    # with n = 3, n = D and a random n in between
+    cases = [(coloring_from_mask(8, 0), n) for n in (3, 5, 8)]
+    cases += [(paley_coloring(q, q), n) for q in (7, 11) for n in range(3, q + 1)]
+    rng = np.random.default_rng(2024)
+    for D in range(3, 13):
+        for _ in range(4):
+            phi = sample_coloring(D, int(rng.integers(0, 10 ** 6)))
+            cases += [(phi, n) for n in {3, D, int(rng.integers(3, D + 1))}]
+    verdicts = set()
+    for phi, n in cases:
+        fast = certify_good_property(phi, n)
+        slow = _certify_exact_scalar(phi, n)
+        assert (fast.verdict, fast.counterexample, fast.subsets_checked,
+                fast.total) == (slow.verdict, slow.counterexample,
+                                slow.subsets_checked, slow.total), (phi, n)
+        assert fast.prefixes_visited > 0
+        verdicts.add(fast.verdict)
+    assert verdicts == {"Certified", "Refuted"}
+
+
+def test_certify_n_equals_d_at_1500_needs_no_recursion():
+    # the one good triple sits at the end, so the search walks a transitive
+    # prefix 1,498 vertices deep before it backs out
+    D = 1500
+    bits = np.zeros(D * (D - 1) // 2, dtype=np.uint8)
+    bits[pair_index(D - 3, D - 1, D)] = BLUE
+    res = certify_good_property(PairColoring(D, bits), D)
+    assert res.certified and res.total == res.subsets_checked == 1
+    assert res.prefixes_visited == D - 1
+
+
+def test_certification_reports_prefixes_visited():
+    phi = sample_coloring(8, 17)
+    exact = certify_good_property(phi, 5)
+    assert exact.certified and exact.subsets_checked == math.comb(8, 5)
+    assert exact.as_dict()["prefixes_visited"] == exact.prefixes_visited > 0
+    est = certify_good_property(phi, 5, "sampled", trials=100, seed=1)
+    assert est.prefixes_visited == 0 == est.as_dict()["prefixes_visited"]
+
+
+# The benchmark's (12, 5) search panel: anneal_steps and the sha256 of the
+# certified coloring, so any change to the annealer's trajectory fails here.
+PANEL = {
+    0: (36129, "cf28668c7c5a7cf2"),
+    1000: (30469, "ed54fa9f8cb0f452"),
+    2000: (22042, "86ea178fa3ecaf9c"),
+    3000: (5679, "37528120d0ebdf02"),
+    4000: (22528, "1424de13312c3e84"),
+    5000: (5987, "88de46d473e61841"),
+    6000: (15651, "5834710c6d34fe2f"),
+}
+
+
+def _bits_sha(phi):
+    return hashlib.sha256(phi.bits.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("base_seed", sorted(PANEL))
+def test_search_panel_trajectory_is_pinned(base_seed):
+    sr = search_certified_coloring(12, 5, base_seed=base_seed)
+    assert sr.success and sr.attempts == 1 and sr.strategy == "annealed"
+    assert (sr.anneal_steps, _bits_sha(sr.coloring)[:16]) == PANEL[base_seed]
+
+
+def test_search_failure_at_16_5_is_pinned():
+    sr = search_certified_coloring(16, 5, attempts=2, repair_steps=15_000,
+                                   base_seed=0)
+    assert (sr.best_bad_count, sr.anneal_steps) == (98, 15_000)
+    assert _bits_sha(sr.coloring) == (
+        "07ebe5bbaa87307ed19adfe0db895a7132840bbefc42f26eefae7f30eea0c9e8")
+    assert sr.certification.counterexample == (0, 1, 3, 5, 11)
+    assert sr.certification.subsets_checked == 95
+
+
+def test_search_result_says_when_certification_is_impossible():
+    assert [tt_forcing_order(n) for n in (3, 4, 5, 6, 7)] == [4, 8, 14, 28, None]
+    # one below v(n) a certified coloring exists: QR7 at 4, GF(27) at 6
+    assert certify_good_property(paley_coloring(7, 7), 4).certified
+    assert certify_good_property(paley_coloring(27, 27), 6).certified
+
+    def certifiable(phi, n):
+        res = certify_good_property(phi, n)
+        sr = SearchResult(res.certified, phi, res, 1, False, 0, 0, "seeded")
+        assert sr.as_dict()["certifiable"] is sr.certifiable
+        return sr.certifiable
+
+    # every tournament on 14 vertices has a transitive 5-subtournament
+    assert certifiable(sample_coloring(14, 0), 5) is False
+    assert certifiable(paley_coloring(11, 11), 5) is True
+    # beyond n = 6 nothing is claimed
+    assert certifiable(paley_coloring(19, 19), 7) is None
+
+
+def test_search_at_n_3():
+    # every tournament on 4 vertices has a transitive triple
+    sr = search_certified_coloring(4, 3, attempts=1, repair_steps=200)
+    assert not sr.success and sr.certifiable is False
+    assert find_good_triple(sr.coloring, sr.certification.counterexample) is None
+    sr3 = search_certified_coloring(3, 3, attempts=2, repair_steps=200)
+    assert sr3.success and sr3.certifiable is True
 
 
 def test_steiner_smallest_cases():
