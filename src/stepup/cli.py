@@ -281,13 +281,17 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
     report = {"command": "extract-witness", "config": _config_echo(args),
               "q": q_info, "n": args.n,
               "guarantee_threshold": guarantee_threshold(args.n)}
+    timings = report["timings"] = {}
+    t0 = time.perf_counter()
     try:
         witness = extract_edge(H, q, args.n)
     except ExtractorError as exc:
+        timings["extract_s"] = round(time.perf_counter() - t0, 6)
         report["verdict"] = "ExtractionFailed"
         report["failure"] = {"kind": exc.kind, "message": str(exc),
                              "trace": exc.trace}
         return 1, report
+    timings["extract_s"] = round(time.perf_counter() - t0, 6)
     vs = np.array(witness.vertices, dtype=np.uint64)
     idx = np.minimum(np.searchsorted(q, vs), q.size - 1)
     assert witness.validate(H) and (q[idx] == vs).all(), \
@@ -295,6 +299,7 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
     report["verdict"] = "WitnessFound"
     report["witness"] = witness.as_dict()
     if args.check_star:
+        t0 = time.perf_counter()
         built = build_layers(q, args.n)
         if isinstance(built, LayerStack):
             star = verify_star_property(built)
@@ -304,6 +309,7 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
         else:
             report["star_property"] = {"ok": True,
                                        "note": "monotone run, no stack built"}
+        timings["star_s"] = round(time.perf_counter() - t0, 6)
     return 0, report
 
 

@@ -182,17 +182,21 @@ def delta_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def consecutive_deltas(q: np.ndarray) -> np.ndarray:
-    """Delta sequence of a strictly increasing vertex array, as int16."""
+    """Delta sequence of a strictly increasing vertex array, as int8.
+
+    Vertices have at most 64 bits, so every delta is at most 63.
+    """
     q = np.asarray(q, dtype=np.uint64)
     if q.size < 2:
         raise TupleTooShort("need at least 2 vertices")
-    out = np.empty(q.size - 1, dtype=np.int16)
+    out = np.empty(q.size - 1, dtype=np.int8)
     if int(q.max()) >= (1 << 53):
         if not (q[:-1] < q[1:]).all():
             raise MalformedTuple("vertex array must be strictly increasing")
         out[:] = _msb(np.bitwise_xor(q[:-1], q[1:]))
         return out
-    # exact float64 path, one reused buffer set per cache-sized slice
+    # exact float64 path, one reused buffer set per cache-sized slice; below
+    # 2^53 the xor is a non-negative int64, which converts faster than uint64
     x = np.empty(min(_CHUNK, out.size), dtype=np.uint64)
     f = np.empty(x.size, dtype=np.float64)
     order = np.empty(x.size, dtype=bool)
@@ -203,7 +207,7 @@ def consecutive_deltas(q: np.ndarray) -> np.ndarray:
         if not np.less(lo, hi, out=order[:k]).all():
             raise MalformedTuple("vertex array must be strictly increasing")
         np.bitwise_xor(lo, hi, out=x[:k])
-        f[:k] = x[:k]
+        np.copyto(f[:k], x[:k].view(np.int64), casting="unsafe")
         bits = f[:k].view(np.uint64)
         bits >>= np.uint64(52)
         np.subtract(bits, 1023, out=out[s:e], casting="unsafe")

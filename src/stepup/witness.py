@@ -99,7 +99,10 @@ class LayerStack:
     """Nested strict-local-maxima layers over the delta sequence of Q.
 
     layers[0] is every position; layers[t] holds the positions of delta
-    values that are strict local maxima with respect to layers[t-1].  beta
+    values that are strict local maxima with respect to layers[t-1].
+    layers[0] may be None, meaning every position in [0, deltas.size)
+    without storing them, as build_layers leaves it; layer(t) gives any
+    layer as an array.  beta
     keeps the targets (m-1)/(2n)^t as diagnostics only: the all-maxima
     policy makes each layer a superset of the first-beta_t prefix the
     counting argument reasons about, and observed sizes are recorded, not
@@ -116,9 +119,16 @@ class LayerStack:
     beta: tuple[float, ...]
     parents: Optional[list] = None
 
+    def layer(self, t: int) -> np.ndarray:
+        """Layer t as a position array, materialising an implicit layer 0."""
+        found = self.layers[t]
+        if found is None:
+            return np.arange(self.deltas.size, dtype=np.int32)
+        return found
+
     @property
     def layer_sizes(self) -> list[int]:
-        return [int(layer.size) for layer in self.layers]
+        return _sizes(self.layers, self.deltas.size)
 
     def beta_report(self) -> list[dict]:
         out = []
@@ -167,6 +177,12 @@ class Anchors:
         }
 
 
+def _sizes(layers: list, positions: int) -> list[int]:
+    # an implicit layer 0 (None) holds every position
+    return [positions if layer is None else int(layer.size)
+            for layer in layers]
+
+
 def _as_vertex_array(Q) -> np.ndarray:
     q = np.asarray(Q, dtype=np.uint64)
     if q.ndim != 1:
@@ -207,11 +223,12 @@ def _all_of_next(flags: np.ndarray, length: int) -> np.ndarray:
 _SCAN_CHUNK = 1 << 16  # layers are scanned in cache-sized slices
 
 
-def _scan_layer(layer: np.ndarray, vals: np.ndarray, n: int,
+def _scan_layer(layer: Optional[np.ndarray], vals: np.ndarray, n: int,
                 with_index: bool = True):
     """One layer's leftmost monotone n-run, or its strict local maxima.
 
-    vals holds the deltas at the layer's positions.  Returns
+    vals holds the deltas at the layer's positions; a layer of None is
+    every position, so its positions are their own indices.  Returns
     ("run", start, direction, None) for the leftmost window of n
     strictly monotone values, else ("maxima", positions, values, indices)
     for the interior strict local maxima, indices being their places in
@@ -221,7 +238,15 @@ def _scan_layer(layer: np.ndarray, vals: np.ndarray, n: int,
     done first.
     """
     size = vals.size
-    kept_pos, kept_vals, kept_idx = [], [], []
+    # Interior strict maxima are never adjacent, so at most (size - 1) // 2
+    # of them fill buffers that are cut to length in place at the end:
+    # collecting slices and concatenating them would hold every maximum
+    # twice.  np.empty commits no pages that are never written.
+    bound = max((size - 1) // 2, 0)
+    kept_pos = np.empty(bound, np.int32 if layer is None else layer.dtype)
+    kept_vals = np.empty(bound, vals.dtype)
+    kept_idx = np.empty(bound if with_index else 0, np.int32)
+    kept = 0
     for s in range(0, size, _SCAN_CHUNK):
         e = min(s + _SCAN_CHUNK, size)
         lo = max(s - 1, 0)
@@ -236,12 +261,20 @@ def _scan_layer(layer: np.ndarray, vals: np.ndarray, n: int,
         j_end = max(min(e - lo - 1, up.size - 1), 0)
         peak = np.flatnonzero(up[:j_end] & down[1:j_end + 1])
         peak += 1
-        kept_pos.append(layer[lo:][peak])
-        kept_vals.append(v[peak])
+        end = kept + peak.size
+        np.take(v, peak, out=kept_vals[kept:end])
+        peak += lo
+        if layer is None:
+            kept_pos[kept:end] = peak
+        else:
+            np.take(layer, peak, out=kept_pos[kept:end])
         if with_index:
-            kept_idx.append((peak + lo).astype(np.int32))
-    return ("maxima", np.concatenate(kept_pos), np.concatenate(kept_vals),
-            np.concatenate(kept_idx) if with_index else None)
+            kept_idx[kept:end] = peak
+        kept = end
+    for buf in (kept_pos, kept_vals, kept_idx):
+        # no views of the buffers remain, so none can see the memory go
+        buf.resize(min(kept, buf.size), refcheck=False)
+    return ("maxima", kept_pos, kept_vals, kept_idx if with_index else None)
 
 
 def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
@@ -262,15 +295,17 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     deltas = consecutive_deltas(q)
     m = int(q.size)
     beta = tuple((m - 1) / (2 * n) ** t for t in range(LAYER_DEPTH + 1))
-    layers = [np.arange(m - 1, dtype=np.int32)]
-    # indices into layer 0 are the positions themselves: no parents there
+    # layer 0 is every position, left implicit; indices into it are the
+    # positions themselves, so there are no parents there either
+    layers = [None]
     parents = [None]
     vals = deltas  # deltas at the positions of the newest layer
     for t in range(1, LAYER_DEPTH + 1):
         prev = layers[-1]
         kind, found, extra, index = _scan_layer(prev, vals, n, t > 1)
         if kind == "run":
-            pos = prev[found:found + n]
+            pos = (np.arange(found, found + n) if prev is None
+                   else prev[found:found + n])
             return MonotoneRun(
                 layer=t - 1,
                 positions=tuple(int(p) for p in pos),
@@ -281,8 +316,7 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
             raise InsufficientLayers(
                 f"layer {t} came out empty: |Q| = {m} cannot sustain depth "
                 f"{LAYER_DEPTH} and has no monotone run of length {n}",
-                trace={"layer": t,
-                       "sizes": [int(l.size) for l in layers]})
+                trace={"layer": t, "sizes": _sizes(layers, deltas.size)})
         layers.append(found)
         parents.append(index)
         vals = extra
@@ -326,21 +360,30 @@ def edge_from_monotone_run(H: StepUpHypergraph, Q,
     return _edge_witness_for(H, vs, branch="MonotoneRunBranch", trace=trace)
 
 
-def _left_in(layer: np.ndarray, pos: int, level: int) -> int:
-    # a key of the layer's own dtype keeps numpy from converting the layer
-    i = int(np.searchsorted(layer, layer.dtype.type(pos)))
+def _left_in(stack: LayerStack, pos: int, level: int) -> int:
+    layer = stack.layers[level]
+    if layer is None:           # every position: the neighbor is pos - 1
+        i = min(pos, stack.deltas.size)
+    else:
+        # a key of the layer's own dtype keeps numpy from converting it
+        i = int(np.searchsorted(layer, layer.dtype.type(pos)))
     if i == 0:
         raise InsufficientLayers(
             f"position {pos} has no left neighbor in layer {level}")
-    return int(layer[i - 1])
+    return i - 1 if layer is None else int(layer[i - 1])
 
 
-def _right_in(layer: np.ndarray, pos: int, level: int) -> int:
-    i = int(np.searchsorted(layer, layer.dtype.type(pos), side="right"))
-    if i == layer.size:
+def _right_in(stack: LayerStack, pos: int, level: int) -> int:
+    layer = stack.layers[level]
+    if layer is None:           # every position: the neighbor is pos + 1
+        i, size = min(pos + 1, stack.deltas.size), stack.deltas.size
+    else:
+        i = int(np.searchsorted(layer, layer.dtype.type(pos), side="right"))
+        size = layer.size
+    if i == size:
         raise InsufficientLayers(
             f"position {pos} has no right neighbor in layer {level}")
-    return int(layer[i])
+    return i if layer is None else int(layer[i])
 
 
 def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
@@ -354,12 +397,11 @@ def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
         raise InsufficientLayers(
             f"anchor selection needs {LAYER_DEPTH + 1} layers, stack has "
             f"{len(stack.layers)}")
-    L = stack.layers
     dl = stack.deltas
-    a = int(L[7][0])
-    b1 = _left_in(L[6], a, 6)
-    b2 = _right_in(L[5], b1, 5)
-    b3 = _right_in(L[4], b2, 4)
+    a = int(stack.layers[7][0])
+    b1 = _left_in(stack, a, 6)
+    b2 = _right_in(stack, b1, 5)
+    b3 = _right_in(stack, b2, 4)
     assert b1 < b2 < b3 < a, "anchor positions out of order"
     assert dl[b3] < dl[b2] < dl[b1] < dl[a], "anchor deltas out of order"
     colors = [int(phi.color(int(dl[b]), int(dl[a]))) for b in (b1, b2, b3)]
@@ -370,10 +412,10 @@ def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
     bs = (b1, b2, b3)
     B1, B3 = bs[pair[0] - 1], bs[pair[1] - 1]
     ell = LAYER_DEPTH - pair[1]  # layer level of B3
-    c = _left_in(L[ell - 1], B3, ell - 1)
-    d = _right_in(L[ell - 2], c, ell - 2)
-    e = _left_in(L[ell - 3], d, ell - 3)
-    f = _right_in(L[ell - 4], e, ell - 4)
+    c = _left_in(stack, B3, ell - 1)
+    d = _right_in(stack, c, ell - 2)
+    e = _left_in(stack, d, ell - 3)
+    f = _right_in(stack, e, ell - 4)
     assert c < e < f < d < B3, "descent chain positions out of order"
     assert dl[B3] > dl[c] > dl[d] > dl[e] > dl[f], \
         "descent chain deltas out of order"
@@ -499,7 +541,7 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     """
     # -1 marks an empty gap, below every delta
     nonneg = stack.deltas.size == 0 or int(stack.deltas.min()) >= 0
-    locs = _nesting(stack.layers, stack.parents) if nonneg else None
+    locs = _nesting(stack) if nonneg else None
     if locs is not None:
         return _star_nested(stack, locs)
     return _star_direct(stack)
@@ -539,7 +581,7 @@ def _star_direct(stack: LayerStack) -> PropertyReport:
         drop = np.setdiff1d(P, nxt, assume_unique=True).astype(np.int64)
         if drop.size == 0:
             continue
-        prev = stack.layers[t - 1]
+        prev = stack.layer(t - 1)
         loc = np.searchsorted(prev, drop)
         if (loc == 0).any() or (loc >= prev.size - 1).any():
             k = int(np.argmax((loc == 0) | (loc >= prev.size - 1)))
@@ -594,20 +636,17 @@ def _increasing(a: np.ndarray) -> bool:
     return bool((a[1:] > a[:-1]).all())
 
 
-def _contiguous(layer: np.ndarray) -> bool:
-    """True for a strictly increasing layer holding every position in range."""
-    return layer.size > 0 and int(layer[-1]) - int(layer[0]) == layer.size - 1
-
-
-def _nesting(layers: list[np.ndarray],
-             parents: Optional[list] = None) -> Optional[list[np.ndarray]]:
+def _nesting(stack: LayerStack) -> Optional[list[np.ndarray]]:
     """Index of every layer's positions inside the layer below, if nested.
 
     Returns None unless every layer strictly increases and each layer
-    t >= 1 is a subsequence of layer t-1.  Recorded parents are used
-    where they check out; other indices are found by marking positions.
+    t >= 1 is a subsequence of layer t-1.  An implicit layer 0 (None)
+    holds every delta position, so layer-1 positions are their own
+    indices.  Recorded parents are used where they check out; other
+    indices are found by marking positions.
     """
-    if not _increasing(layers[0]):
+    layers, parents = stack.layers, stack.parents
+    if layers[0] is not None and not _increasing(layers[0]):
         return None
     locs = [None]
     mark = None
@@ -617,12 +656,15 @@ def _nesting(layers: list[np.ndarray],
         if P.size == 0:
             locs.append(P)
             continue
+        if prev is None:
+            if not _increasing(P) or P[0] < 0 or P[-1] >= stack.deltas.size:
+                return None
+            locs.append(P)
+            continue
         if (prev.size == 0 or not _increasing(P) or P[0] < prev[0]
                 or P[-1] > prev[-1]):
             return None
-        if _contiguous(prev):
-            loc = P - prev[0] if prev[0] else P
-        elif (given is not None and given.shape == P.shape
+        if (given is not None and given.shape == P.shape
               and given.dtype.kind in "iu" and _increasing(given)
               and given[0] >= 0 and given[-1] < prev.size
               and (prev[given] == P).all()):
@@ -718,14 +760,14 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
         return PropertyReport(ok=False, checks=checks, counterexample=info)
 
     base = layers[0]
-    if _contiguous(base):
+    if base is None:
         # gaps is None while the layer below has no gaps at all
-        d, gaps = deltas[int(base[0]):int(base[-1]) + 1], None
+        d, gaps = deltas, None
     else:
         dpad = np.concatenate([deltas, np.array([-1], dtype=deltas.dtype)])
         d, gaps = deltas[base], _gap_maxima(dpad, base)
     for t in range(1, len(layers)):
-        P, prev, loc = layers[t], layers[t - 1], locs[t]
+        P, below, loc = layers[t], layers[t - 1], locs[t]
         dP = np.empty(P.size, dtype=deltas.dtype)
         gP = np.empty(max(P.size - 1, 0), dtype=deltas.dtype)
         dropped = np.ones(P.size, dtype=bool)
@@ -778,13 +820,15 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
             # loc strictly increases: only the ends can lack a neighbor
             if dropped[0] and loc[0] == 0:
                 return fail(_boundary_failure(t, int(P[0])))
-            if dropped[-1] and loc[-1] >= prev.size - 1:
+            if dropped[-1] and loc[-1] >= d.size - 1:
                 return fail(_boundary_failure(t, int(P[-1])))
             checks["drop_dominance"] += n_drop
             if flank >= 0:
                 k = int(loc[flank])
-                return fail(_flank_failure(t, int(P[flank]), int(prev[k - 1]),
-                                           int(prev[k + 1])))
+                # an implicit layer 0 is indexed by position
+                left, right = ((k - 1, k + 1) if below is None
+                               else (int(below[k - 1]), int(below[k + 1])))
+                return fail(_flank_failure(t, int(P[flank]), left, right))
         d, gaps = dP, gP
     return PropertyReport(ok=True, checks=checks, counterexample=None)
 

@@ -164,6 +164,24 @@ def test_extract_witness_check_star(capsys, certified12_file, tmp_path):
     assert rep["star_property"]["ok"] is True
 
 
+def test_extract_witness_reports_stage_timings(capsys, certified12_file,
+                                               tmp_path):
+    qpath = tmp_path / "q.bin"
+    save_q(random_subset(12, 2000, seed=4), 12, qpath)
+    argv = ["extract-witness", "--coloring", certified12_file, "--n", "5",
+            "--q-file", str(qpath)]
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and set(rep["timings"]) == {"extract_s", "total_s"}
+    code, starred = run_json(capsys, argv + ["--check-star"])
+    assert code == 0
+    assert set(starred["timings"]) == {"extract_s", "star_s", "total_s"}
+    assert all(v >= 0 for v in starred["timings"].values())
+    code, failed = run_json(capsys, ["extract-witness", "--bits", "12",
+                                     "--seed", "1", "--n", "5",
+                                     "--q-seed", "3", "--q-size", "30"])
+    assert code == 1 and set(failed["timings"]) == {"extract_s", "total_s"}
+
+
 def test_extract_witness_failure_is_exit_one(capsys):
     code, rep = run_json(capsys, ["extract-witness", "--bits", "12",
                                   "--seed", "1", "--n", "5",

@@ -239,7 +239,7 @@ def test_consecutive_deltas_across_slices_and_wide_vertices():
     rng = np.random.default_rng(11)
     q = np.unique(rng.integers(0, 1 << 30, size=200_000, dtype=np.uint64))
     got = consecutive_deltas(q)
-    assert got.dtype == np.int16
+    assert got.dtype == np.int8
     assert got.tolist() == list(delta_sequence(q.tolist()))
     wide = np.unique(rng.integers(0, 1 << 63, size=3000, dtype=np.uint64))
     wide[-1] = np.uint64((1 << 64) - 1)
@@ -249,3 +249,17 @@ def test_consecutive_deltas_across_slices_and_wide_vertices():
     bad[150_000] = bad[150_001]
     with pytest.raises(MalformedTuple):
         consecutive_deltas(bad)
+
+
+def test_consecutive_deltas_are_int8_up_to_delta_63():
+    # D = 64: the top bit gives the largest delta, 63, on the wide path
+    top = np.uint64(1 << 63)
+    q = np.array([0, 5, top, top + np.uint64(1), np.uint64((1 << 64) - 1)],
+                 dtype=np.uint64)
+    got = consecutive_deltas(q)
+    assert got.dtype == np.int8
+    assert got.tolist() == [2, 63, 0, 62] == list(delta_sequence(q.tolist()))
+    # the float path stays below 2^53, where delta 52 is the largest
+    narrow = np.array([0, (1 << 53) - 1], dtype=np.uint64)
+    assert consecutive_deltas(narrow).dtype == np.int8
+    assert consecutive_deltas(narrow).tolist() == [52]

@@ -1,5 +1,7 @@
 """Tests for layered witness extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import tuple_from_distinct_deltas
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 import stepup.witness as w
 from stepup.coloring import (
     PairColoring,
+    certify_good_property,
     find_good_triple,
     pair_index,
+    paley_coloring,
     sample_coloring,
     search_certified_coloring,
 )
@@ -91,7 +95,8 @@ def test_ruler_stack_has_halving_layers():
     assert isinstance(stack, LayerStack)
     assert stack.layer_sizes == [1023, 511, 255, 127, 63, 31, 15, 7]
     # the ruler's t-th layer holds exactly the positions = 2^t - 1 mod 2^t
-    for t, layer in enumerate(stack.layers):
+    for t in range(len(stack.layers)):
+        layer = stack.layer(t)
         step = 1 << t
         assert layer[0] == step - 1 and np.all(np.diff(layer) == step)
     assert [round(b, 4) for b in stack.beta[:3]] == [1023, 102.3, 10.23]
@@ -306,6 +311,26 @@ def test_interval_q_full_scale_anchor_chain():
     assert report.checks == {"star_pairs": 9_921_860, "drop_dominance": 4_999_999}
 
 
+def test_guarantee_scale_trial_at_n7():
+    """One trial under the guarantee at n = 7: |Q| = 14^7 + 1 of 2^27.
+
+    The Paley tournament on GF(27) has no transitive 7-subtournament, so
+    extraction must succeed (about 8 s and 1.6 GB on a 2-core machine).
+    """
+    phi = paley_coloring(27, 27)
+    assert certify_good_property(phi, 7).certified
+    H = StepUpHypergraph(phi)
+    q = random_subset(27, guarantee_threshold(7), seed=0)
+    assert q.size == 105_413_505
+    wit = extract_edge(H, q, 7)
+    assert wit.validate(H)
+    vs = np.array(wit.vertices, dtype=np.uint64)
+    assert (q[np.searchsorted(q, vs)] == vs).all()
+    built = build_layers(q, 7)
+    if isinstance(built, LayerStack):
+        assert verify_star_property(built).ok
+
+
 def test_extraction_guarantee_trips_gap_trap_not_retry(monkeypatch):
     H = StepUpHypergraph(sample_coloring(24, seed=11))
     q = np.arange(5_000_000, 15_000_001, dtype=np.uint64)
@@ -377,7 +402,7 @@ def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
             return str(exc)
         if isinstance(built, MonotoneRun):
             return built.as_dict()
-        return [layer.tolist() for layer in built.layers]
+        return [built.layer(t).tolist() for t in range(len(built.layers))]
 
     for _ in range(100):
         D = int(rng.integers(6, 12))
@@ -441,11 +466,11 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
                     stack.layers[t], rng.integers(stack.layers[t].size))
         elif kind == 3 and len(stack.layers) > 1:
             # a layer 0 with holes that the upper layers avoid
-            base, above = stack.layers[0], stack.layers[1]
+            base, above = stack.layer(0), stack.layers[1]
             free = np.setdiff1d(base, above)
             holes = rng.choice(free, size=min(3, free.size), replace=False)
             stack.layers = [np.setdiff1d(base, holes)] + list(stack.layers[1:])
-        locs = w._nesting(stack.layers)
+        locs = w._nesting(stack)
         if locs is None:
             continue
         direct, nested = w._star_direct(stack), w._star_nested(stack, locs)
@@ -454,6 +479,117 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
         compared += 1
         failing += not direct.ok
     assert compared > 150 and failing > 40
+
+
+def test_layer_stack_memory_stays_lean():
+    """Traced peaks of the stack build and the star check, against |Q|.
+
+    An interval Q of 2^21 vertices always builds all seven layers.  Layer
+    0 is left implicit and deltas are int8, so neither stage allocates an
+    array of every position (an int32 layer 0 alone is half of q.nbytes).
+    """
+    q = np.arange(1 << 21, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        stack = build_layers(q, 6)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        report = verify_star_property(stack)
+        _, star_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(stack, LayerStack) and len(stack.layers) == 8
+    assert report.ok
+    assert build_peak <= 1.25 * q.nbytes
+    assert star_peak - held <= 0.4 * q.nbytes
+
+
+def _explicit_base(stack):
+    """The same stack with layer 0 stored as an array of every position."""
+    return LayerStack(q=stack.q, deltas=stack.deltas,
+                      layers=[stack.layer(0)] + list(stack.layers[1:]),
+                      n=stack.n, beta=stack.beta, parents=stack.parents)
+
+
+def _report_of(rep):
+    return rep.ok, rep.checks, rep.counterexample
+
+
+def _extraction(H, q, n):
+    try:
+        return extract_edge(H, q, n).as_dict()
+    except ExtractorError as exc:
+        return type(exc).__name__, str(exc), exc.trace
+
+
+@pytest.mark.parametrize("chunk", [2, None])
+def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
+    """Layer 0 left implicit reads exactly like an np.arange layer 0.
+
+    chunk None keeps the default slice sizes; 2 puts slice boundaries
+    inside every run and gap.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
+    rng = np.random.default_rng(29)
+    H = certified12
+    stacks = failing = 0
+    for _ in range(100):
+        D = int(rng.integers(6, 13))
+        m = int(rng.integers(40, min(1 << D, 2000)))
+        q = random_subset(D, m, int(rng.integers(1 << 30)))
+        n = int(rng.integers(5, 9))
+        try:
+            stack = build_layers(q, n)
+        except InsufficientLayers as exc:
+            assert exc.trace["sizes"][0] == q.size - 1
+            continue
+        if not isinstance(stack, LayerStack):
+            continue
+        stacks += 1
+        assert stack.layers[0] is None
+        full = _explicit_base(stack)
+        assert stack.layer_sizes == full.layer_sizes
+        assert stack.layer_sizes[0] == q.size - 1
+        assert stack.as_dict() == full.as_dict()
+        locs = w._nesting(stack)
+        full_locs = w._nesting(full)
+        assert len(locs) == len(full_locs)
+        for a, b in zip(locs[1:], full_locs[1:]):
+            assert np.array_equal(a, b)
+        if len(stack.layers) == 8:
+            assert select_anchors(stack, H.coloring).as_dict() == \
+                select_anchors(full, H.coloring).as_dict()
+        # as built, and with one delta corrupted
+        corrupt = stack.deltas.copy()
+        corrupt[int(rng.integers(corrupt.size))] = int(rng.integers(D + 2))
+        for deltas in (stack.deltas, corrupt):
+            s1 = LayerStack(q=q, deltas=deltas, layers=stack.layers, n=n,
+                            beta=stack.beta, parents=stack.parents)
+            s2 = _explicit_base(s1)
+            first, *rest = [_report_of(r) for r in (
+                w._star_nested(s1, locs), w._star_nested(s2, full_locs),
+                w._star_direct(s1), w._star_direct(s2))]
+            assert all(r == first for r in rest)
+            failing += not first[0]
+    assert stacks > 25 and failing > 10
+
+    # extract_edge on the explicit form gives the same witness or error
+    implicit = build_layers
+
+    def explicit(q, n):
+        built = implicit(q, n)
+        return _explicit_base(built) if isinstance(built, LayerStack) else built
+
+    qs = [random_subset(12, int(rng.integers(100, 3000)),
+                        int(rng.integers(1 << 30))) for _ in range(16)]
+    want = [_extraction(H, q, 5) for q in qs]
+    monkeypatch.setattr(w, "build_layers", explicit)
+    assert [_extraction(H, q, 5) for q in qs] == want
+    assert sum(isinstance(x, dict) and x["branch"] == "AnchorChainBranch"
+               for x in want) > 3
 
 
 def test_corrupted_interior_delta_is_caught():
