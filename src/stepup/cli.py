@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -49,6 +50,7 @@ from .errors import (
     BudgetExceeded,
     ExtractorError,
     IoError,
+    ProofGapTrap,
     StepupError,
     UsageError,
 )
@@ -115,16 +117,22 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _read(loader, path):
+    """``loader(path)``, with an operating-system failure (missing file,
+    directory, no permission) raised as IoError naming the path."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise IoError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _load_phi(args: argparse.Namespace) -> PairColoring:
     """Coloring from --coloring file or --seed sample; --bits cross-checked."""
     path = getattr(args, "coloring", None)
     seed = getattr(args, "seed", None)
     bits = getattr(args, "bits", None)
     if path is not None:
-        try:
-            phi = load_coloring(path)
-        except FileNotFoundError as exc:
-            raise IoError(f"{path}: {exc.strerror}") from exc
+        phi = _read(load_coloring, path)
         if bits is not None and phi.D != bits:
             raise UsageError(
                 f"--bits {bits} disagrees with coloring file D={phi.D}")
@@ -138,10 +146,7 @@ def _load_phi(args: argparse.Namespace) -> PairColoring:
 
 def _resolve_q(args: argparse.Namespace, D: int, n: int) -> tuple[np.ndarray, dict]:
     if args.q_file is not None:
-        try:
-            q, qbits = load_q(args.q_file)
-        except FileNotFoundError as exc:
-            raise IoError(f"{args.q_file}: {exc.strerror}") from exc
+        q, qbits = _read(load_q, args.q_file)
         if qbits != D:
             raise UsageError(f"Q file is over 2^{qbits} but --bits is {D}")
         return q, {"source": "file", "path": args.q_file, "size": int(q.size)}
@@ -250,7 +255,7 @@ def _cmd_independent(args) -> tuple[int, dict]:
     phi = _load_phi(args)
     H = StepUpHypergraph(phi)
     if args.q_file is not None:
-        q, qbits = load_q(args.q_file)
+        q, qbits = _read(load_q, args.q_file)
         if qbits != H.D:
             raise UsageError(f"Q file is over 2^{qbits} but coloring D={H.D}")
         vertices = [int(v) for v in q]
@@ -294,8 +299,14 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
     timings["extract_s"] = round(time.perf_counter() - t0, 6)
     vs = np.array(witness.vertices, dtype=np.uint64)
     idx = np.minimum(np.searchsorted(q, vs), q.size - 1)
-    assert witness.validate(H) and (q[idx] == vs).all(), \
-        "emitted witness failed re-validation"
+    checks = {"is_edge": witness.validate(H),
+              "in_q": bool((q[idx] == vs).all())}
+    if not all(checks.values()):
+        vertices = [int(v) for v in witness.vertices]
+        raise ProofGapTrap(
+            f"emitted witness {vertices} failed re-validation against "
+            f"|Q| = {q.size} ({checks})",
+            trace={"vertices": vertices, "q_size": int(q.size), **checks})
     report["verdict"] = "WitnessFound"
     report["witness"] = witness.as_dict()
     if args.check_star:
@@ -385,7 +396,11 @@ def _add_phi_source(p: argparse.ArgumentParser, bits_required: bool = False):
                    help="master seed for sampling a coloring instead")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call in the process: parsing never changes it, and each ``parse_args``
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="stepup",
         description="Stepping-up 4-graph toolkit: colorings, K5(4)-freeness, "
@@ -482,24 +497,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(args: argparse.Namespace, report: dict) -> None:
+    """Encode the report once and write the files before stdout, so a file
+    that cannot be written leaves stdout empty."""
     report = _jsonable(report)
-    if getattr(args, "command", None) == "bench":
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out = text
+    if args.command == "bench":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report["columns"])
         writer.writerows(report["rows"])
-        text = buf.getvalue()
-        sys.stdout.write(text)
-        if getattr(args, "csv", None):
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                fh.write(text)
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        out = buf.getvalue()
+        if args.csv:
+            _write_text(args.csv, out)
+    if args.report:
+        _write_text(args.report, text)
+    sys.stdout.write(out)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -513,18 +532,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "threads", None) is None and hasattr(args, "threads"):
             args.threads = _default_threads()
         code, report = args.handler(args)
-    except (UsageError, IoError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        report.setdefault("timings", {})["total_s"] = round(
+            time.perf_counter() - t0, 6)
+        _emit(args, report)
+    except (UsageError, IoError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StepupError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    report.setdefault("timings", {})["total_s"] = round(
-        time.perf_counter() - t0, 6)
-    _emit(args, report)
     return code
 
 

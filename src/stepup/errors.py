@@ -104,9 +104,11 @@ class NoGoodTripleInRun(ExtractorError):
 
 
 class ProofGapTrap(ExtractorError):
-    """All anchor-chain candidates failed on a large-enough Q.
+    """All anchor-chain candidates failed on a large-enough Q, or an
+    emitted witness failed re-validation.
 
-    Must be unreachable; the trace holds the full anchor state dump.
+    Must be unreachable; the trace holds the full anchor state dump, or the
+    witness vertices and |Q|.
     """
 
     kind = "ProofGapTrap"

@@ -1,5 +1,6 @@
 """Tests for the command-line harness: exit codes, reports, reproducibility."""
 
+import argparse
 import csv
 import functools
 import io
@@ -17,8 +18,9 @@ from stepup.coloring import (
     save_coloring,
     search_certified_coloring,
 )
+from stepup.errors import ProofGapTrap
 from stepup.hypergraph import StepUpHypergraph, exact_alpha, is_edge
-from stepup.witness import random_subset, save_q
+from stepup.witness import extract_edge, random_subset, save_q
 
 
 def run_json(capsys, argv):
@@ -338,11 +340,99 @@ def test_reports_reproduce_modulo_timings(capsys, certified12_file, tmp_path):
 
 def test_report_file_matches_stdout(capsys, tmp_path):
     report_path = tmp_path / "report.json"
-    code, rep = run_json(capsys, ["steiner", "--n", "20", "--seed", "3",
-                                  "--report", str(report_path)])
-    assert code == 0
-    on_disk = json.loads(report_path.read_text())
-    assert on_disk == rep
+    code, out, err = run_raw(capsys, ["steiner", "--n", "20", "--seed", "3",
+                                      "--report", str(report_path)])
+    assert code == 0 and err == ""
+    assert report_path.read_bytes() == out.encode()
+    assert json.loads(report_path.read_text()) == json.loads(out)
+
+
+def test_directory_as_coloring_file_exits_two(capsys, tmp_path):
+    for argv in (["alpha", "--coloring", str(tmp_path)],
+                 ["verify-coloring", "--coloring", str(tmp_path), "--n", "5"]):
+        code, out, err = run_raw(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tmp_path}: "), argv
+
+
+def test_directory_as_q_file_exits_two(capsys, tmp_path):
+    for argv in (["extract-witness", "--bits", "12", "--seed", "1", "--n", "5",
+                  "--q-file", str(tmp_path)],
+                 ["independent", "--bits", "4", "--seed", "1",
+                  "--q-file", str(tmp_path)]):
+        code, out, err = run_raw(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tmp_path}: "), argv
+
+
+def test_unwritable_report_file_exits_two_with_empty_stdout(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "r.json"
+    code, out, err = run_raw(capsys, ["steiner", "--n", "20", "--seed", "3",
+                                      "--report", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_witness_outside_q_is_a_proof_gap_trap(capsys, certified12_file,
+                                               tmp_path, monkeypatch):
+    # the extractor is made to return an edge of a larger Q: the witness
+    # vertex 767 is missing from the Q given on the command line
+    full = random_subset(12, 2000, seed=4)
+    qpath = tmp_path / "q.bin"
+    save_q(full[full != 767], 12, qpath)
+    monkeypatch.setattr(cli, "extract_edge",
+                        lambda H, q, n: extract_edge(H, full, n))
+    argv = ["extract-witness", "--coloring", certified12_file, "--n", "5",
+            "--q-file", str(qpath)]
+    code, out, err = run_raw(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ProofGapTrap: ")
+    assert "[767, 895, 896, 1025]" in err and "|Q| = 1999" in err
+    with pytest.raises(ProofGapTrap) as info:
+        cli._cmd_extract_witness(cli.build_parser().parse_args(argv))
+    assert info.value.trace == {"vertices": [767, 895, 896, 1025],
+                                "q_size": 1999, "is_edge": True,
+                                "in_q": False}
+
+
+def test_main_calls_share_one_parser(capsys, tmp_path, monkeypatch):
+    report = tmp_path / "report.json"
+    steiner = ["steiner", "--n", "20", "--seed", "3"]
+    bound = ["bound", "--bits", "10", "--n", "5", "--cprime", "0.08"]
+
+    def lone_config(argv):
+        cli.build_parser.cache_clear()
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        return rep["config"]
+
+    steiner_config = lone_config(steiner + ["--report",
+                                            str(tmp_path / "lone.json")])
+    assert lone_config(steiner) == steiner_config
+    bound_config = lone_config(bound)
+
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+
+    code, out, _ = run_raw(capsys, steiner + ["--report", str(report)])
+    assert code == 0 and json.loads(out)["config"] == steiner_config
+    assert report.read_text() == out
+    report.unlink()
+    code, out, err = run_raw(capsys, ["frobnicate"])
+    assert code == 2 and out == "" and "frobnicate" in err
+    code, rep = run_json(capsys, bound)
+    assert code == 0 and rep["config"] == bound_config
+    code, rep = run_json(capsys, steiner)
+    assert code == 0 and rep["config"] == steiner_config
+    assert not report.exists()
+    assert made.count("stepup") == 1 and len(made) == len(set(made))
 
 
 def test_version_flag_exits_zero(capsys):
