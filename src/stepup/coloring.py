@@ -758,13 +758,9 @@ def _triple_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return triples, _triple_pairs(triples, n).astype(np.int32)
 
 
-def _greedy_vector(triples: np.ndarray, n: int) -> list[int]:
-    """Chunked greedy equivalent to _greedy_scalar on the same order."""
-    return _greedy_pairs(_triple_pairs(triples, n), n)
-
-
 def _greedy_pairs(pid: np.ndarray, n: int) -> list[int]:
-    """_greedy_vector on the rows' pair indices."""
+    """Chunked greedy on the rows' pair indices (_triple_pairs), equivalent
+    to _greedy_scalar on the same triple order."""
     npairs = n * (n - 1) // 2
     used = np.zeros(npairs, dtype=bool)
     accepted: list[int] = []

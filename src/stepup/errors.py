@@ -71,6 +71,20 @@ class NoNonEdge(StepupError):
         self.vertices = vertices
 
 
+class EngineDisagreement(StepupError):
+    """Bug trap: two computations of one verdict disagree.
+
+    Raised when a K5(4) violation found by the delta-pattern engine does
+    not hold under classify_4tuple, or when the K5 verdict changes with
+    the thread count.  Unreachable when the engines are correct; carries
+    the 5-set when there is one.
+    """
+
+    def __init__(self, message: str, vertices: Optional[tuple] = None):
+        super().__init__(message)
+        self.vertices = vertices
+
+
 class ExtractorError(StepupError):
     """Base for witness-extractor failures; carries a state trace."""
 

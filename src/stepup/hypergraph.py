@@ -21,10 +21,13 @@ strictly larger entry between them, so over all 2^D vertices the check
 reads the edge table at each realizable pattern over [0, D) (1,190 at
 D = 7 in place of binom(128, 5) five-sets).  A firing pattern is turned
 back into the lexicographically first violating 5-set by a greedy
-realization.  Because edge3 depends only on the order type of its inputs
-and the colors among them, the 64 colorings at D = 4 cover every phi at
-every D.  Capped vertex prefixes run a blockwise numpy sweep instead; a
-plain lexicographic scalar scan stays as the reference implementation.
+realization.  A capped prefix [0, V) is decided the same way: only
+patterns over [0, L) with L = (V-1).bit_length() can fit, and a pattern
+fits iff its greedy realization, which is componentwise minimal, ends
+below V.  Because edge3 depends only on the order type of its inputs and
+the colors among them, the 64 colorings at D = 4 cover every phi at
+every D.  A plain lexicographic scalar scan stays as the reference
+implementation.
 
 exact_alpha reads the edges off the same delta-triple table, and its
 branch and bound carries the set of vertices that would complete an edge
@@ -34,8 +37,6 @@ down the recursion as one bitmask.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -47,6 +48,7 @@ from .coloring import PairColoring
 from .delta import delta, delta_sequence
 from .errors import (
     BudgetExceeded,
+    EngineDisagreement,
     InvalidD,
     InvalidParams,
     MalformedTuple,
@@ -259,43 +261,6 @@ def _edge3_table(phi: PairColoring, flip_rule2: bool = False) -> np.ndarray:
     return (e_mono | e_rule2 | e_rule3).reshape(-1)
 
 
-def _sweep_block(E3, dt, D, V, v3_lo, v3_hi, row_chunk=512) -> bool:
-    """Any K5 among 5-sets with middle vertex in [v3_lo, v3_hi)?"""
-    for v3 in range(max(2, v3_lo), min(v3_hi, V - 2)):
-        i1, i2 = np.triu_indices(v3, 1)
-        c1 = dt[i1, i2]
-        c2 = dt[i2, v3]
-        v45 = np.arange(v3 + 1, V)
-        d3 = dt[v3, v3 + 1:V]
-        d4 = dt[np.ix_(v45, v45)]
-        upper = np.triu(np.ones((len(v45), len(v45)), dtype=bool), 1)
-        m34 = np.maximum(d3[:, None], d4)
-        m12 = np.maximum(c1, c2)
-        for s in range(0, len(c1), row_chunk):
-            cc1 = c1[s:s + row_chunk]
-            cc2 = c2[s:s + row_chunk]
-            i12 = (cc1 * D + cc2) * D
-            e_s1234 = E3[i12[:, None] + d3]
-            if not e_s1234.any():
-                continue
-            e_s1235 = E3[i12[:, None, None] + m34]
-            m23 = np.maximum(cc2[:, None], d3)
-            e_s1245 = E3[((cc1[:, None] * D + m23) * D)[:, :, None] + d4]
-            mm12 = m12[s:s + row_chunk]
-            e_s1345 = E3[((mm12[:, None] * D + d3) * D)[:, :, None] + d4]
-            e_s2345 = E3[((cc2[:, None] * D + d3) * D)[:, :, None] + d4]
-            bad = (e_s1234[:, :, None] & e_s1235 & e_s1245
-                   & e_s1345 & e_s2345 & upper)
-            if bad.any():
-                return True
-    return False
-
-
-def _sweep_block_star(args):
-    E3, dt, D, V, lo, hi = args
-    return _sweep_block(E3, dt, D, V, lo, hi)
-
-
 def _scan_scalar_lex(H: StepUpHypergraph, V: int,
                      flip_rule2: bool = False) -> Optional[tuple]:
     """Reference engine: lexicographic 5-set scan with early exit.
@@ -349,36 +314,49 @@ def delta_patterns(D: int):
         yield a, b[ok], c[ok], d[ok]
 
 
-def _realize(pattern) -> tuple[int, ...]:
+def _realize(pattern) -> tuple:
     """Lexicographically first increasing 5-set with these consecutive deltas.
 
     From v1 = 0 each step takes the least larger vertex whose top differing
-    bit is d: clear the bits up to d, then set bit d.  On a realizable
-    pattern bit d is always clear before the step, so no step can fail.
-    Of two patterns that first differ at d_k < d_k', the one with d_k gets
-    the smaller v_{k+1}: the realization is increasing in pattern order.
+    bit is d: set the bits below d and add one, which carries into bit d.
+    On a realizable pattern bit d is always clear before the step, so no
+    step can fail (or overflow uint64), and each v_k is at most the k-th
+    vertex of any realization: a pattern occurs in [0, V) iff its
+    realization ends below V.  Of two patterns that first differ at
+    d_k < d_k', the one with d_k gets the smaller v_{k+1}: the realization
+    is increasing in pattern order.  The entries after d1 may be uint64
+    arrays, realizing one pattern per element.
     """
     vs = [0]
     for d in pattern:
-        vs.append((vs[-1] >> (d + 1) << (d + 1)) | (1 << d))
+        vs.append((vs[-1] | ((1 << d) - 1)) + 1)
     return tuple(vs)
 
 
-def _check_k5_patterns(H: StepUpHypergraph, flip_rule2: bool
+def _check_k5_patterns(H: StepUpHypergraph, V: int, flip_rule2: bool
                        ) -> tuple[Optional[FiveSetViolation], int]:
-    """K5 check over every 5-set of all 2^D vertices, by delta pattern.
+    """K5 check over every 5-set of the vertex prefix [0, V), by delta pattern.
 
     The five 4-subsets of a 5-set with consecutive deltas (d1..d4) have the
-    delta triples that _sweep_block reads, with the same max-merges.
-    delta_patterns yields the patterns in lexicographic order, so the
-    realization of the first firing one is the lexicographically first
-    violating 5-set.  Returns it (or None) and the number of patterns
-    checked.
+    delta triples (d1,d2,d3), (d1,d2,max(d3,d4)), (d1,max(d2,d3),d4),
+    (max(d1,d2),d3,d4) and (d2,d3,d4).  Every delta inside [0, V) is below
+    (V-1).bit_length(), which bounds the patterns read; below 2^D a pattern
+    is kept iff its realization ends below V.  delta_patterns yields the
+    patterns in lexicographic order and the realization is increasing in
+    it, so the realization of the first firing pattern is the
+    lexicographically first violating 5-set.  Returns it (or None) and the
+    number of patterns checked.
     """
     D = H.D
     E3 = _edge3_table(H.coloring, flip_rule2=flip_rule2)
+    capped = V < H.vertex_count
     checked = 0
-    for a, b, c, d in delta_patterns(D):
+    for a, b, c, d in delta_patterns(min(D, (V - 1).bit_length())):
+        if capped:
+            # uint64: at D = 64 a realization may need bit 63
+            fits = _realize((a, b.astype(np.uint64), c.astype(np.uint64),
+                             d.astype(np.uint64)))[-1] < V
+            b, c, d = b[fits], c[fits], d[fits]
         ab = (a * D + b) * D
         fire = (E3[ab + c] & E3[ab + np.maximum(c, d)]
                 & E3[(a * D + np.maximum(b, c)) * D + d]
@@ -393,33 +371,6 @@ def _check_k5_patterns(H: StepUpHypergraph, flip_rule2: bool
     return None, checked
 
 
-def _check_k5_sweep(H: StepUpHypergraph, V: int, threads: int,
-                    flip_rule2: bool) -> Optional[FiveSetViolation]:
-    """K5 check over the 5-sets of the vertex prefix [0, V), by vertex."""
-    E3 = _edge3_table(H.coloring, flip_rule2=flip_rule2)
-    dt = _msb_matrix(V)
-
-    hit = False
-    if threads <= 1:
-        hit = _sweep_block(E3, dt, H.D, V, 2, V - 2)
-    else:
-        lo_list = list(range(2, V - 2))
-        if lo_list:
-            bounds = np.array_split(np.array(lo_list), threads)
-            jobs = [(E3, dt, H.D, V, int(b[0]), int(b[-1]) + 1)
-                    for b in bounds if len(b)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                hit = any(pool.map(_sweep_block_star, jobs))
-
-    if not hit:
-        return None
-    first = _scan_scalar_lex(H, V, flip_rule2=flip_rule2)
-    assert first is not None, (
-        "block sweep detected a K5 but the scalar reference scan found "
-        "none; the engines disagree")
-    return _violation_report(H, first, flip_rule2)
-
-
 def _violation_report(H: StepUpHypergraph, vs: tuple,
                       flip_rule2: bool) -> FiveSetViolation:
     subsets = []
@@ -431,7 +382,11 @@ def _violation_report(H: StepUpHypergraph, vs: tuple,
             "rule": rule.value,
             "is_edge": bool(verdict),
         })
-    assert all(s["is_edge"] for s in subsets)
+    if not all(s["is_edge"] for s in subsets):
+        raise EngineDisagreement(
+            f"5-set {vs} was reported as a K5(4), but classify_4tuple "
+            "rejects some of its 4-subsets; the engines disagree",
+            vertices=vs)
     return FiveSetViolation(vertices=vs, subsets=subsets)
 
 
@@ -450,14 +405,11 @@ def check_k5_free(
     V defaults to 2^D, clamped by vertex_cap.  Returns None (the theorem
     says always) or the lexicographically first violating 5-set, which
     signals an implementation bug and is reported verbatim.  The budget
-    gate counts binom(V, 5) five-sets whichever engine runs.
-
-    Over all 2^D vertices the check runs over delta patterns and never
-    touches a vertex; a capped prefix runs the vertex sweep, split over
-    `threads` processes.  Thread count never changes the verdict: any
-    detection is re-resolved by the scalar lexicographic reference scan.
-    If given, `stats` receives the engine name (delta-patterns or
-    vertex-sweep) and the number of patterns checked.
+    gate counts binom(V, 5) five-sets, though the check never touches a
+    vertex: it runs over the delta patterns that occur in [0, V).
+    `threads` is accepted for compatibility and has no effect.  If given,
+    `stats` receives the engine name (delta-patterns) and the number of
+    patterns checked.
     """
     V = H.vertex_count if vertex_cap is None else min(vertex_cap, H.vertex_count)
     if V < 5:
@@ -468,14 +420,9 @@ def check_k5_free(
             f"binom({V},5) = {total} five-sets exceed budget {budget}; "
             "pass force to run anyway", required=total, budget=budget)
 
-    if V == H.vertex_count:
-        engine = "delta-patterns"
-        violation, checked = _check_k5_patterns(H, _flip_rule2)
-    else:
-        engine = "vertex-sweep"
-        violation, checked = _check_k5_sweep(H, V, threads, _flip_rule2), 0
+    violation, checked = _check_k5_patterns(H, V, _flip_rule2)
     if stats is not None:
-        stats.update(engine=engine, patterns_checked=checked)
+        stats.update(engine="delta-patterns", patterns_checked=checked)
     return violation
 
 

@@ -86,7 +86,8 @@ def test_check_k5_reports_its_engine(capsys):
                                   "--vertex-cap", "20"])
     assert code == 0
     assert rep["counters"] == {"colorings": 1, "five_sets_each": 15504,
-                               "engine": "vertex-sweep", "patterns_checked": 0}
+                               "engine": "delta-patterns",
+                               "patterns_checked": 127}
 
 
 def test_verify_coloring_all_red_is_refuted(capsys, tmp_path):
@@ -261,6 +262,18 @@ def test_bench_k5_rows_count_the_patterns_checked(capsys):
         k5 = [r for r in rows[1:] if r[0] == "k5-sweep"]
         assert [(r[2], r[3]) for r in k5] == [(str(patterns), "1"),
                                               (str(patterns), "2")]
+
+
+def test_bench_verdict_change_with_threads_is_a_typed_error(capsys,
+                                                           monkeypatch):
+    def k5_by_threads(H, *args, threads=1, stats=None, **kwargs):
+        return None if threads == 1 else object()
+
+    monkeypatch.setattr(cli, "check_k5_free", k5_by_threads)
+    code, out, err = run_raw(capsys, ["bench", "--bits", "4", "--threads", "2",
+                                      "--q-bits", "16", "--q-size", "2000"])
+    assert code == 2 and out == ""
+    assert "error: EngineDisagreement: K5 verdict changed with thread count" in err
 
 
 def test_gen_coloring_search_says_when_no_certified_coloring_exists(

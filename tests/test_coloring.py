@@ -13,8 +13,9 @@ from stepup.coloring import (
     PairColoring,
     _all_triples,
     _certify_exact_scalar,
+    _greedy_pairs,
     _greedy_scalar,
-    _greedy_vector,
+    _triple_pairs,
     certify_good_property,
     failure_probability_bound,
     find_good_triple,
@@ -439,7 +440,8 @@ def test_greedy_vector_equals_scalar_reference():
         for seed in (0, 1, 2):
             order = np.random.default_rng(seed).permutation(len(tr))
             shuffled = tr[order]
-            assert _greedy_vector(shuffled, n) == _greedy_scalar(shuffled, n)
+            assert (_greedy_pairs(_triple_pairs(shuffled, n), n)
+                    == _greedy_scalar(shuffled, n))
 
 
 def test_bound_frozen_values():

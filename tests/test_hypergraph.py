@@ -1,5 +1,6 @@
 """Tests for the stepping-up 4-graph: edge rules, the K5 checker, alpha."""
 
+import functools
 import math
 import time
 from itertools import combinations
@@ -12,6 +13,7 @@ import stepup.hypergraph as hg
 from stepup.coloring import PairColoring, find_good_triple, sample_coloring
 from stepup.errors import (
     BudgetExceeded,
+    EngineDisagreement,
     MalformedTuple,
     NoNonEdge,
     SetTooSmall,
@@ -22,7 +24,6 @@ from stepup.hypergraph import (
     _edge3_table,
     _msb_matrix,
     _scan_scalar_lex,
-    _sweep_block,
     check_k5_free,
     classify_4tuple,
     delta_patterns,
@@ -245,19 +246,31 @@ def _engine_inputs():
         yield StepUpHypergraph(coloring_from_mask(4, mask))
 
 
+@functools.cache
+def _patterns_in_prefix(V):
+    """Number of distinct consecutive-delta patterns of the 5-sets of [0, V)."""
+    five = np.array(list(combinations(range(V), 5)))
+    dt = _msb_matrix(V)
+    return len(np.unique(dt[five[:, :-1], five[:, 1:]], axis=0))
+
+
 @pytest.mark.parametrize("flip", [False, True])
-def test_pattern_engine_matches_vertex_sweep_and_scalar_scan(flip):
+def test_pattern_engine_matches_scalar_scan_under_every_cap(flip):
     violations = 0
     for H in _engine_inputs():
-        V = H.vertex_count
-        by_pattern, checked = hg._check_k5_patterns(H, flip)
-        by_sweep = hg._check_k5_sweep(H, V, 1, flip)
-        first = _scan_scalar_lex(H, V, flip_rule2=flip)
-        by_scan = None if first is None else hg._violation_report(H, first, flip)
-        assert by_pattern == by_sweep == by_scan
-        if by_pattern is None:
-            assert checked == {3: 10, 4: 64, 5: 220}[H.D]
-        violations += by_pattern is not None
+        n = H.vertex_count
+        for V in sorted({min(cap, n) for cap in (5, 9, 17, 20, n - 1, n)}):
+            by_pattern, checked = hg._check_k5_patterns(H, V, flip)
+            first = _scan_scalar_lex(H, V, flip_rule2=flip)
+            by_scan = (None if first is None
+                       else hg._violation_report(H, first, flip))
+            assert by_pattern == by_scan
+            if by_pattern is None:
+                # the patterns that occur in [0, V), counted off its 5-sets
+                assert checked == _patterns_in_prefix(V)
+                if V == n:
+                    assert checked == {3: 10, 4: 64, 5: 220}[H.D]
+            violations += by_pattern is not None
     # the honest rules never fire; the corrupted ones must, or the
     # comparison says nothing about the violation reports
     assert (violations >= 10) if flip else violations == 0
@@ -290,14 +303,21 @@ def test_forced_check_over_2_to_the_20_vertices_is_fast():
 
 
 def test_engine_follows_the_vertex_cap():
+    # a capped prefix checks only the patterns that occur in it: 127 of the
+    # 220 at D = 5 occur in [0, 20)
     H = graph(5, 3)
-    for cap, engine in ((None, "delta-patterns"), (32, "delta-patterns"),
-                        (100, "delta-patterns"), (20, "vertex-sweep")):
+    for cap, checked in ((None, 220), (32, 220), (100, 220), (20, 127)):
         stats = {}
         assert check_k5_free(H, cap, stats=stats) is None
-        assert stats["engine"] == engine
-        assert stats["patterns_checked"] == (220 if engine == "delta-patterns"
-                                             else 0)
+        assert stats["engine"] == "delta-patterns"
+        assert stats["patterns_checked"] == checked
+
+
+def test_capped_check_at_d8_is_fast():
+    # every 5-set of [0, 128) at D = 8: binom(128, 5) = 264,566,400 of them
+    t0 = time.perf_counter()
+    assert check_k5_free(graph(8, 0), vertex_cap=128) is None
+    assert time.perf_counter() - t0 < 1.0
 
 
 # --- the corrupted predicate --------------------------------------------------
@@ -335,16 +355,26 @@ def test_mutation_violation_found_for_random_seed_too():
 
 def test_corrupted_engines_and_threads_agree():
     H = StepUpHypergraph(constant_coloring(4))
-    E3 = _edge3_table(H.coloring, flip_rule2=True)
-    dt = _msb_matrix(16)
-    assert _sweep_block(E3, dt, 4, 16, 2, 14)
+    by_pattern, _ = hg._check_k5_patterns(H, 15, True)
+    assert by_pattern.vertices == (0, 1, 2, 4, 8)
     assert _scan_scalar_lex(H, 16, flip_rule2=True) == (0, 1, 2, 4, 8)
     v = check_k5_free(H, _flip_rule2=True, threads=2)
     assert v.vertices == (0, 1, 2, 4, 8)
+    assert check_k5_free(H, 15, _flip_rule2=True, threads=2) == by_pattern
     # verdict direction: classify under the flip flags the corrupted edge
     assert classify_4tuple(H, (0, 1, 2, 4), _flip_rule2=True) == (
         EdgeRule.RULE_III, True)
     assert classify_4tuple(H, (0, 1, 2, 4)) == (EdgeRule.RULE_I, False)
+
+
+def test_violation_report_rejects_a_5set_the_classifier_clears():
+    # (0, 1, 2, 4, 8) spans a K5 only under the corrupted rules; reporting
+    # it under the honest ones is an engine disagreement, raised as a typed
+    # error rather than an assert that python -O strips
+    H = StepUpHypergraph(constant_coloring(4))
+    with pytest.raises(EngineDisagreement, match=r"\(0, 1, 2, 4, 8\)") as exc:
+        hg._violation_report(H, (0, 1, 2, 4, 8), False)
+    assert exc.value.vertices == (0, 1, 2, 4, 8)
 
 
 def test_corrupted_classifier_random_agreement():
