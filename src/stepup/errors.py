@@ -75,14 +75,17 @@ class EngineDisagreement(StepupError):
     """Bug trap: two computations of one verdict disagree.
 
     Raised when a K5(4) violation found by the delta-pattern engine does
-    not hold under classify_4tuple, or when the K5 verdict changes with
-    the thread count.  Unreachable when the engines are correct; carries
-    the 5-set when there is one.
+    not hold under classify_4tuple, when the K5 verdict changes with the
+    thread count, or when an exact_alpha witness spans an edge.
+    Unreachable when the engines are correct; carries the vertex set when
+    there is one, and the edge it spans.
     """
 
-    def __init__(self, message: str, vertices: Optional[tuple] = None):
+    def __init__(self, message: str, vertices: Optional[tuple] = None,
+                 edge: Optional[tuple] = None):
         super().__init__(message)
         self.vertices = vertices
+        self.edge = edge
 
 
 class ExtractorError(StepupError):

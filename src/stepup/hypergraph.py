@@ -29,9 +29,15 @@ the colors among them, the 64 colorings at D = 4 cover every phi at
 every D.  A plain lexicographic scalar scan stays as the reference
 implementation.
 
-exact_alpha reads the edges off the same delta-triple table, and its
-branch and bound carries the set of vertices that would complete an edge
-down the recursion as one bitmask.
+exact_alpha splits [0, 2^D) into halves L = [0, h) and R = [h, 2h),
+h = 2^(D-1).  Vertices in different halves have the largest delta D-1,
+so a 4-tuple across the halves is never an edge when split 2+2 (deltas
+(x, D-1, y), the local-max slot), and is an edge when split 1+3 or 3+1
+iff E3[D-1, x, y] or E3[x, y, D-1] holds at the deltas (x, y) of its
+triple.  Both halves are translates of one 4-graph, so alpha is read off
+three superset-closure tables over the 2^h subsets of one half, and the
+witness, the lexicographically first maximum independent set, is the
+lex-smaller of the best set inside L and the best split set.
 """
 
 from __future__ import annotations
@@ -145,11 +151,17 @@ class AlphaResult:
     alpha: int
     witness: tuple[int, ...]
     method: str
-    nodes: int = 0
+    nodes: int       # half-subsets scanned
+    a0: int          # independence number of one half
+    aR: int          # ... with no triple that is an edge with a vertex above
+    aL: int          # ... with no triple that is an edge with a vertex below
+    witness_from: str  # "one-half" | "split"
 
     def as_dict(self) -> dict:
         return {"alpha": self.alpha, "witness": [int(v) for v in self.witness],
-                "method": self.method, "nodes": self.nodes}
+                "method": self.method, "nodes": self.nodes, "a0": self.a0,
+                "aR": self.aR, "aL": self.aL,
+                "witness_from": self.witness_from}
 
 
 def _slot(d1: int, d2: int, d3: int) -> EdgeRule:
@@ -413,6 +425,8 @@ def check_k5_free(
     """
     V = H.vertex_count if vertex_cap is None else min(vertex_cap, H.vertex_count)
     if V < 5:
+        if stats is not None:
+            stats.update(engine="delta-patterns", patterns_checked=0)
         return None
     total = math.comb(V, 5)
     if total > budget and not force:
@@ -463,104 +477,83 @@ def is_independent(H: StepUpHypergraph, Q,
 
 # --- exact independence number ----------------------------------------------
 
-def _edge_tensor(H: StepUpHypergraph) -> np.ndarray:
-    """edges[a, b, c, d]: is {a, b, c, d} an edge, for a < b < c < d."""
-    V, D = H.vertex_count, H.D
-    dt = _msb_matrix(V)
-    v = np.arange(V)
-    a, b, c, d = np.ix_(v, v, v, v)
-    E3 = _edge3_table(H.coloring)
-    increasing = (a < b) & (b < c) & (c < d)
-    # the diagonal of dt is -1; clamp it so non-increasing index tuples
-    # stay inside the table before the mask discards them
-    d1, d2, d3 = (np.maximum(x, 0) for x in (dt[a, b], dt[b, c], dt[c, d]))
-    return increasing & E3[(d1 * D + d2) * D + d3]
+def _half_subsets(dt: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Consecutive deltas (one row per gap) and keys of the k-subsets of
+    [0, h); a key has bit h-1-v per vertex v, so among sets of one size the
+    lexicographically first has the largest key."""
+    h = len(dt)
+    sets = np.array(list(combinations(range(h), k)), dtype=np.int64
+                    ).reshape(-1, k)
+    return dt[sets[:, :-1], sets[:, 1:]].T, (1 << (h - 1 - sets)).sum(axis=1)
 
 
-def _alpha_bitmask(H: StepUpHypergraph) -> AlphaResult:
-    V = H.vertex_count
-    masks = (np.uint32(1) << np.argwhere(_edge_tensor(H)).astype(np.uint32)
-             ).sum(axis=1, dtype=np.uint32)
-    subsets = np.arange(1 << V, dtype=np.uint32)
-    bad = np.zeros(1 << V, dtype=bool)
-    for mm in masks:
-        bad |= (subsets & mm) == mm
-    sizes = np.bitwise_count(subsets).astype(np.int8)
-    sizes[bad] = -1
-    alpha = int(sizes.max())
-    pick = int(np.argmax(sizes == alpha))
-    witness = tuple(v for v in range(V) if (pick >> v) & 1)
-    return AlphaResult(alpha=alpha, witness=witness, method="bitmask")
+def _largest_free_set(marked: np.ndarray, h: int) -> tuple[int, tuple]:
+    """Size and lex-first vertex set of the largest subset of [0, h) that
+    contains no marked key; closes `marked` under supersets in place."""
+    for b in range(h):
+        pairs = marked.reshape(-1, 2, 1 << b)
+        pairs[:, 1] |= pairs[:, 0]
+    sizes = np.bitwise_count(np.arange(1 << h)).astype(np.int8)
+    sizes[marked] = -1
+    size = int(sizes.max())
+    key = int(np.flatnonzero(sizes == size)[-1])
+    return size, tuple(v for v in range(h) if (key >> (h - 1 - v)) & 1)
 
 
-def _alpha_branch_and_bound(H: StepUpHypergraph, node_budget: int) -> AlphaResult:
-    V = H.vertex_count
-    # F[a][b][c]: bitmask of the vertices d > c with {a, b, c, d} an edge
-    weights = np.uint64(1) << np.arange(V, dtype=np.uint64)
-    F = (_edge_tensor(H) * weights).sum(axis=3, dtype=np.uint64).tolist()
-
-    # The chosen set S grows in increasing vertex order, so a vertex v
-    # completes an edge with S iff v lies in F[a][b][c] for some triple of
-    # S.  `forbidden` is the union of those masks; adding u ORs in
-    # F[a][b][u] for each pair {a, b} of S, whose rows F[a][b] sit in
-    # pair_rows.
-    chosen: list[int] = []
-    pair_rows: list[list[int]] = []
-
-    def add(u: int, forbidden: int) -> int:
-        for row in pair_rows:
-            forbidden |= row[u]
-        pair_rows.extend(F[a][u] for a in chosen)
-        chosen.append(u)
-        return forbidden
-
-    # greedy seed: take vertices in order unless they complete an edge
-    forbidden = 0
-    for v in range(V):
-        if not (forbidden >> v) & 1:
-            forbidden = add(v, forbidden)
-    best = tuple(chosen)
-    chosen.clear()
-    pair_rows.clear()
-
-    nodes = 0
-
-    def rec(v: int, forbidden: int):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(
-                f"branch-and-bound exceeded {node_budget} nodes",
-                required=nodes, budget=node_budget)
-        if len(chosen) + (V - v) <= len(best):
-            return
-        if v == V:
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-            return
-        if not (forbidden >> v) & 1:
-            rows_before = len(pair_rows)
-            rec(v + 1, add(v, forbidden))
-            chosen.pop()
-            del pair_rows[rows_before:]
-        rec(v + 1, forbidden)
-
-    rec(0, 0)
-    return AlphaResult(alpha=len(best), witness=best,
-                       method="branch-and-bound", nodes=nodes)
+def _alpha_half_split(H: StepUpHypergraph, node_budget: int) -> AlphaResult:
+    D, h = H.D, H.vertex_count // 2
+    nodes = 1 << h
+    if nodes > node_budget:
+        raise BudgetExceeded(
+            f"half-split scans {nodes} half-subsets, over the node budget "
+            f"{node_budget}", required=nodes, budget=node_budget)
+    E3 = _edge3_table(H.coloring).reshape(D, D, D)
+    dt = _msb_matrix(h)
+    (d1, d2, d3), quad_keys = _half_subsets(dt, 4)
+    (x, y), triple_keys = _half_subsets(dt, 3)
+    edge_keys = quad_keys[E3[d1, d2, d3]]
+    # a triple of L with one vertex of R above it, and one vertex of L with a
+    # triple of R above it; a 2+2 split is the local-max slot (x, D-1, y)
+    found = []
+    for triples in (np.zeros(triple_keys.shape, dtype=bool),
+                    E3[x, y, D - 1], E3[D - 1, x, y]):
+        marked = np.zeros(nodes, dtype=bool)
+        marked[edge_keys] = True
+        marked[triple_keys[triples]] = True
+        found.append(_largest_free_set(marked, h))
+    (a0, one_half), (aR, low), (aL, high) = found
+    alpha = max(a0, aR + aL)
+    split = low + tuple(v + h for v in high)
+    witness, source = min((w, source) for w, source in
+                          ((one_half, "one-half"), (split, "split"))
+                          if len(w) == alpha)
+    return AlphaResult(alpha=alpha, witness=witness, method="half-split",
+                       nodes=nodes, a0=a0, aR=aR, aL=aL, witness_from=source)
 
 
 def exact_alpha(H: StepUpHypergraph, *,
                 node_budget: int = 20_000_000) -> AlphaResult:
-    """Exact maximum independent set size; exhaustive for D <= 4,
-    branch-and-bound at D = 5, BudgetExceeded beyond."""
-    if H.D <= 4:
-        result = _alpha_bitmask(H)
-    elif H.D == 5:
-        result = _alpha_branch_and_bound(H, node_budget)
-    else:
+    """Independence number and lexicographically first maximum independent
+    set for D <= 5; BudgetExceeded beyond, or when the 2^h half-subsets
+    scanned (`nodes`, h = 2^(D-1)) exceed node_budget.
+
+    By the half-split lemma (module docstring), alpha = max(a0, aR + aL):
+    a0 is the independence number of a half, aR (aL) the largest
+    independent set of a half with no triple whose deltas (x, y) make
+    E3[x, y, D-1] (E3[D-1, x, y]) hold.  The witness is the lex-smaller,
+    among those of size alpha, of the lex-first a0-set of L ("one-half")
+    and the lex-first aR-set of L followed by the lex-first aL-set of R
+    ("split").  An edge in it (is_independent) raises EngineDisagreement.
+    """
+    if H.D > 5:
         raise BudgetExceeded(
             f"exact_alpha supports D <= 5, got D={H.D}",
             required=1 << H.D, budget=32)
-    assert is_independent(H, result.witness) is None
+    result = _alpha_half_split(H, node_budget)
+    edge = is_independent(H, result.witness)
+    if edge is not None:
+        raise EngineDisagreement(
+            f"alpha witness {result.witness} spans the edge {edge.vertices} "
+            "under classify_4tuple; the engines disagree",
+            vertices=result.witness, edge=edge.vertices)
     return result

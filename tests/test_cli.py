@@ -5,10 +5,15 @@ import csv
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepup.hypergraph as hg
 from stepup import cli
 from stepup.cli import BENCH_COLUMNS, derive_seed, main
 from stepup.coloring import (
@@ -18,9 +23,12 @@ from stepup.coloring import (
     save_coloring,
     search_certified_coloring,
 )
-from stepup.errors import ProofGapTrap
-from stepup.hypergraph import StepUpHypergraph, exact_alpha, is_edge
+from stepup.errors import EngineDisagreement, ProofGapTrap
+from stepup.hypergraph import AlphaResult, StepUpHypergraph, exact_alpha, is_edge
 from stepup.witness import extract_edge, random_subset, save_q
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_json(capsys, argv):
@@ -88,6 +96,12 @@ def test_check_k5_reports_its_engine(capsys):
     assert rep["counters"] == {"colorings": 1, "five_sets_each": 15504,
                                "engine": "delta-patterns",
                                "patterns_checked": 127}
+    code, rep = run_json(capsys, ["check-k5", "--bits", "4", "--seed", "1",
+                                  "--vertex-cap", "4"])
+    assert code == 0
+    assert rep["counters"] == {"colorings": 1, "five_sets_each": 0,
+                               "engine": "delta-patterns",
+                               "patterns_checked": 0}
 
 
 def test_verify_coloring_all_red_is_refuted(capsys, tmp_path):
@@ -201,6 +215,42 @@ def test_alpha_command_matches_library(capsys):
     direct = exact_alpha(StepUpHypergraph(phi))
     assert rep["alpha"]["alpha"] == direct.alpha
     assert tuple(rep["alpha"]["witness"]) == direct.witness
+    assert rep["alpha"] == direct.as_dict()
+    assert set(rep["alpha"]) == {"alpha", "witness", "method", "nodes", "a0",
+                                 "aR", "aL", "witness_from"}
+
+
+def test_alpha_witness_spanning_an_edge_is_a_typed_error(capsys,
+                                                         monkeypatch):
+    def spans_an_edge(H, node_budget):
+        return AlphaResult(alpha=16, witness=tuple(range(16)),
+                           method="half-split", nodes=256, a0=8, aR=8, aL=8,
+                           witness_from="split")
+
+    monkeypatch.setattr(hg, "_alpha_half_split", spans_an_edge)
+    code, out, err = run_raw(capsys, ["alpha", "--bits", "4", "--seed", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: EngineDisagreement: alpha witness")
+    H = StepUpHypergraph(sample_coloring(4, derive_seed(3, "coloring")))
+    with pytest.raises(EngineDisagreement) as exc:
+        exact_alpha(H)
+    assert exc.value.vertices == tuple(range(16))
+    assert is_edge(H, exc.value.edge)
+
+
+def test_alpha_report_is_the_same_under_python_optimize(capsys):
+    # python -O strips assert statements; the witness check must not be one
+    argv = ["alpha", "--bits", "5", "--seed", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "stepup.cli", *argv],
+        cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, rep = run_json(capsys, argv)
+    optimized = json.loads(proc.stdout)
+    optimized.pop("timings")
+    rep.pop("timings")
+    assert code == 0 and optimized == rep
 
 
 def test_independent_command_both_verdicts(capsys):
@@ -342,6 +392,7 @@ def test_reports_reproduce_modulo_timings(capsys, certified12_file, tmp_path):
         ["extract-witness", "--coloring", certified12_file, "--n", "5",
          "--q-file", str(qpath)],
         ["steiner", "--n", "30", "--seed", "2"],
+        ["alpha", "--bits", "5", "--seed", "2"],
     ]
     for argv in argvs:
         code1, rep1 = run_json(capsys, argv)

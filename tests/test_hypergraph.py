@@ -11,6 +11,7 @@ from conftest import tuple_from_distinct_deltas
 
 import stepup.hypergraph as hg
 from stepup.coloring import PairColoring, find_good_triple, sample_coloring
+from stepup.delta import delta_sequence
 from stepup.errors import (
     BudgetExceeded,
     EngineDisagreement,
@@ -445,6 +446,15 @@ def bad_subset_table(H):
     return bad
 
 
+def lex_first_max_set(bad):
+    """Lexicographically first largest vertex set that bad does not mark."""
+    V = int(bad.size).bit_length() - 1
+    sizes = np.bitwise_count(np.arange(bad.size))
+    alpha = sizes[~bad].max()
+    return min(tuple(v for v in range(V) if (int(m) >> v) & 1)
+               for m in np.flatnonzero(~bad & (sizes == alpha)))
+
+
 def test_is_independent_examples():
     H = StepUpHypergraph(constant_coloring(4, color=1))
     w = is_independent(H, (0, 4, 5, 13))  # known rule (iii) edge
@@ -489,7 +499,7 @@ def test_exact_alpha_d2_trivial():
     r = exact_alpha(graph(2, 0))
     assert r.alpha == 4
     assert r.witness == (0, 1, 2, 3)
-    assert r.method == "bitmask"
+    assert r.method == "half-split"
 
 
 def test_exact_alpha_d3_matches_brute_oracle_all_colorings():
@@ -503,7 +513,9 @@ def test_exact_alpha_d3_matches_brute_oracle_all_colorings():
                 continue
             if all(not is_edge(H, sub) for sub in combinations(q, 4)):
                 best = max(best, len(q))
-        assert exact_alpha(H).alpha == best
+        r = exact_alpha(H)
+        assert r.alpha == best
+        assert r.witness == lex_first_max_set(bad_subset_table(H))
 
 
 def test_exact_alpha_d4_matches_bitmask_oracle():
@@ -517,13 +529,14 @@ def test_exact_alpha_d4_matches_bitmask_oracle():
         assert r.alpha == want
         assert is_independent(H, r.witness) is None
         assert len(r.witness) == r.alpha
+        assert r.witness == lex_first_max_set(bad)
 
 
 def test_exact_alpha_d5_branch_and_bound():
     r = exact_alpha(graph(5, 1))
     assert r.alpha == 12
-    assert r.method == "branch-and-bound"
-    assert r.nodes == 1_838_983
+    assert r.method == "half-split"
+    assert r.nodes == 65_536
     assert r.witness == (0, 1, 2, 4, 5, 6, 7, 16, 18, 19, 24, 25)
     assert is_independent(graph(5, 1), r.witness) is None
 
@@ -531,8 +544,53 @@ def test_exact_alpha_d5_branch_and_bound():
 def test_exact_alpha_d5_benchmark_instance():
     H = graph(5, 2)
     r = exact_alpha(H)
-    assert (r.alpha, r.nodes, r.method) == (11, 1_243_061, "branch-and-bound")
+    assert (r.alpha, r.nodes, r.method) == (11, 65_536, "half-split")
     assert r.witness == (0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15)
+
+
+# alpha and witness of sample_coloring(5, s), s = 0..11, as computed by the
+# include-first branch and bound that the half split replaced
+D5_ALPHA_AND_WITNESS = [
+    (11, (0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15)),
+    (12, (0, 1, 2, 4, 5, 6, 7, 16, 18, 19, 24, 25)),
+    (11, (0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15)),
+    (14, (0, 1, 2, 4, 8, 10, 16, 17, 24, 25, 28, 29, 30, 31)),
+    (15, (0, 1, 4, 6, 7, 8, 12, 13, 16, 20, 21, 24, 26, 28, 29)),
+    (13, (0, 1, 4, 8, 10, 16, 17, 18, 20, 24, 25, 28, 29)),
+    (12, (0, 1, 8, 10, 12, 13, 16, 20, 22, 24, 25, 28)),
+    (16, (0, 1, 4, 5, 6, 8, 12, 13, 16, 17, 18, 19, 24, 25, 26, 27)),
+    (13, (0, 2, 4, 6, 8, 12, 13, 16, 20, 24, 25, 28, 30)),
+    (18, (0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15, 16, 18, 24, 26, 28, 30, 31)),
+    (13, (0, 1, 2, 8, 12, 16, 17, 18, 20, 24, 25, 26, 27)),
+    (15, (0, 1, 4, 5, 6, 8, 10, 16, 17, 18, 19, 24, 25, 26, 27)),
+]
+
+
+def test_exact_alpha_d5_matches_branch_and_bound_table():
+    for seed, want in enumerate(D5_ALPHA_AND_WITNESS):
+        r = exact_alpha(graph(5, seed))
+        assert (r.alpha, r.witness) == want, seed
+
+
+def test_half_split_lemma_on_every_4tuple():
+    """Across the halves of [0, 32) a 4-tuple is an edge exactly as the
+    split rules say; inside R it is an edge iff its translate into L is."""
+    D, h = 5, 16
+    for seed in range(3):
+        H = graph(D, seed)
+        E3 = _edge3_table(H.coloring).reshape(D, D, D)
+        for t in combinations(range(2 * h), 4):
+            verdict = classify_4tuple(H, t)
+            d1, d2, d3 = delta_sequence(t)
+            in_low = sum(v < h for v in t)
+            if in_low == 2:
+                assert verdict == (EdgeRule.NONE_SLOT, False)
+            elif in_low == 1:
+                assert d1 == D - 1 and verdict[1] == E3[D - 1, d2, d3]
+            elif in_low == 3:
+                assert d3 == D - 1 and verdict[1] == E3[d1, d2, D - 1]
+            elif in_low == 0:
+                assert verdict == classify_4tuple(H, [v - h for v in t])
 
 
 def test_exact_alpha_ge_greedy_invariant():
