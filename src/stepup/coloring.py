@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    EngineDisagreement,
     InvalidD,
     InvalidN,
     InvalidParams,
@@ -74,6 +75,17 @@ def pair_index(a: int, b: int, D: int) -> int:
     return a * D - a * (a + 1) // 2 + (b - a - 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(D, 1), the pairs a < b in lexicographic order, built
+    once per D and read-only; building them costs more than the rest of
+    as_matrix."""
+    rows, cols = np.triu_indices(D, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 class PairColoring:
     """Symmetric 2-coloring of the pairs of {0,...,D-1}.
 
@@ -110,7 +122,7 @@ class PairColoring:
     def as_matrix(self) -> np.ndarray:
         """Dense symmetric D x D color matrix; the diagonal is never consulted."""
         m = np.zeros((self.D, self.D), dtype=np.uint8)
-        iu = np.triu_indices(self.D, 1)
+        iu = _upper_pairs(self.D)
         m[iu] = self.bits
         m.T[iu] = self.bits
         return m
@@ -294,7 +306,7 @@ def certify_good_property(
                 required=total, budget=cap)
         bad, visited = _lex_first_transitive(_out_masks(phi), n)
         if bad is not None:
-            assert find_good_triple(phi, bad) is None
+            _recheck_counterexample(phi, bad)
             return CertificationResult(
                 verdict="Refuted", mode="Exact", D=D, n=n,
                 subsets_checked=_lex_rank(bad, D) + 1, total=total,
@@ -319,7 +331,7 @@ def certify_good_property(
             if not good.all():
                 row = int(np.argmin(good))
                 bad = tuple(int(v) for v in block[row])
-                assert find_good_triple(phi, bad) is None
+                _recheck_counterexample(phi, bad)
                 return CertificationResult(
                     verdict="Refuted", mode="Sampled", D=D, n=n,
                     subsets_checked=done + row + 1, total=trials,
@@ -330,6 +342,16 @@ def certify_good_property(
             subsets_checked=trials, total=trials, seed=seed)
 
     raise InvalidParams(f"unknown certification mode {mode!r}")
+
+
+def _recheck_counterexample(phi: PairColoring, bad: tuple[int, ...]) -> None:
+    """A certification counterexample must hold no good triple."""
+    triple = find_good_triple(phi, bad)
+    if triple is not None:
+        raise EngineDisagreement(
+            f"certification reported {bad} as good-triple-free, but "
+            f"find_good_triple finds {triple.as_tuple()} in it; the engines "
+            "disagree", vertices=bad, coloring=phi)
 
 
 def _certify_exact_scalar(phi: PairColoring, n: int) -> CertificationResult:
@@ -417,32 +439,34 @@ class _RepairTables:
         self.turns_good = (gc_old == 0) & (gc_new != 0)
 
         # per-pair update tables: the triples through the pair, the flat
-        # index 3t + slot of the pair in each and that slot's code bit, the
-        # subsets holding the pair, and for each such subset the n-2 of
-        # those triples it contains (as indices into the pair's triples,
-        # one column per slot)
+        # index 3t + slot of the pair in each and that slot's code bit, and
+        # the subsets holding the pair.  The pair's triples come in order of
+        # their third member, and the subsets, in colex order, are the pair
+        # plus each (n-2)-subset of the other members in colex order, so the
+        # n-2 triples of the pair inside the s-th subset are, as indices into
+        # the pair's triples, the s-th (n-2)-subset of range(D-2) in colex
+        # order: one table for every pair, one column per slot
+        members = np.array(sorted(combinations(range(D - 2), n - 2),
+                                  key=lambda c: c[::-1]),
+                           dtype=np.intp).reshape(-1, n - 2)
+        self.sub_tris = [np.ascontiguousarray(members[:, j])
+                         for j in range(n - 2)]
         self.pair_tris: list[np.ndarray] = []
         self.pair_slot: list[np.ndarray] = []
         self.pair_bit: list[np.ndarray] = []
         self.pair_sub_uniq: list[np.ndarray] = []
-        self.pair_sub_tris: list[list[np.ndarray]] = []
         pair_members = [[] for _ in range(self.npairs)]
         for t in range(self.ntriples):
             for p in self.tri_pairs[t]:
                 pair_members[p].append(t)
         for p in range(self.npairs):
             tris = np.array(pair_members[p], dtype=np.int32)
-            flat = tri_to_subs[tris].ravel()
-            uniq, pos = np.unique(flat, return_inverse=True)
-            members = (np.argsort(pos, kind="stable")
-                       // self.subs_per_triple).reshape(len(uniq), n - 2)
             slot = np.argmax(self.tri_pairs[tris] == p, axis=1)
             self.pair_tris.append(tris)
             self.pair_slot.append(3 * tris.astype(np.intp) + slot)
             self.pair_bit.append((1 << slot).astype(np.uint8))
-            self.pair_sub_uniq.append(uniq.astype(np.int64))
-            self.pair_sub_tris.append(
-                [np.ascontiguousarray(members[:, j]) for j in range(n - 2)])
+            self.pair_sub_uniq.append(
+                np.unique(tri_to_subs[tris]).astype(np.int64))
         self.tri_to_subs = tri_to_subs
 
     def initial_state(self, bits: np.ndarray):
@@ -486,6 +510,7 @@ def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
     nbad = int(np.count_nonzero(keys == tab.bias))
     if nbad == 0:
         return bits, 0, 0
+    first, *rest = tab.sub_tris
     decay = (t_end / t_start) ** (1.0 / max(1, steps))
     temp = t_start
     for step in range(1, steps + 1):
@@ -496,7 +521,6 @@ def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
         if not np.count_nonzero(dtri):
             continue
         uniq = tab.pair_sub_uniq[p]
-        first, *rest = tab.pair_sub_tris[p]
         dsub = dtri[first]
         for col in rest:
             dsub += dtri[col]
@@ -669,9 +693,11 @@ def search_certified_coloring(
         if nbad == 0:
             repaired = PairColoring(D, new_bits, seed=-1)
             res2 = certify_good_property(repaired, n, "exact", cap=cap)
-            assert res2.certified, (
-                "annealer bad-count reached zero but exact certification "
-                "refuted; the two routes must agree")
+            if not res2.certified:
+                raise EngineDisagreement(
+                    "annealer bad-count reached zero but exact certification "
+                    f"refuted with {res2.counterexample}; the two routes must "
+                    "agree", vertices=res2.counterexample, coloring=repaired)
             return SearchResult(True, repaired, res2, k + 1, True, steps_used,
                                 0, "annealed")
         if best is None or nbad < best[0]:
@@ -687,9 +713,10 @@ def search_certified_coloring(
     nbad, bits, steps_used = best
     annealed = PairColoring(D, bits, seed=-1)
     res = certify_good_property(annealed, n, "exact", cap=cap)
-    assert not res.certified, (
-        "annealer kept bad subsets but exact certification certified; the "
-        "two routes must agree")
+    if res.certified:
+        raise EngineDisagreement(
+            f"annealer kept {nbad} bad subsets but exact certification "
+            "certified; the two routes must agree", coloring=annealed)
     return SearchResult(False, annealed, res, attempts, True, steps_used,
                         nbad, "annealed")
 
@@ -801,9 +828,12 @@ def greedy_steiner(n: int, seed: int) -> SteinerSystem:
     order = rng.permutation(len(triples))
     rows = _greedy_pairs(pid[order], n)
     chosen = [tuple(t) for t in triples[order[rows]].tolist()]
-    sys = SteinerSystem(n=n, seed=seed, triples=chosen)
-    assert len(sys.triples) * 12 >= n * (n - 2), "greedy fell below Turan floor"
-    return sys
+    if len(chosen) * 12 < n * (n - 2):
+        raise EngineDisagreement(
+            f"greedy packing at n={n}, seed={seed} kept {len(chosen)} triples, "
+            f"below the Turan floor n(n-2)/12 = {n * (n - 2) / 12:g} of a "
+            "maximal packing")
+    return SteinerSystem(n=n, seed=seed, triples=chosen)
 
 
 # --- probability bound ------------------------------------------------------

@@ -76,16 +76,20 @@ class EngineDisagreement(StepupError):
 
     Raised when a K5(4) violation found by the delta-pattern engine does
     not hold under classify_4tuple, when the K5 verdict changes with the
-    thread count, or when an exact_alpha witness spans an edge.
-    Unreachable when the engines are correct; carries the vertex set when
-    there is one, and the edge it spans.
+    thread count, when an exact_alpha witness spans an edge, when a
+    certification counterexample holds a good triple, when the annealer's
+    bad-subset count and exact certification disagree, or when a greedy
+    Steiner packing falls below the Turan floor.  Unreachable when the
+    engines are correct; carries the vertex set (or value subset) when
+    there is one, the edge it spans, and the coloring involved.
     """
 
     def __init__(self, message: str, vertices: Optional[tuple] = None,
-                 edge: Optional[tuple] = None):
+                 edge: Optional[tuple] = None, coloring: Any = None):
         super().__init__(message)
         self.vertices = vertices
         self.edge = edge
+        self.coloring = coloring
 
 
 class ExtractorError(StepupError):

@@ -42,6 +42,7 @@ lex-smaller of the best set inside L and the best split set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,7 +52,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .coloring import PairColoring
-from .delta import delta, delta_sequence
+from .delta import delta_sequence
 from .errors import (
     BudgetExceeded,
     EngineDisagreement,
@@ -104,6 +105,12 @@ class StepUpHypergraph:
     @property
     def vertex_count(self) -> int:
         return 1 << self.D
+
+    @functools.cached_property
+    def _color_rows(self) -> list[list[int]]:
+        """phi as nested lists, [a][b] = phi(a, b), for the scalar rules;
+        the coloring's bits are read-only, so this never goes stale."""
+        return self.coloring.as_matrix().tolist()
 
     def __repr__(self):
         return f"StepUpHypergraph(D={self.D}, phi_seed={self.coloring.seed})"
@@ -164,17 +171,27 @@ class AlphaResult:
                 "witness_from": self.witness_from}
 
 
-def _slot(d1: int, d2: int, d3: int) -> EdgeRule:
-    """Structural rule slot of a consecutive-delta triple."""
+def _classify_deltas(d1: int, d2: int, d3: int, C) -> tuple[EdgeRule, bool]:
+    """Rule slot and edge verdict of the consecutive deltas of a sorted
+    4-tuple; C[a][b] is phi(a, b).  The scalar core of classify_4tuple,
+    is_edge and is_independent: nothing is validated here."""
     if d1 < d2:
         if d2 < d3:
-            return EdgeRule.RULE_I
-        return EdgeRule.NONE_SLOT  # local max d1 < d2 > d3
-    if d2 > d3:
-        return EdgeRule.RULE_I  # decreasing
-    # valley d1 > d2 < d3
-    assert d1 != d3, "valley with d1 == d3 violates Property III"
-    return EdgeRule.RULE_II if d1 > d3 else EdgeRule.RULE_III
+            rule = EdgeRule.RULE_I
+        else:
+            return EdgeRule.NONE_SLOT, False  # local max d1 < d2 > d3
+    elif d2 > d3:
+        rule = EdgeRule.RULE_I  # decreasing
+    else:
+        # valley d1 > d2 < d3
+        assert d1 != d3, "valley with d1 == d3 violates Property III"
+        rule = EdgeRule.RULE_II if d1 > d3 else EdgeRule.RULE_III
+    c12, c23, c13 = C[d1][d2], C[d2][d3], C[d1][d3]
+    if rule is EdgeRule.RULE_I:
+        return rule, c12 == c23 != c13
+    if rule is EdgeRule.RULE_II:
+        return rule, c12 == c13 != c23
+    return rule, c12 == c13 == c23
 
 
 def _validate_4tuple(H: StepUpHypergraph, e) -> tuple[int, int, int, int]:
@@ -188,14 +205,21 @@ def _validate_4tuple(H: StepUpHypergraph, e) -> tuple[int, int, int, int]:
     return vs
 
 
+def _deltas(vs) -> tuple[int, int, int]:
+    """Consecutive deltas of a sorted 4-tuple of distinct vertices."""
+    a, b, c, d = vs
+    return ((a ^ b).bit_length() - 1, (b ^ c).bit_length() - 1,
+            (c ^ d).bit_length() - 1)
+
+
 def classify_4tuple(H: StepUpHypergraph, e,
                     _flip_rule2: bool = False) -> tuple[EdgeRule, bool]:
     """Rule slot and edge verdict for a strictly increasing 4-tuple."""
     vs = _validate_4tuple(H, e)
     if any(a >= b for a, b in zip(vs, vs[1:])):
         raise MalformedTuple(f"4-tuple must be strictly increasing: {vs}")
-    d1, d2, d3 = (delta(vs[0], vs[1]), delta(vs[1], vs[2]), delta(vs[2], vs[3]))
-    phi = H.coloring
+    d1, d2, d3 = _deltas(vs)
+    C = H._color_rows
     if _flip_rule2:
         # Deliberately corrupted classifier; only the mutation tests set the
         # flag.  Rule (ii)'s leading d1 > d2 comparison is reversed inside
@@ -204,32 +228,19 @@ def classify_4tuple(H: StepUpHypergraph, e,
         # all-equal condition misfires on increasing triples.
         if not (d1 < d2 < d3 or d1 > d2 > d3):
             return EdgeRule.NONE_SLOT, False
-        c12 = phi.color(d1, d2)
-        c23 = phi.color(d2, d3)
-        c13 = phi.color(d1, d3)
+        c12, c23, c13 = C[d1][d2], C[d2][d3], C[d1][d3]
         if c12 == c23 != c13:
             return EdgeRule.RULE_I, True
         if d1 < d2 < d3 and c12 == c13 == c23:
             return EdgeRule.RULE_III, True
         return EdgeRule.RULE_I, False
-    rule = _slot(d1, d2, d3)
-    if rule == EdgeRule.NONE_SLOT:
-        return rule, False
-    c12 = phi.color(d1, d2)
-    c23 = phi.color(d2, d3)
-    c13 = phi.color(d1, d3)
-    if rule == EdgeRule.RULE_I:
-        return rule, c12 == c23 != c13
-    if rule == EdgeRule.RULE_II:
-        return rule, c12 == c13 != c23
-    return rule, c12 == c13 == c23
+    return _classify_deltas(d1, d2, d3, C)
 
 
 def is_edge(H: StepUpHypergraph, e) -> bool:
     """Edge predicate on any 4 distinct vertices; sorts, then classifies."""
-    vs = _validate_4tuple(H, e)
-    _, verdict = classify_4tuple(H, tuple(sorted(vs)))
-    return verdict
+    vs = sorted(_validate_4tuple(H, e))
+    return _classify_deltas(*_deltas(vs), H._color_rows)[1]
 
 
 def _edge_witness_for(H: StepUpHypergraph, vs: tuple[int, int, int, int],
@@ -456,7 +467,13 @@ def find_nonedge_in_5set(H: StepUpHypergraph, P) -> tuple[int, int, int, int]:
 def is_independent(H: StepUpHypergraph, Q,
                    *, budget: int = INDEPENDENT_BUDGET_DEFAULT
                    ) -> Optional[EdgeWitness]:
-    """None if Q spans no edge; otherwise the first edge in lex subset order."""
+    """None if Q spans no edge; otherwise the first edge in lex subset order.
+
+    The vertex set is validated once.  A 4-subset is then classified by
+    the scalar rules on its consecutive deltas, read from a table of the
+    |Q|^2 pairs; the rules see nothing else, so each distinct delta triple
+    is classified once.
+    """
     vs = sorted(int(v) for v in Q)
     if len(set(vs)) != len(vs):
         raise MalformedTuple("independent-set query requires distinct vertices")
@@ -469,9 +486,17 @@ def is_independent(H: StepUpHypergraph, Q,
         raise BudgetExceeded(
             f"binom({len(vs)},4) = {total} exceeds budget {budget}",
             required=total, budget=budget)
-    for sub in combinations(vs, 4):
-        if is_edge(H, sub):
-            return _edge_witness_for(H, sub, branch="DirectScanBranch")
+    C = H._color_rows
+    dt = [[(u ^ v).bit_length() - 1 for v in vs] for u in vs]
+    verdicts: dict[tuple[int, int, int], bool] = {}
+    for i, j, k, m in combinations(range(len(vs)), 4):
+        deltas = dt[i][j], dt[j][k], dt[k][m]
+        edge = verdicts.get(deltas)
+        if edge is None:
+            edge = verdicts[deltas] = _classify_deltas(*deltas, C)[1]
+        if edge:
+            return _edge_witness_for(H, (vs[i], vs[j], vs[k], vs[m]),
+                                     branch="DirectScanBranch")
     return None
 
 
@@ -487,17 +512,47 @@ def _half_subsets(dt: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return dt[sets[:, :-1], sets[:, 1:]].T, (1 << (h - 1 - sets)).sum(axis=1)
 
 
-def _largest_free_set(marked: np.ndarray, h: int) -> tuple[int, tuple]:
-    """Size and lex-first vertex set of the largest subset of [0, h) that
-    contains no marked key; closes `marked` under supersets in place."""
-    for b in range(h):
-        pairs = marked.reshape(-1, 2, 1 << b)
-        pairs[:, 1] |= pairs[:, 0]
-    sizes = np.bitwise_count(np.arange(1 << h)).astype(np.int8)
-    sizes[marked] = -1
-    size = int(sizes.max())
-    key = int(np.flatnonzero(sizes == size)[-1])
-    return size, tuple(v for v in range(h) if (key >> (h - 1 - v)) & 1)
+def _pack(table: np.ndarray) -> np.ndarray:
+    """Rows of a bool table over keys, packed 64 keys to a little-endian
+    word: key k is bit k % 64 of word k // 64 (zero-padded to one word)."""
+    rows, n = table.shape
+    packed = np.zeros((rows, max(n, 64) // 8), dtype=np.uint8)
+    packed[:, :(n + 7) // 8] = np.packbits(table, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+@functools.lru_cache(maxsize=4)
+def _half_tables(D: int) -> tuple:
+    """The exact_alpha tables that depend on D alone, built once per D and
+    read-only: deltas and keys of the 4- and 3-subsets of one half, and per
+    size s the packed keys of the s-subsets."""
+    h = 1 << (D - 1)
+    dt = _msb_matrix(h)
+    quads, quad_keys = _half_subsets(dt, 4)
+    triples, triple_keys = _half_subsets(dt, 3)
+    sizes = np.bitwise_count(np.arange(1 << h, dtype=np.uint32))
+    levels = np.concatenate([_pack((sizes == s)[None])
+                             for s in range(h + 1)])
+    for table in (quads, quad_keys, triples, triple_keys, levels):
+        table.setflags(write=False)
+    return quads, quad_keys, triples, triple_keys, levels
+
+
+# word masks of the bit positions i whose bit b is clear, b = 0..5
+_BIT_CLEAR = [np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
+
+
+def _close_supersets(words: np.ndarray, h: int) -> None:
+    """Close each row of packed keys of [0, h) under supersets, in place.
+    Key bits 0-5 shift inside each word; every higher bit ORs contiguous
+    runs of words."""
+    for b in range(min(h, 6)):
+        words |= (words & _BIT_CLEAR[b]) << np.uint64(1 << b)
+    for b in range(6, h):
+        pairs = words.reshape(len(words), -1, 2, 1 << (b - 6))
+        pairs[:, :, 1] |= pairs[:, :, 0]
 
 
 def _alpha_half_split(H: StepUpHypergraph, node_budget: int) -> AlphaResult:
@@ -507,20 +562,26 @@ def _alpha_half_split(H: StepUpHypergraph, node_budget: int) -> AlphaResult:
         raise BudgetExceeded(
             f"half-split scans {nodes} half-subsets, over the node budget "
             f"{node_budget}", required=nodes, budget=node_budget)
+    (d1, d2, d3), quad_keys, (x, y), triple_keys, levels = _half_tables(D)
     E3 = _edge3_table(H.coloring).reshape(D, D, D)
-    dt = _msb_matrix(h)
-    (d1, d2, d3), quad_keys = _half_subsets(dt, 4)
-    (x, y), triple_keys = _half_subsets(dt, 3)
-    edge_keys = quad_keys[E3[d1, d2, d3]]
-    # a triple of L with one vertex of R above it, and one vertex of L with a
-    # triple of R above it; a 2+2 split is the local-max slot (x, D-1, y)
+    # one row per table: edges of a half; plus a triple of L with one vertex
+    # of R above it; plus one vertex of L with a triple of R above it.  A 2+2
+    # split is the local-max slot (x, D-1, y)
+    marked = np.zeros((3, nodes), dtype=bool)
+    marked[:, quad_keys[E3[d1, d2, d3]]] = True
+    marked[1, triple_keys[E3[x, y, D - 1]]] = True
+    marked[2, triple_keys[E3[D - 1, x, y]]] = True
+    words = _pack(marked)
+    _close_supersets(words, h)
+    # the largest size with a free key, then its last key: the lex-first set
     found = []
-    for triples in (np.zeros(triple_keys.shape, dtype=bool),
-                    E3[x, y, D - 1], E3[D - 1, x, y]):
-        marked = np.zeros(nodes, dtype=bool)
-        marked[edge_keys] = True
-        marked[triple_keys[triples]] = True
-        found.append(_largest_free_set(marked, h))
+    for row in ~words:
+        size = int(np.flatnonzero((row & levels).any(axis=1))[-1])
+        level = row & levels[size]
+        word = int(np.flatnonzero(level)[-1])
+        key = 64 * word + int(level[word]).bit_length() - 1
+        found.append((size, tuple(v for v in range(h)
+                                  if key >> (h - 1 - v) & 1)))
     (a0, one_half), (aR, low), (aL, high) = found
     alpha = max(a0, aR + aL)
     split = low + tuple(v + h for v in high)

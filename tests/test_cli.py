@@ -253,6 +253,23 @@ def test_alpha_report_is_the_same_under_python_optimize(capsys):
     assert code == 0 and optimized == rep
 
 
+def test_steiner_below_the_floor_is_a_typed_error_under_python_optimize():
+    # the Turan-floor re-check must not be an assert that python -O strips
+    code = ("import sys, stepup.coloring as c\n"
+            "if __debug__: sys.exit(3)\n"
+            "c._greedy_pairs = lambda pid, n: [0]\n"
+            "from stepup.cli import main\n"
+            "sys.exit(main(['steiner', '--n', '10', '--seed', '1']))\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: EngineDisagreement: greedy packing at n=10, seed="), proc.stderr
+    assert "kept 1 triples, below the Turan floor" in proc.stderr
+
+
 def test_independent_command_both_verdicts(capsys):
     phi = sample_coloring(4, derive_seed(3, "coloring"))
     direct = exact_alpha(StepUpHypergraph(phi))

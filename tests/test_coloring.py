@@ -11,6 +11,7 @@ from stepup.coloring import (
     BLUE,
     RED,
     PairColoring,
+    _repair_tables,
     _all_triples,
     _certify_exact_scalar,
     _greedy_pairs,
@@ -30,8 +31,10 @@ from stepup.coloring import (
     search_certified_coloring,
     tt_forcing_order,
 )
+import stepup.coloring as coloring
 from stepup.errors import (
     BudgetExceeded,
+    EngineDisagreement,
     InvalidD,
     InvalidN,
     InvalidParams,
@@ -518,3 +521,74 @@ def test_repaired_coloring_seed_sentinel_roundtrips(tmp_path):
     path = tmp_path / "phi.bin"
     save_coloring(sr.coloring, path)
     assert load_coloring(path) == sr.coloring
+
+
+# --- engine disagreements are typed errors ------------------------------------
+# Each helper is patched to give a wrong answer; the re-check must raise
+# EngineDisagreement (not an assert, which python -O strips).
+
+def test_exact_counterexample_holding_a_good_triple_is_a_typed_error(
+        monkeypatch):
+    phi = paley_coloring(7, 7)     # certified at 4: every 4-set has one
+    monkeypatch.setattr(coloring, "_lex_first_transitive",
+                        lambda out, n: ((0, 1, 2, 3), 1))
+    with pytest.raises(EngineDisagreement, match=r"\(0, 1, 2, 3\)") as exc:
+        certify_good_property(phi, 4)
+    assert exc.value.vertices == (0, 1, 2, 3) and exc.value.coloring is phi
+
+
+def test_sampled_counterexample_holding_a_good_triple_is_a_typed_error(
+        monkeypatch):
+    phi = paley_coloring(7, 7)
+    monkeypatch.setattr(coloring, "_good_any",
+                        lambda pm, subsets: np.zeros(len(subsets), dtype=bool))
+    with pytest.raises(EngineDisagreement) as exc:
+        certify_good_property(phi, 4, "sampled", trials=10, seed=1)
+    assert len(exc.value.vertices) == 4 and exc.value.coloring is phi
+    assert find_good_triple(phi, exc.value.vertices) is not None
+
+
+def test_annealer_zero_that_certification_refutes_is_a_typed_error(
+        monkeypatch):
+    # the annealer claims a repair but hands back the refuted draw
+    monkeypatch.setattr(coloring, "_anneal_repair",
+                        lambda bits, D, n, rng, steps: (bits.copy(), 7, 0))
+    with pytest.raises(EngineDisagreement, match="reached zero") as exc:
+        search_certified_coloring(12, 5, attempts=1, base_seed=0)
+    assert exc.value.coloring.bits.tobytes() == sample_coloring(12, 0).bits.tobytes()
+    assert find_good_triple(exc.value.coloring, exc.value.vertices) is None
+
+
+def test_annealer_bad_count_that_certification_clears_is_a_typed_error(
+        monkeypatch):
+    # the annealer claims 3 bad subsets left on a certified coloring, and no
+    # Paley fallback is tried
+    assert not certify_good_property(sample_coloring(7, 0), 4).certified
+    qr7 = paley_coloring(7, 7)
+    monkeypatch.setattr(coloring, "_anneal_repair",
+                        lambda bits, D, n, rng, steps: (qr7.bits.copy(), 7, 3))
+    monkeypatch.setattr(coloring, "_is_paley_order", lambda q: False)
+    with pytest.raises(EngineDisagreement, match="kept 3 bad subsets") as exc:
+        search_certified_coloring(7, 4, attempts=1, base_seed=0)
+    assert exc.value.coloring == qr7
+
+
+def test_steiner_below_the_turan_floor_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(coloring, "_greedy_pairs", lambda pid, n: [0])
+    with pytest.raises(EngineDisagreement, match="below the Turan floor"):
+        greedy_steiner(10, 1)
+
+
+def test_repair_member_table_is_shared_by_every_pair():
+    # the per-pair table it replaced: for each subset through the pair, the
+    # indices (into the pair's triples) of the triples it contains
+    for D, n in ((8, 4), (12, 5), (10, 6), (9, 3)):
+        tab = _repair_tables(D, n)
+        shared = np.stack(tab.sub_tris, axis=1)
+        for p in range(tab.npairs):
+            flat = tab.tri_to_subs[tab.pair_tris[p]].ravel()
+            uniq, pos = np.unique(flat, return_inverse=True)
+            members = (np.argsort(pos, kind="stable")
+                       // tab.subs_per_triple).reshape(len(uniq), n - 2)
+            assert np.array_equal(uniq, tab.pair_sub_uniq[p])
+            assert np.array_equal(members, shared), (D, n, p)

@@ -610,3 +610,139 @@ def test_exact_alpha_budgets():
         exact_alpha(graph(6, 0))
     with pytest.raises(BudgetExceeded):
         exact_alpha(graph(5, 0), node_budget=1000)
+
+
+# --- the witness oracle and the per-D tables ----------------------------------
+
+def scalar_first_edge(H, vertices):
+    """First 4-subset (lex order) that classify_4tuple calls an edge, as the
+    EdgeWitness fields is_independent reports, or None."""
+    phi = H.coloring
+    for sub in combinations(sorted(vertices), 4):
+        rule, verdict = classify_4tuple(H, sub)
+        if verdict:
+            d1, d2, d3 = delta_sequence(sub)
+            colors = [(min(a, b), max(a, b), phi.color(a, b))
+                      for a, b in ((d1, d2), (d2, d3), (d1, d3))]
+            return sub, (d1, d2, d3), rule, colors
+    return None
+
+
+def test_is_independent_returns_the_scalar_scans_first_edge():
+    rng = np.random.default_rng(29)
+    found = {True: 0, False: 0}
+    for D in range(3, 9):
+        for seed in range(4):
+            H = graph(D, seed)
+            for _ in range(40):
+                k = int(rng.integers(4, min(14, 1 << D) + 1))
+                q = [int(v) for v in rng.choice(1 << D, size=k, replace=False)]
+                want = scalar_first_edge(H, q)
+                got = is_independent(H, q)
+                found[want is not None] += 1
+                if want is None:
+                    assert got is None
+                    continue
+                assert (got.vertices, got.deltas, got.rule, got.colors) == want
+                assert got.branch == "DirectScanBranch"
+                assert got.validate(H)
+    # exact_alpha witnesses, in reverse order, are independent sets
+    for D in (3, 4, 5):
+        for seed in range(4):
+            H = graph(D, seed)
+            w = exact_alpha(H).witness
+            assert scalar_first_edge(H, w) is None
+            assert is_independent(H, w[::-1]) is None
+    assert found[True] > 100 and found[False] > 100
+
+
+def test_is_independent_errors_are_unchanged():
+    H = graph(4, 0)
+    with pytest.raises(MalformedTuple,
+                       match="^independent-set query requires distinct vertices$"):
+        is_independent(H, (0, 1, 2, 3, 3))
+    with pytest.raises(SetTooSmall, match="^need at least 4 vertices, got 3$"):
+        is_independent(H, (0, 1, 2))
+    with pytest.raises(MalformedTuple, match=r"^vertices outside \[0, 2\^D\)$"):
+        is_independent(H, (0, 1, 2, 16))
+    with pytest.raises(MalformedTuple, match=r"^vertices outside \[0, 2\^D\)$"):
+        is_independent(H, (-1, 1, 2, 3))
+    with pytest.raises(BudgetExceeded,
+                       match=r"^binom\(12,4\) = 495 exceeds budget 100$") as exc:
+        is_independent(H, range(12), budget=100)
+    assert (exc.value.required, exc.value.budget) == (495, 100)
+
+
+def test_exact_alpha_d5_seed_9_is_pinned():
+    H = graph(5, 9)
+    r = exact_alpha(H)
+    assert r.as_dict() == {
+        "alpha": 18,
+        "witness": [0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15, 16, 18, 24, 26, 28,
+                    30, 31],
+        "method": "half-split", "nodes": 65_536, "a0": 11, "aR": 11, "aL": 7,
+        "witness_from": "split"}
+    assert is_independent(H, r.witness) is None
+    r2 = exact_alpha(graph(5, 2))
+    assert (r2.a0, r2.aR, r2.aL, r2.witness_from) == (11, 4, 7, "one-half")
+
+
+def test_exact_alpha_cache_holds_no_coloring_state():
+    cases = [(5, 9), (4, 1), (5, 2), (3, 0), (2, 0), (5, 1), (4, 3)]
+    fresh = {}
+    for D, seed in cases:
+        hg._half_tables.cache_clear()
+        fresh[D, seed] = exact_alpha(graph(D, seed)).as_dict()
+    for D, seed in cases * 3:
+        assert exact_alpha(graph(D, seed)).as_dict() == fresh[D, seed]
+    for D in (2, 3, 4, 5):
+        for table in hg._half_tables(D):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
+def test_superset_closure_matches_its_definition():
+    rng = np.random.default_rng(8)
+    for h in (2, 3, 4, 6, 7, 8):
+        keys = np.arange(1 << h)
+        sub = (keys[:, None] & keys[None, :]) == keys[None, :]  # [k, j]: j in k
+        for _ in range(5):
+            marked = rng.random((3, 1 << h)) < 4 / (1 << h)
+            want = (sub[None] & marked[:, None, :]).any(axis=2)
+            words = hg._pack(marked)
+            hg._close_supersets(words, h)
+            got = np.unpackbits(words.view(np.uint8), axis=1, count=1 << h,
+                                bitorder="little").astype(bool)
+            assert np.array_equal(got, want), h
+    # h = 16 against the bit-by-bit closure on the unpacked table
+    marked = rng.random((2, 1 << 16)) < 1e-3
+    want = marked.copy()
+    for b in range(16):
+        pairs = want.reshape(2, -1, 2, 1 << b)
+        pairs[:, :, 1] |= pairs[:, :, 0]
+    words = hg._pack(marked)
+    hg._close_supersets(words, 16)
+    got = np.unpackbits(words.view(np.uint8), axis=1,
+                        bitorder="little").astype(bool)
+    assert np.array_equal(got, want)
+
+
+def test_exact_alpha_witness_spanning_an_edge_at_d5_is_a_typed_error(
+        monkeypatch):
+    H = graph(5, 2)
+    honest = exact_alpha(H)
+    spanning = tuple(range(honest.alpha))
+    first_edge = scalar_first_edge(H, spanning)[0]
+
+    def engine(H, node_budget):
+        return hg.AlphaResult(alpha=honest.alpha, witness=spanning,
+                              method="half-split", nodes=65_536, a0=honest.a0,
+                              aR=honest.aR, aL=honest.aL,
+                              witness_from="one-half")
+
+    monkeypatch.setattr(hg, "_alpha_half_split", engine)
+    with pytest.raises(EngineDisagreement, match="spans the edge") as exc:
+        exact_alpha(H)
+    assert exc.value.vertices == spanning
+    assert exc.value.edge == first_edge
