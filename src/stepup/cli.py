@@ -56,6 +56,7 @@ from .errors import (
     UsageError,
 )
 from .hypergraph import (
+    ALPHA_BUDGET_DEFAULT,
     INDEPENDENT_BUDGET_DEFAULT,
     K5_BUDGET_DEFAULT,
     StepUpHypergraph,
@@ -246,7 +247,7 @@ def _cmd_check_k5(args) -> tuple[int, dict]:
 
 def _cmd_alpha(args) -> tuple[int, dict]:
     phi = _load_phi(args)
-    result = exact_alpha(StepUpHypergraph(phi))
+    result = exact_alpha(StepUpHypergraph(phi), node_budget=args.budget)
     report = {"command": "alpha", "config": _config_echo(args),
               "verdict": "Computed", "alpha": result.as_dict()}
     return 0, report
@@ -445,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="exact independence number")
     _add_phi_source(p)
+    p.add_argument("--budget", type=int, default=ALPHA_BUDGET_DEFAULT,
+                   help="states of the recursion before it is refused")
     p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("independent", help="test a vertex set for independence")

@@ -34,10 +34,14 @@ h = 2^(D-1).  Vertices in different halves have the largest delta D-1,
 so a 4-tuple across the halves is never an edge when split 2+2 (deltas
 (x, D-1, y), the local-max slot), and is an edge when split 1+3 or 3+1
 iff E3[D-1, x, y] or E3[x, y, D-1] holds at the deltas (x, y) of its
-triple.  Both halves are translates of one 4-graph, so alpha is read off
-three superset-closure tables over the 2^h subsets of one half, and the
-witness, the lexicographically first maximum independent set, is the
-lex-smaller of the best set inside L and the best split set.
+triple.  Both halves are translates of one 4-graph, so the split turns
+into constraints on each half: pair deltas that no chosen pair may have
+(F2) and patterns, consecutive delta pairs, that no chosen triple may
+have (F3).  The same lemma splits a constrained half again, so alpha is
+a recursion A(k, F2, F3) over blocks [0, 2^k), memoised per level with
+F2 and F3 as bitmasks.  The witness, the lexicographically first
+maximum independent set, is the lex-smaller of the best set inside L
+and the best split set.
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ __all__ = [
 
 K5_BUDGET_DEFAULT = 5 * 10 ** 9
 INDEPENDENT_BUDGET_DEFAULT = 10 ** 8
+# states of the alpha recursion: a run that reaches it at D = 64 peaks at
+# about 1.7 GB RSS and takes about 2 minutes on a 2-core machine
+ALPHA_BUDGET_DEFAULT = 10_000_000
 
 
 class EdgeRule(Enum):
@@ -111,6 +118,14 @@ class StepUpHypergraph:
         """phi as nested lists, [a][b] = phi(a, b), for the scalar rules;
         the coloring's bits are read-only, so this never goes stale."""
         return self.coloring.as_matrix().tolist()
+
+    @functools.cached_property
+    def _edge3(self) -> np.ndarray:
+        """The flattened D^3 edge table of phi (_edge3_table), read-only;
+        the mutated table of the mutation tests is never cached."""
+        table = _edge3_table(self.coloring)
+        table.setflags(write=False)
+        return table
 
     def __repr__(self):
         return f"StepUpHypergraph(D={self.D}, phi_seed={self.coloring.seed})"
@@ -158,17 +173,19 @@ class AlphaResult:
     alpha: int
     witness: tuple[int, ...]
     method: str
-    nodes: int       # half-subsets scanned
+    nodes: int       # recursion states solved
     a0: int          # independence number of one half
     aR: int          # ... with no triple that is an edge with a vertex above
     aL: int          # ... with no triple that is an edge with a vertex below
     witness_from: str  # "one-half" | "split"
+    level_states: tuple[int, ...]  # states solved at each level k = 0..D
 
     def as_dict(self) -> dict:
         return {"alpha": self.alpha, "witness": [int(v) for v in self.witness],
                 "method": self.method, "nodes": self.nodes, "a0": self.a0,
                 "aR": self.aR, "aL": self.aL,
-                "witness_from": self.witness_from}
+                "witness_from": self.witness_from,
+                "level_states": list(self.level_states)}
 
 
 def _classify_deltas(d1: int, d2: int, d3: int, C) -> tuple[EdgeRule, bool]:
@@ -371,7 +388,7 @@ def _check_k5_patterns(H: StepUpHypergraph, V: int, flip_rule2: bool
     number of patterns checked.
     """
     D = H.D
-    E3 = _edge3_table(H.coloring, flip_rule2=flip_rule2)
+    E3 = _edge3_table(H.coloring, flip_rule2=True) if flip_rule2 else H._edge3
     capped = V < H.vertex_count
     checked = 0
     for a, b, c, d in delta_patterns(min(D, (V - 1).bit_length())):
@@ -502,115 +519,184 @@ def is_independent(H: StepUpHypergraph, Q,
 
 # --- exact independence number ----------------------------------------------
 
-def _half_subsets(dt: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Consecutive deltas (one row per gap) and keys of the k-subsets of
-    [0, h); a key has bit h-1-v per vertex v, so among sets of one size the
-    lexicographically first has the largest key."""
-    h = len(dt)
-    sets = np.array(list(combinations(range(h), k)), dtype=np.int64
-                    ).reshape(-1, k)
-    return dt[sets[:, :-1], sets[:, 1:]].T, (1 << (h - 1 - sets)).sum(axis=1)
+@functools.lru_cache(maxsize=8)
+def _pattern_layout(D: int) -> tuple:
+    """The tables of the alpha recursion that depend on D alone, built once
+    per D and read-only.
+
+    A pattern (a, b), the consecutive deltas of a triple, is bit s(a, b) of
+    an F3 mask, laid out in shells of m = max(a, b): s(a, m) = m^2 + a and
+    s(m, b) = m^2 + m + b for a, b < m, and s(m, m) = m^2 + 2m.  The
+    patterns over [0, j) are then the low j^2 bits, and shell j holds the
+    column (a, j) and the row (j, b) as two runs of j bits.  Returns the
+    (D, D) array of s; per level j the keep masks (1 << j) - 1 of F2 and
+    (1 << j^2) - 1 of F3; and per delta x the patterns with an entry x.
+    """
+    a = np.arange(D)[:, None]
+    b = np.arange(D)[None, :]
+    m = np.maximum(a, b)
+    shell = np.where(a < m, m * m + a,
+                     np.where(b < m, m * m + m + b, m * m + 2 * m))
+    shell.setflags(write=False)
+    keep2 = tuple((1 << j) - 1 for j in range(D + 1))
+    keep3 = tuple((1 << j * j) - 1 for j in range(D + 1))
+    with_entry = tuple(sum(1 << int(s) for s in {*shell[x], *shell[:, x]})
+                       for x in range(D))
+    return shell, keep2, keep3, with_entry
 
 
-def _pack(table: np.ndarray) -> np.ndarray:
-    """Rows of a bool table over keys, packed 64 keys to a little-endian
-    word: key k is bit k % 64 of word k // 64 (zero-padded to one word)."""
-    rows, n = table.shape
-    packed = np.zeros((rows, max(n, 64) // 8), dtype=np.uint8)
-    packed[:, :(n + 7) // 8] = np.packbits(table, axis=1, bitorder="little")
-    return packed.view("<u8")
+def _split_masks(H: StepUpHypergraph, shell: np.ndarray
+                 ) -> tuple[list[int], list[int]]:
+    """Per cross delta c, the F3 masks over [0, c)^2 that a split at c adds:
+    below[c] holds the patterns (a, b) with E3[a, b, c], a triple of L with
+    a vertex of R above it, and above[c] those with E3[c, a, b], a vertex
+    of L below a triple of R."""
+    D = H.D
+    E3 = H._edge3.reshape(D, D, D)
+    inside = shell[:, :, None] < np.arange(D) ** 2    # [a, b, c]: a, b < c
+    bits = np.zeros((2, D, D * D), dtype=bool)
+    bits[0][:, shell.ravel()] = (E3 & inside).transpose(2, 0, 1).reshape(D, -1)
+    bits[1][:, shell.ravel()] = (E3 & inside.transpose(2, 0, 1)).reshape(D, -1)
+    below, above = ([int.from_bytes(row.tobytes(), "little") for row in half]
+                    for half in np.packbits(bits, axis=2, bitorder="little"))
+    return below, above
 
 
-@functools.lru_cache(maxsize=4)
-def _half_tables(D: int) -> tuple:
-    """The exact_alpha tables that depend on D alone, built once per D and
-    read-only: deltas and keys of the 4- and 3-subsets of one half, and per
-    size s the packed keys of the s-subsets."""
-    h = 1 << (D - 1)
-    dt = _msb_matrix(h)
-    quads, quad_keys = _half_subsets(dt, 4)
-    triples, triple_keys = _half_subsets(dt, 3)
-    sizes = np.bitwise_count(np.arange(1 << h, dtype=np.uint32))
-    levels = np.concatenate([_pack((sizes == s)[None])
-                             for s in range(h + 1)])
-    for table in (quads, quad_keys, triples, triple_keys, levels):
-        table.setflags(write=False)
-    return quads, quad_keys, triples, triple_keys, levels
+def _alpha_recursion(H: StepUpHypergraph, node_budget: int,
+                     f2: int = 0, f3: int = 0) -> AlphaResult:
+    """A(D, f2, f3), by default alpha, and its lexicographically first
+    witness, by the recursion of exact_alpha.  A state (f2, f3) at level k
+    is the block [0, 2^k) under the pair-delta mask f2 and the pattern mask
+    f3 (laid out as in _pattern_layout); memo[k] maps it, keyed
+    f2 | f3 << k, to size << 1 | split: its A, and whether its witness is
+    the split set.  aR = aL = 0 when the top block cannot split."""
+    D = H.D
+    shell, keep2, keep3, with_entry = _pattern_layout(D)
+    below, above = _split_masks(H, shell)
+    memo: list[dict[int, int]] = [{} for _ in range(D + 1)]
+    implied = {0: 0}    # f2 -> the patterns with an entry in f2
+    states = 0
 
+    def drop(f2: int, f3: int) -> tuple[int, int]:
+        """The state without the patterns that f2 already forbids: a set
+        with no pair delta in f2 has no triple with such a pattern."""
+        mask = implied.get(f2)
+        if mask is None:
+            mask, rest = 0, f2
+            while rest:
+                low = rest & -rest
+                mask |= with_entry[low.bit_length() - 1]
+                rest ^= low
+            implied[f2] = mask
+        return f2, f3 & ~mask
 
-# word masks of the bit positions i whose bit b is clear, b = 0..5
-_BIT_CLEAR = [np.uint64(m) for m in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
+    def halves(k: int, f2: int, f3: int) -> tuple:
+        """The states at level k-1 of the best set inside one half and,
+        unless the cross delta j = k-1 is in f2, of the L and the R part of
+        a split set: L also avoids the pair deltas a with (a, j) in f3 and
+        the patterns of below[j], R the b with (j, b) in f3 and above[j]."""
+        j = k - 1
+        g2, g3 = f2 & keep2[j], f3 & keep3[j]
+        if f2 >> j & 1:
+            return (g2, g3), None, None
+        column = f3 >> j * j & keep2[j]
+        row = f3 >> j * j + j & keep2[j]
+        return ((g2, g3), drop(g2 | column, g3 | below[j]),
+                drop(g2 | row, g3 | above[j]))
 
+    def solve(k: int, f2: int, f3: int) -> int:
+        nonlocal states
+        table = memo[k]
+        key = f2 | f3 << k
+        entry = table.get(key)
+        if entry is not None:
+            return entry >> 1
+        size, split = 1, 0    # level 0 is one vertex
+        if k:
+            one, left, right = halves(k, f2, f3)
+            size = solve(k - 1, *one)
+            if left is not None:
+                both = solve(k - 1, *left) + solve(k - 1, *right)
+                # on a tie the split set is first iff its L part holds the
+                # least vertex where it and the one-half set differ
+                if both > size or (both == size
+                                   and compare(k - 1, left, one) < 0):
+                    size, split = both, 1
+        states += 1
+        if states > node_budget:
+            raise BudgetExceeded(
+                f"the alpha recursion passed its state budget {node_budget} "
+                f"at D={D}", required=states, budget=node_budget)
+        table[key] = size << 1 | split
+        return size
 
-def _close_supersets(words: np.ndarray, h: int) -> None:
-    """Close each row of packed keys of [0, h) under supersets, in place.
-    Key bits 0-5 shift inside each word; every higher bit ORs contiguous
-    runs of words."""
-    for b in range(min(h, 6)):
-        words |= (words & _BIT_CLEAR[b]) << np.uint64(1 << b)
-    for b in range(6, h):
-        pairs = words.reshape(len(words), -1, 2, 1 << (b - 6))
-        pairs[:, :, 1] |= pairs[:, :, 0]
+    def parts(k: int, state: tuple) -> tuple:
+        """The states at level k-1 of the L part and of the R part (None if
+        empty) of the witness of a solved state at level k."""
+        one, left, right = halves(k, *state)
+        if memo[k][state[0] | state[1] << k] & 1:
+            return left, right
+        return one, None
 
+    def compare(k: int, s: tuple, t: tuple) -> int:
+        """Below 0 if the least vertex where the witnesses of the solved
+        states s and t at level k differ is in that of s, above 0 if it is
+        in that of t, 0 if the witnesses are equal."""
+        if s == t:
+            return 0    # always so at level 0
+        (ls, rs), (lt, rt) = parts(k, s), parts(k, t)
+        order = compare(k - 1, ls, lt)
+        if order or rs is None or rt is None:
+            return order or (rs is None) - (rt is None)
+        return compare(k - 1, rs, rt)
 
-def _alpha_half_split(H: StepUpHypergraph, node_budget: int) -> AlphaResult:
-    D, h = H.D, H.vertex_count // 2
-    nodes = 1 << h
-    if nodes > node_budget:
-        raise BudgetExceeded(
-            f"half-split scans {nodes} half-subsets, over the node budget "
-            f"{node_budget}", required=nodes, budget=node_budget)
-    (d1, d2, d3), quad_keys, (x, y), triple_keys, levels = _half_tables(D)
-    E3 = _edge3_table(H.coloring).reshape(D, D, D)
-    # one row per table: edges of a half; plus a triple of L with one vertex
-    # of R above it; plus one vertex of L with a triple of R above it.  A 2+2
-    # split is the local-max slot (x, D-1, y)
-    marked = np.zeros((3, nodes), dtype=bool)
-    marked[:, quad_keys[E3[d1, d2, d3]]] = True
-    marked[1, triple_keys[E3[x, y, D - 1]]] = True
-    marked[2, triple_keys[E3[D - 1, x, y]]] = True
-    words = _pack(marked)
-    _close_supersets(words, h)
-    # the largest size with a free key, then its last key: the lex-first set
-    found = []
-    for row in ~words:
-        size = int(np.flatnonzero((row & levels).any(axis=1))[-1])
-        level = row & levels[size]
-        word = int(np.flatnonzero(level)[-1])
-        key = 64 * word + int(level[word]).bit_length() - 1
-        found.append((size, tuple(v for v in range(h)
-                                  if key >> (h - 1 - v) & 1)))
-    (a0, one_half), (aR, low), (aL, high) = found
-    alpha = max(a0, aR + aL)
-    split = low + tuple(v + h for v in high)
-    witness, source = min((w, source) for w, source in
-                          ((one_half, "one-half"), (split, "split"))
-                          if len(w) == alpha)
-    return AlphaResult(alpha=alpha, witness=witness, method="half-split",
-                       nodes=nodes, a0=a0, aR=aR, aL=aL, witness_from=source)
+    def collect(k: int, state: tuple, offset: int, out: list) -> None:
+        if k == 0:
+            out.append(offset)
+            return
+        low, high = parts(k, state)
+        collect(k - 1, low, offset, out)
+        if high is not None:
+            collect(k - 1, high, offset + (1 << k - 1), out)
+
+    top = drop(f2, f3)
+    alpha = solve(D, *top)
+    one, left, right = halves(D, *top)
+    a0 = solve(D - 1, *one)
+    aR, aL = (0, 0) if left is None else (solve(D - 1, *left),
+                                          solve(D - 1, *right))
+    witness: list[int] = []
+    collect(D, top, 0, witness)
+    split = memo[D][top[0] | top[1] << D] & 1
+    return AlphaResult(
+        alpha=alpha, witness=tuple(witness), method="half-split-recursion",
+        nodes=states, a0=a0, aR=aR, aL=aL,
+        witness_from="split" if split else "one-half",
+        level_states=tuple(len(table) for table in memo))
 
 
 def exact_alpha(H: StepUpHypergraph, *,
-                node_budget: int = 20_000_000) -> AlphaResult:
+                node_budget: int = ALPHA_BUDGET_DEFAULT) -> AlphaResult:
     """Independence number and lexicographically first maximum independent
-    set for D <= 5; BudgetExceeded beyond, or when the 2^h half-subsets
-    scanned (`nodes`, h = 2^(D-1)) exceed node_budget.
+    set, for every 2 <= D <= 64.
 
-    By the half-split lemma (module docstring), alpha = max(a0, aR + aL):
-    a0 is the independence number of a half, aR (aL) the largest
-    independent set of a half with no triple whose deltas (x, y) make
-    E3[x, y, D-1] (E3[D-1, x, y]) hold.  The witness is the lex-smaller,
-    among those of size alpha, of the lex-first a0-set of L ("one-half")
-    and the lex-first aR-set of L followed by the lex-first aL-set of R
-    ("split").  An edge in it (is_independent) raises EngineDisagreement.
+    A(k, F2, F3) is the largest set in [0, 2^k) with no edge, no pair whose
+    delta is in F2 and no triple whose consecutive deltas are a pattern of
+    F3; alpha = A(D, {}, {}) and A(0, ...) = 1.  By the half-split lemma
+    (module docstring), A(k, F2, F3) is the larger of the best set inside
+    one half, A(k-1, F2, F3) cut to [0, k-1), and, unless k-1 is in F2,
+    the best split set A_L + A_R.  The top level gives a0, aR (= A_L) and
+    aL (= A_R).  A pattern with an entry in F2 is dropped from F3, since
+    F2 already forbids it.  The witness is the lex-smaller of the best set
+    inside L ("one-half") and the best L part followed by the best R part
+    ("split"); an edge in it (is_independent) raises EngineDisagreement.
+
+    `nodes` counts the states (k, F2, F3) solved and `level_states` splits
+    them by k.  BudgetExceeded is raised once they pass node_budget, and
+    by is_independent when the witness has more than
+    INDEPENDENT_BUDGET_DEFAULT 4-subsets (alpha above 222).
     """
-    if H.D > 5:
-        raise BudgetExceeded(
-            f"exact_alpha supports D <= 5, got D={H.D}",
-            required=1 << H.D, budget=32)
-    result = _alpha_half_split(H, node_budget)
+    result = _alpha_recursion(H, node_budget)
     edge = is_independent(H, result.witness)
     if edge is not None:
         raise EngineDisagreement(

@@ -217,17 +217,33 @@ def test_alpha_command_matches_library(capsys):
     assert tuple(rep["alpha"]["witness"]) == direct.witness
     assert rep["alpha"] == direct.as_dict()
     assert set(rep["alpha"]) == {"alpha", "witness", "method", "nodes", "a0",
-                                 "aR", "aL", "witness_from"}
+                                 "aR", "aL", "witness_from", "level_states"}
+
+
+def test_alpha_budget_is_the_state_budget(capsys):
+    argv = ["alpha", "--bits", "12", "--seed", "0"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["config"]["budget"] == hg.ALPHA_BUDGET_DEFAULT
+    nodes = rep["alpha"]["nodes"]
+    assert nodes == sum(rep["alpha"]["level_states"])
+    code, tight = run_json(capsys, argv + ["--budget", str(nodes)])
+    assert code == 0 and tight["alpha"] == rep["alpha"]
+    code, out, err = run_raw(capsys, argv + ["--budget", str(nodes - 1)])
+    assert code == 2 and out == ""
+    assert err.startswith(
+        f"error: the alpha recursion passed its state budget {nodes - 1}")
 
 
 def test_alpha_witness_spanning_an_edge_is_a_typed_error(capsys,
                                                          monkeypatch):
     def spans_an_edge(H, node_budget):
         return AlphaResult(alpha=16, witness=tuple(range(16)),
-                           method="half-split", nodes=256, a0=8, aR=8, aL=8,
-                           witness_from="split")
+                           method="half-split-recursion", nodes=9, a0=8,
+                           aR=8, aL=8, witness_from="split",
+                           level_states=(1, 1, 2, 3, 2))
 
-    monkeypatch.setattr(hg, "_alpha_half_split", spans_an_edge)
+    monkeypatch.setattr(hg, "_alpha_recursion", spans_an_edge)
     code, out, err = run_raw(capsys, ["alpha", "--bits", "4", "--seed", "3"])
     assert code == 2 and out == ""
     assert err.startswith("error: EngineDisagreement: alpha witness")
@@ -376,8 +392,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  "--vertices", "1,two,3"]) == 2
     capsys.readouterr()
     # refusal on an infeasible exact computation is also usage-class
-    assert main(["alpha", "--bits", "8", "--seed", "0"]) == 2
-    capsys.readouterr()
+    assert main(["alpha", "--bits", "40", "--seed", "0",
+                 "--budget", "1000"]) == 2
+    assert "state budget 1000" in capsys.readouterr().err
     bad = tmp_path / "garbage.bin"
     bad.write_bytes(b"not a coloring file")
     assert main(["verify-coloring", "--coloring", str(bad), "--n", "5"]) == 2

@@ -10,7 +10,12 @@ import pytest
 from conftest import tuple_from_distinct_deltas
 
 import stepup.hypergraph as hg
-from stepup.coloring import PairColoring, find_good_triple, sample_coloring
+from stepup.coloring import (
+    PairColoring,
+    find_good_triple,
+    paley_coloring,
+    sample_coloring,
+)
 from stepup.delta import delta_sequence
 from stepup.errors import (
     BudgetExceeded,
@@ -343,6 +348,9 @@ def test_mutation_flipped_rule_ii_inequality_violates_at_d4():
     # the honest classifier rejects the same subsets
     for sub in combinations(v.vertices, 4):
         assert not is_edge(H, sub)
+    # the corrupted table is never cached in place of the graph's own
+    assert check_k5_free(H) is None
+    assert np.array_equal(H._edge3, _edge3_table(H.coloring))
 
 
 def test_mutation_violation_found_for_random_seed_too():
@@ -432,12 +440,19 @@ def test_find_nonedge_validation_and_bug_trap(monkeypatch):
 
 # --- independence -------------------------------------------------------------
 
-def bad_subset_table(H):
-    """bad[mask] == True iff the vertex set of mask contains an edge."""
+def bad_subset_table(H, F2=(), F3=()):
+    """bad[mask] == True iff the vertex set of mask contains an edge, a pair
+    whose delta is in F2 or a triple whose consecutive deltas are in F3."""
     V = H.vertex_count
     bad = np.zeros(1 << V, dtype=bool)
     for sub in combinations(range(V), 4):
         if is_edge(H, sub):
+            bad[sum(1 << v for v in sub)] = True
+    for u, v in combinations(range(V), 2):
+        if delta_sequence((u, v))[0] in F2:
+            bad[1 << u | 1 << v] = True
+    for sub in combinations(range(V), 3):
+        if tuple(delta_sequence(sub)) in F3:
             bad[sum(1 << v for v in sub)] = True
     idx = np.arange(1 << V)
     for b in range(V):
@@ -499,7 +514,7 @@ def test_exact_alpha_d2_trivial():
     r = exact_alpha(graph(2, 0))
     assert r.alpha == 4
     assert r.witness == (0, 1, 2, 3)
-    assert r.method == "half-split"
+    assert r.method == "half-split-recursion"
 
 
 def test_exact_alpha_d3_matches_brute_oracle_all_colorings():
@@ -521,7 +536,7 @@ def test_exact_alpha_d3_matches_brute_oracle_all_colorings():
 def test_exact_alpha_d4_matches_bitmask_oracle():
     idx = np.arange(1 << 16, dtype=np.uint32)
     sizes = np.bitwise_count(idx).astype(np.int8)
-    for seed in range(5):
+    for seed in range(12):
         H = graph(4, seed)
         bad = bad_subset_table(H)
         want = int(sizes[~bad].max())
@@ -535,8 +550,9 @@ def test_exact_alpha_d4_matches_bitmask_oracle():
 def test_exact_alpha_d5_branch_and_bound():
     r = exact_alpha(graph(5, 1))
     assert r.alpha == 12
-    assert r.method == "half-split"
-    assert r.nodes == 65_536
+    assert r.method == "half-split-recursion"
+    assert r.nodes == 19 == sum(r.level_states)
+    assert r.level_states == (1, 2, 6, 6, 3, 1)
     assert r.witness == (0, 1, 2, 4, 5, 6, 7, 16, 18, 19, 24, 25)
     assert is_independent(graph(5, 1), r.witness) is None
 
@@ -544,7 +560,7 @@ def test_exact_alpha_d5_branch_and_bound():
 def test_exact_alpha_d5_benchmark_instance():
     H = graph(5, 2)
     r = exact_alpha(H)
-    assert (r.alpha, r.nodes, r.method) == (11, 65_536, "half-split")
+    assert (r.alpha, r.nodes, r.method) == (11, 18, "half-split-recursion")
     assert r.witness == (0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15)
 
 
@@ -570,6 +586,40 @@ def test_exact_alpha_d5_matches_branch_and_bound_table():
     for seed, want in enumerate(D5_ALPHA_AND_WITNESS):
         r = exact_alpha(graph(5, seed))
         assert (r.alpha, r.witness) == want, seed
+
+
+def pattern_masks(D, F2, F3):
+    """Pair deltas F2 and patterns F3 as the recursion's bitmasks."""
+    shell = hg._pattern_layout(D)[0]
+    return (sum(1 << a for a in F2),
+            sum(1 << int(shell[a, b]) for a, b in F3))
+
+
+def test_constrained_recursion_matches_brute_force():
+    """A(k, F2, F3) and its lex-first witness against every subset of
+    [0, 2^k), on seeded random constraints at k = 3 and 4."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for k, instances in ((3, 48), (4, 40)):
+        for _ in range(instances):
+            H = graph(k, int(rng.integers(1 << 30)))
+            F2 = {a for a in range(k) if rng.random() < 0.2}
+            F3 = {(a, b) for a in range(k) for b in range(k)
+                  if a != b and rng.random() < 0.25}
+            r = hg._alpha_recursion(H, 10 ** 6, *pattern_masks(k, F2, F3))
+            want = lex_first_max_set(bad_subset_table(H, F2, F3))
+            assert (r.alpha, r.witness) == (len(want), want), (k, F2, F3)
+            assert r.alpha == max(r.a0, r.aR + r.aL)
+            checked += 1
+    assert checked >= 80
+
+
+def test_exact_alpha_paley_gf27_at_d26():
+    H = StepUpHypergraph(paley_coloring(27, 26))
+    r = exact_alpha(H)
+    assert (r.alpha, r.nodes, r.witness_from) == (74, 40_587, "split")
+    assert len(r.level_states) == 27 and sum(r.level_states) == r.nodes
+    assert len(r.witness) == 74 and is_independent(H, r.witness) is None
 
 
 def test_half_split_lemma_on_every_4tuple():
@@ -606,10 +656,14 @@ def test_exact_alpha_ge_greedy_invariant():
 
 
 def test_exact_alpha_budgets():
+    r = exact_alpha(graph(6, 0))
+    assert (r.alpha, r.nodes) == (21, 34)
+    assert exact_alpha(graph(6, 0), node_budget=34) == r
+    with pytest.raises(BudgetExceeded, match="state budget 33") as exc:
+        exact_alpha(graph(6, 0), node_budget=33)
+    assert (exc.value.required, exc.value.budget) == (34, 33)
     with pytest.raises(BudgetExceeded):
-        exact_alpha(graph(6, 0))
-    with pytest.raises(BudgetExceeded):
-        exact_alpha(graph(5, 0), node_budget=1000)
+        exact_alpha(graph(40, 0), node_budget=1000)
 
 
 # --- the witness oracle and the per-D tables ----------------------------------
@@ -680,52 +734,33 @@ def test_exact_alpha_d5_seed_9_is_pinned():
         "alpha": 18,
         "witness": [0, 1, 2, 3, 4, 8, 10, 11, 12, 14, 15, 16, 18, 24, 26, 28,
                     30, 31],
-        "method": "half-split", "nodes": 65_536, "a0": 11, "aR": 11, "aL": 7,
-        "witness_from": "split"}
+        "method": "half-split-recursion", "nodes": 16, "a0": 11, "aR": 11,
+        "aL": 7, "witness_from": "split", "level_states": [1, 2, 4, 6, 2, 1]}
     assert is_independent(H, r.witness) is None
     r2 = exact_alpha(graph(5, 2))
     assert (r2.a0, r2.aR, r2.aL, r2.witness_from) == (11, 4, 7, "one-half")
 
 
 def test_exact_alpha_cache_holds_no_coloring_state():
-    cases = [(5, 9), (4, 1), (5, 2), (3, 0), (2, 0), (5, 1), (4, 3)]
-    fresh = {}
-    for D, seed in cases:
-        hg._half_tables.cache_clear()
-        fresh[D, seed] = exact_alpha(graph(D, seed)).as_dict()
-    for D, seed in cases * 3:
-        assert exact_alpha(graph(D, seed)).as_dict() == fresh[D, seed]
-    for D in (2, 3, 4, 5):
-        for table in hg._half_tables(D):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[...] = 0
-
-
-def test_superset_closure_matches_its_definition():
-    rng = np.random.default_rng(8)
-    for h in (2, 3, 4, 6, 7, 8):
-        keys = np.arange(1 << h)
-        sub = (keys[:, None] & keys[None, :]) == keys[None, :]  # [k, j]: j in k
-        for _ in range(5):
-            marked = rng.random((3, 1 << h)) < 4 / (1 << h)
-            want = (sub[None] & marked[:, None, :]).any(axis=2)
-            words = hg._pack(marked)
-            hg._close_supersets(words, h)
-            got = np.unpackbits(words.view(np.uint8), axis=1, count=1 << h,
-                                bitorder="little").astype(bool)
-            assert np.array_equal(got, want), h
-    # h = 16 against the bit-by-bit closure on the unpacked table
-    marked = rng.random((2, 1 << 16)) < 1e-3
-    want = marked.copy()
-    for b in range(16):
-        pairs = want.reshape(2, -1, 2, 1 << b)
-        pairs[:, :, 1] |= pairs[:, :, 0]
-    words = hg._pack(marked)
-    hg._close_supersets(words, 16)
-    got = np.unpackbits(words.view(np.uint8), axis=1,
-                        bitorder="little").astype(bool)
-    assert np.array_equal(got, want)
+    # no memo or result outlives a call: interleaved calls, on fresh graphs
+    # and on graphs reused across calls, give what a first call gives
+    cases = [(5, 9), (4, 1), (5, 2), (3, 0), (2, 0), (5, 1), (4, 3), (8, 2)]
+    fresh = {case: exact_alpha(graph(*case)).as_dict() for case in cases}
+    reused = {case: graph(*case) for case in cases}
+    for case in cases * 3:
+        assert exact_alpha(graph(*case)).as_dict() == fresh[case]
+        assert exact_alpha(reused[case]).as_dict() == fresh[case]
+    for (D, _), H in reused.items():
+        # a graph keeps only its coloring's own read-only tables
+        assert set(vars(H)) <= {"D", "coloring", "_color_rows", "_edge3"}
+        with pytest.raises(ValueError):
+            H._edge3[...] = False
+        # the per-D tables say nothing of phi and cannot be written
+        shell, keep2, keep3, with_entry = hg._pattern_layout(D)
+        assert sorted(shell.ravel()) == list(range(D * D))
+        with pytest.raises(ValueError):
+            shell[...] = 0
+        assert all(isinstance(t, tuple) for t in (keep2, keep3, with_entry))
 
 
 def test_exact_alpha_witness_spanning_an_edge_at_d5_is_a_typed_error(
@@ -737,11 +772,12 @@ def test_exact_alpha_witness_spanning_an_edge_at_d5_is_a_typed_error(
 
     def engine(H, node_budget):
         return hg.AlphaResult(alpha=honest.alpha, witness=spanning,
-                              method="half-split", nodes=65_536, a0=honest.a0,
-                              aR=honest.aR, aL=honest.aL,
-                              witness_from="one-half")
+                              method="half-split-recursion", nodes=18,
+                              a0=honest.a0, aR=honest.aR, aL=honest.aL,
+                              witness_from="one-half",
+                              level_states=honest.level_states)
 
-    monkeypatch.setattr(hg, "_alpha_half_split", engine)
+    monkeypatch.setattr(hg, "_alpha_recursion", engine)
     with pytest.raises(EngineDisagreement, match="spans the edge") as exc:
         exact_alpha(H)
     assert exc.value.vertices == spanning
