@@ -62,7 +62,6 @@ from .hypergraph import (
     StepUpHypergraph,
     check_k5_free,
     exact_alpha,
-    is_edge,
     is_independent,
 )
 from .witness import (
@@ -72,7 +71,6 @@ from .witness import (
     guarantee_threshold,
     load_q,
     random_subset,
-    save_q,
     verify_star_property,
 )
 

@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 

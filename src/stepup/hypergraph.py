@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 

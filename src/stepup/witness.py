@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -37,7 +36,13 @@ from .errors import (
     ProofGapTrap,
     SetTooSmall,
 )
-from .hypergraph import EdgeWitness, StepUpHypergraph, _edge_witness_for, is_edge
+from .hypergraph import (
+    EdgeWitness,
+    StepUpHypergraph,
+    _edge_witness_for,
+    is_edge,
+    is_independent,
+)
 
 __all__ = [
     "LayerStack",
@@ -106,10 +111,12 @@ class LayerStack:
     keeps the targets (m-1)/(2n)^t as diagnostics only: the all-maxima
     policy makes each layer a superset of the first-beta_t prefix the
     counting argument reasons about, and observed sizes are recorded, not
-    asserted.  parents, when present, holds for t >= 1 the index of each
-    position of layers[t] within layers[t-1], or None where not recorded;
-    build_layers records them for t >= 2, and verify_star_property checks
-    them before relying on them.
+    asserted.  parents holds for t >= 2 the index of each position of
+    layers[t] within layers[t-1], as build_layers records them (layer-1
+    positions are their own indices in an implicit layer 0).
+    verify_star_property checks them before relying on them, and checks
+    a stack with an explicit layer 0 or with a missing or stale parents
+    row against the deltas directly.
     """
 
     q: np.ndarray
@@ -472,14 +479,13 @@ def extract_edge(H: StepUpHypergraph, Q, n: int) -> EdgeWitness:
             raise InvalidN(f"run-length parameter must be >= 3, got {n}")
         if not (q[:-1] < q[1:]).all():
             raise MalformedTuple("Q must be strictly increasing")
-        for sub in combinations(range(q.size), 4):
-            vs = tuple(int(q[i]) for i in sub)
-            if is_edge(H, vs):
-                return _edge_witness_for(H, vs, branch="DirectScanBranch",
-                                         trace={"path": "small-q scan"})
-        raise NeedMoreVertices(
-            f"|Q| = {q.size} is below the direct-scan threshold and spans "
-            "no edge", trace={"size": int(q.size)})
+        wit = is_independent(H, q)
+        if wit is None:
+            raise NeedMoreVertices(
+                f"|Q| = {q.size} is below the direct-scan threshold and "
+                "spans no edge", trace={"size": int(q.size)})
+        wit.trace = {"path": "small-q scan"}
+        return wit
 
     try:
         built = build_layers(q, n)
@@ -534,17 +540,15 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     still dominate the closed interval spanned by its layer t-1
     neighbors.
 
-    Stacks whose layers each sit inside the one below, as build_layers
-    makes them, are checked layer on layer without rescanning the deltas;
-    any other stack is checked against the deltas directly.  Both give
-    the same report.
+    A stack of the shape build_layers makes (see _nesting) is checked
+    layer on layer without rescanning the deltas; any other stack, such
+    as one built by hand with an explicit layer 0 or without parents, is
+    checked against the deltas directly.  Both give the same report.
     """
-    # -1 marks an empty gap, below every delta
-    nonneg = stack.deltas.size == 0 or int(stack.deltas.min()) >= 0
-    locs = _nesting(stack) if nonneg else None
-    if locs is not None:
-        return _star_nested(stack, locs)
-    return _star_direct(stack)
+    locs = _nesting(stack)
+    if locs is None:
+        return _star_direct(stack)
+    return _star_nested(stack, locs)
 
 
 def _star_direct(stack: LayerStack) -> PropertyReport:
@@ -632,108 +636,76 @@ def _flank_failure(t: int, pos: int, left: int, right: int) -> dict:
 # deltas and their gaps are read, never the full delta sequence again.
 
 
-def _increasing(a: np.ndarray) -> bool:
-    return bool((a[1:] > a[:-1]).all())
-
-
 def _nesting(stack: LayerStack) -> Optional[list[np.ndarray]]:
-    """Index of every layer's positions inside the layer below, if nested.
+    """Index of every layer's positions inside the layer below, or None.
 
-    Returns None unless every layer strictly increases and each layer
-    t >= 1 is a subsequence of layer t-1.  An implicit layer 0 (None)
-    holds every delta position, so layer-1 positions are their own
-    indices.  Recorded parents are used where they check out; other
-    indices are found by marking positions.
+    Only a stack of the shape build_layers makes has them: an implicit
+    layer 0 (None), so that layer-1 positions are their own indices; a
+    layer 1 that strictly increases inside [0, deltas.size); for every
+    t >= 2 a recorded integer parents[t] that strictly increases inside
+    layer t-1 and picks layer t out of it; and no negative delta, since
+    -1 marks an empty gap.  Any other stack gets None.
     """
-    layers, parents = stack.layers, stack.parents
-    if layers[0] is not None and not _increasing(layers[0]):
+    layers, parents, deltas = stack.layers, stack.parents, stack.deltas
+    if layers[0] is not None or (deltas.size and int(deltas.min()) < 0):
         return None
     locs = [None]
-    mark = None
     for t in range(1, len(layers)):
-        prev, P = layers[t - 1], layers[t]
-        given = parents[t] if parents and t < len(parents) else None
-        if P.size == 0:
-            locs.append(P)
-            continue
-        if prev is None:
-            if not _increasing(P) or P[0] < 0 or P[-1] >= stack.deltas.size:
-                return None
-            locs.append(P)
-            continue
-        if (prev.size == 0 or not _increasing(P) or P[0] < prev[0]
-                or P[-1] > prev[-1]):
+        P, loc, bound = layers[t], layers[t], deltas.size
+        if t > 1:
+            loc = parents[t] if parents and t < len(parents) else None
+            bound = layers[t - 1].size
+        if not (isinstance(loc, np.ndarray) and loc.dtype.kind in "iu"
+                and loc.shape == P.shape):
             return None
-        if (given is not None and given.shape == P.shape
-              and given.dtype.kind in "iu" and _increasing(given)
-              and given[0] >= 0 and given[-1] < prev.size
-              and (prev[given] == P).all()):
-            loc = given
-        else:
-            if mark is None:
-                mark = np.zeros(int(prev[-1]) + 1, dtype=bool)
-            mark[P] = True
-            loc = np.flatnonzero(mark[prev])
-            mark[P] = False
-            if loc.size != P.size or not (prev[loc] == P).all():
-                return None
+        if loc.size and not (loc[0] >= 0 and loc[-1] < bound
+                             and (loc[1:] > loc[:-1]).all()
+                             and (t == 1 or (layers[t - 1][loc] == P).all())):
+            return None
         locs.append(loc)
     return locs
-
-
-def _gap_maxima(dpad: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """gaps of layer P, read off the deltas (with a -1 appended) directly."""
-    gap = np.diff(P) > 1
-    out = np.full(gap.size, -1, dtype=dpad.dtype)
-    if gap.any():
-        idx = np.empty(2 * gap.size, dtype=np.int64)
-        idx[0::2] = P[:-1]
-        idx[0::2] += 1
-        idx[1::2] = P[1:]
-        out[gap] = np.maximum.reduceat(dpad, idx)[0::2][gap]
-    return out
 
 
 _STAR_CHUNK = 1 << 14  # sublayer elements per slice of the nested check
 
 
 def _slice_gap_maxima(d: np.ndarray, gaps: Optional[np.ndarray],
-                      lj: np.ndarray, valley: bool) -> np.ndarray:
+                      lj: np.ndarray) -> np.ndarray:
     """gaps of consecutive sublayer elements at layer indices lj.
 
-    d holds the layer's deltas and gaps its own gaps (None: it has none).
-    With valley set, the layer's gaps are dominated by their end
-    positions (its star property), so the inner gaps of a sublayer gap
-    are dominated by its inner positions; unless some inner position is
-    at least both of its neighbors, with all three inside, those peak at
-    one of the ends, and the gap's maximum is among its two end positions
-    and its first and last gap of the layer.  Otherwise, or when such an
-    inner peak exists, every gap and inner position is scanned.
+    d holds the layer's deltas and gaps its own gaps (None for layer 0,
+    which has none).  The layer's star property was checked before its
+    sublayer is read, so its gaps are dominated by their end positions
+    and the inner gaps of a sublayer gap by its inner positions.  Unless
+    some inner position is at least both of its neighbors, with all
+    three inside, those peak at one of the ends, and the gap's maximum is
+    among its two end positions and its first and last gap of the layer.
+    When such an inner peak exists, every gap and inner position is
+    scanned.
     """
     lo, hi = int(lj[0]), int(lj[-1])
     rel = lj - lo
     a, b = rel[:-1], rel[1:]
     seg = d[lo:hi + 1]
     g = None if gaps is None else gaps[lo:hi]
-    if valley:
-        inside = np.ones(seg.size, dtype=bool)
-        inside[rel] = False
-        peak = seg[1:-1] >= seg[:-2]
-        peak &= seg[1:-1] >= seg[2:]
-        peak &= inside[:-2]
-        peak &= inside[1:-1]
-        peak &= inside[2:]
-        if not peak.any():
-            out = np.maximum(seg[1:][a], seg[b - 1])
-            adjacent = ~inside[1:][a]
-            if g is None:
-                out[adjacent] = -1
-            else:
-                first = g[a]
-                np.maximum(out, first, out=out)
-                np.maximum(out, g[b - 1], out=out)
-                out[adjacent] = first[adjacent]
-            return out
+    inside = np.ones(seg.size, dtype=bool)
+    inside[rel] = False
+    peak = seg[1:-1] >= seg[:-2]
+    peak &= seg[1:-1] >= seg[2:]
+    peak &= inside[:-2]
+    peak &= inside[1:-1]
+    peak &= inside[2:]
+    if not peak.any():
+        out = np.maximum(seg[1:][a], seg[b - 1])
+        adjacent = ~inside[1:][a]
+        if g is None:
+            out[adjacent] = -1
+        else:
+            first = g[a]
+            np.maximum(out, first, out=out)
+            np.maximum(out, g[b - 1], out=out)
+            out[adjacent] = first[adjacent]
+        return out
     if g is None:
         g = np.full(hi - lo, -1, dtype=d.dtype)
     # joined[k]: gap k and, unless a sublayer gap ends there, position k+1
@@ -747,7 +719,7 @@ def _first(flags: np.ndarray) -> int:
 
 
 def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
-    """verify_star_property for a nested stack, one layer at a time.
+    """verify_star_property for a stack _nesting accepts, one layer at a time.
 
     Each layer is walked in slices of _STAR_CHUNK elements, keeping the
     first failure of every kind, which are then reported in the order
@@ -759,13 +731,9 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
     def fail(info):
         return PropertyReport(ok=False, checks=checks, counterexample=info)
 
-    base = layers[0]
-    if base is None:
-        # gaps is None while the layer below has no gaps at all
-        d, gaps = deltas, None
-    else:
-        dpad = np.concatenate([deltas, np.array([-1], dtype=deltas.dtype)])
-        d, gaps = deltas[base], _gap_maxima(dpad, base)
+    # layer 0 is every position: its deltas are all of them, and it has
+    # no gaps
+    d, gaps = deltas, None
     for t in range(1, len(layers)):
         P, below, loc = layers[t], layers[t - 1], locs[t]
         dP = np.empty(P.size, dtype=deltas.dtype)
@@ -773,9 +741,6 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
         dropped = np.ones(P.size, dtype=bool)
         if t + 1 < len(layers):
             dropped[locs[t + 1]] = False
-        # the star property of layer t-1 was checked one step earlier;
-        # that of an explicit layer 0 never is
-        valley = t > 1 or gaps is None
         equal = interior = flank = -1
         for j0 in range(0, P.size, _STAR_CHUNK):
             j1 = min(j0 + _STAR_CHUNK, P.size)
@@ -787,7 +752,7 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
                     k = _first(dj[:-1] == dj[1:])
                     equal = j0 + k if k >= 0 else -1
                 inner = gP[j0:j0 + lj.size - 1]
-                inner[:] = _slice_gap_maxima(d, gaps, lj, valley)
+                inner[:] = _slice_gap_maxima(d, gaps, lj)
                 if interior < 0:
                     Pj = P[j0:j0 + lj.size]
                     k = _first((Pj[1:] - Pj[:-1] > 1)

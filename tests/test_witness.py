@@ -1,6 +1,7 @@
 """Tests for layered witness extraction."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from stepup.errors import (
     ProofGapTrap,
     SetTooSmall,
 )
-from stepup.hypergraph import EdgeRule, StepUpHypergraph
+from stepup.hypergraph import EdgeRule, StepUpHypergraph, is_independent
 from stepup.witness import (
     LayerStack,
     MonotoneRun,
@@ -228,10 +229,25 @@ def test_select_anchors_requires_full_stack():
 
 def test_extract_direct_scan_on_small_q():
     H = constant_graph(4, color=1)
-    wit = extract_edge(H, np.array([0, 4, 5, 13], dtype=np.uint64), 5)
+    q = np.array([0, 4, 5, 13], dtype=np.uint64)
+    wit = extract_edge(H, q, 5)
     assert wit.branch == "DirectScanBranch"
     assert wit.vertices == (0, 4, 5, 13)
     assert wit.rule is EdgeRule.RULE_III
+    assert wit.trace == {"path": "small-q scan"}
+    # the scan is is_independent's: the same first edge, traced
+    rng = np.random.default_rng(41)
+    for q in [q] + [random_subset(7, int(rng.integers(4, 25)),
+                                  int(rng.integers(1 << 30)))
+                    for _ in range(40)]:
+        H = StepUpHypergraph(sample_coloring(7, seed=int(rng.integers(100))))
+        want = is_independent(H, q)
+        if want is None:
+            with pytest.raises(NeedMoreVertices):
+                extract_edge(H, q, 5)
+            continue
+        assert extract_edge(H, q, 5).as_dict() == \
+            {**want.as_dict(), "trace": {"path": "small-q scan"}}
 
 
 def test_extract_rejects_bad_q():
@@ -417,28 +433,38 @@ def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
 
 
 def _local_maxima_stack(q):
-    """All seven local-maxima layers, built without the run shortcut."""
+    """All seven local-maxima layers, built without the run shortcut.
+
+    The stack has the shape build_layers gives it: layer 0 implicit and
+    parents recorded from layer 2 on.
+    """
     d = w.consecutive_deltas(q)
-    layers = [np.arange(d.size, dtype=np.int32)]
-    for _ in range(7):
-        v = d[layers[-1]]
-        keep = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
-        if not keep.any():
+    layers, parents = [None], [None]
+    prev = np.arange(d.size, dtype=np.int32)
+    for t in range(1, 8):
+        v = d[prev]
+        idx = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+        if idx.size == 0:
             break
-        layers.append(layers[-1][1:-1][keep])
-    return LayerStack(q=q, deltas=d, layers=layers, n=5, beta=())
+        prev = prev[idx]
+        layers.append(prev)
+        parents.append(idx.astype(np.int32) if t > 1 else None)
+    return LayerStack(q=q, deltas=d, layers=layers, n=5, beta=(),
+                      parents=parents)
 
 
 @pytest.mark.parametrize("chunk", [2, 1 << 14])
 def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
     """The layer-on-layer star check reports exactly what a direct scan does.
 
-    Small slices put slice boundaries inside every gap and run.
+    Small slices put slice boundaries inside every gap and run.  Stacks
+    not of build_layers' shape (an explicit layer 0, stale parents) are
+    refused by _nesting and checked by the direct scan.
     """
     monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
     rng = np.random.default_rng(17)
     compared = failing = 0
-    for _ in range(250):
+    for _ in range(500):
         D = int(rng.integers(6, 12))
         m = int(rng.integers(40, min(1 << D, 1000)))
         q = random_subset(D, m, int(rng.integers(1 << 30)))
@@ -449,11 +475,6 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
         if not isinstance(stack, LayerStack):
             stack = _local_maxima_stack(q)
         kind = int(rng.integers(5))
-        if kind == 4 and stack.parents is not None and len(stack.layers) > 2:
-            # stale parents must not be trusted
-            t = int(rng.integers(2, len(stack.layers)))
-            stack.parents = list(stack.parents)
-            stack.parents[t] = stack.parents[t][::-1].copy()
         if kind == 1:
             stack.deltas = stack.deltas.copy()
             idx = rng.integers(stack.deltas.size, size=int(rng.integers(1, 4)))
@@ -470,12 +491,24 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
             free = np.setdiff1d(base, above)
             holes = rng.choice(free, size=min(3, free.size), replace=False)
             stack.layers = [np.setdiff1d(base, holes)] + list(stack.layers[1:])
+        elif kind == 4:
+            # stale parents must not be trusted: one row reversed
+            rows = [t for t in range(2, len(stack.layers))
+                    if stack.parents[t].size > 1]
+            if rows:
+                t = rows[int(rng.integers(len(rows)))]
+                stack.parents = list(stack.parents)
+                stack.parents[t] = stack.parents[t][::-1].copy()
+            else:
+                kind = 0
+        direct = w._star_direct(stack)
+        assert _report_of(verify_star_property(stack)) == _report_of(direct)
         locs = w._nesting(stack)
+        if kind in (3, 4) and len(stack.layers) > 1:
+            assert locs is None
         if locs is None:
             continue
-        direct, nested = w._star_direct(stack), w._star_nested(stack, locs)
-        assert (nested.ok, nested.checks, nested.counterexample) == \
-            (direct.ok, direct.checks, direct.counterexample)
+        assert _report_of(w._star_nested(stack, locs)) == _report_of(direct)
         compared += 1
         failing += not direct.ok
     assert compared > 150 and failing > 40
@@ -523,6 +556,36 @@ def _extraction(H, q, n):
         return type(exc).__name__, str(exc), exc.trace
 
 
+def test_star_check_routes_by_stack_shape(monkeypatch):
+    """Only a stack of build_layers' shape takes the nested star check.
+
+    The same stack with an explicit layer 0, without parents, or with one
+    stale parents row goes to the direct scan and gets its report.
+    """
+    stack = build_layers(random_subset(12, 2000, seed=4), 5)
+    assert isinstance(stack, LayerStack) and len(stack.layers) == 8
+    nested, direct = w._star_nested, w._star_direct
+
+    def refuse(*args):
+        raise AssertionError("star check took the wrong engine")
+
+    corrupt = stack.deltas.copy()
+    corrupt[stack.layers[3][1]] = 0
+    built = [stack, replace(stack, deltas=corrupt)]
+    monkeypatch.setattr(w, "_star_direct", refuse)
+    want = [_report_of(verify_star_property(s)) for s in built]
+    assert want[0][0] and not want[1][0]
+    monkeypatch.setattr(w, "_star_direct", direct)
+    monkeypatch.setattr(w, "_star_nested", refuse)
+    stale = list(stack.parents)
+    stale[4] = stale[4][::-1].copy()
+    for s, report in zip(built, want):
+        for other in (_explicit_base(s), replace(s, parents=None),
+                      replace(s, parents=stale)):
+            assert _report_of(verify_star_property(other)) == \
+                _report_of(direct(other)) == report
+
+
 @pytest.mark.parametrize("chunk", [2, None])
 def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
     """Layer 0 left implicit reads exactly like an np.arange layer 0.
@@ -555,10 +618,8 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
         assert stack.layer_sizes[0] == q.size - 1
         assert stack.as_dict() == full.as_dict()
         locs = w._nesting(stack)
-        full_locs = w._nesting(full)
-        assert len(locs) == len(full_locs)
-        for a, b in zip(locs[1:], full_locs[1:]):
-            assert np.array_equal(a, b)
+        assert locs is not None
+        assert w._nesting(full) is None     # goes to the direct scan
         if len(stack.layers) == 8:
             assert select_anchors(stack, H.coloring).as_dict() == \
                 select_anchors(full, H.coloring).as_dict()
@@ -570,8 +631,9 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
                             beta=stack.beta, parents=stack.parents)
             s2 = _explicit_base(s1)
             first, *rest = [_report_of(r) for r in (
-                w._star_nested(s1, locs), w._star_nested(s2, full_locs),
-                w._star_direct(s1), w._star_direct(s2))]
+                w._star_nested(s1, locs), verify_star_property(s1),
+                verify_star_property(s2), w._star_direct(s1),
+                w._star_direct(s2))]
             assert all(r == first for r in rest)
             failing += not first[0]
     assert stacks > 25 and failing > 10
