@@ -190,7 +190,9 @@ def consecutive_deltas(q: np.ndarray) -> np.ndarray:
     if q.size < 2:
         raise TupleTooShort("need at least 2 vertices")
     out = np.empty(q.size - 1, dtype=np.int8)
-    if int(q.max()) >= (1 << 53):
+    # a strictly increasing array ends at its maximum; any other array
+    # raises MalformedTuple on either path
+    if int(q[-1]) >= (1 << 53):
         if not (q[:-1] < q[1:]).all():
             raise MalformedTuple("vertex array must be strictly increasing")
         out[:] = _msb(np.bitwise_xor(q[:-1], q[1:]))

@@ -114,9 +114,10 @@ class LayerStack:
     asserted.  parents holds for t >= 2 the index of each position of
     layers[t] within layers[t-1], as build_layers records them (layer-1
     positions are their own indices in an implicit layer 0).
-    verify_star_property checks them before relying on them, and checks
-    a stack with an explicit layer 0 or with a missing or stale parents
-    row against the deltas directly.
+    verify_star_property checks them before relying on them; it checks a
+    stack with an explicit layer 0, with a missing or stale parents row,
+    or with a peak of some layer's deltas left out of the layer above
+    against the deltas directly.
     """
 
     q: np.ndarray
@@ -541,14 +542,16 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     neighbors.
 
     A stack of the shape build_layers makes (see _nesting) is checked
-    layer on layer without rescanning the deltas; any other stack, such
-    as one built by hand with an explicit layer 0 or without parents, is
-    checked against the deltas directly.  Both give the same report.
+    layer on layer: each layer from the deltas of the layer below at its
+    own indices and at their two neighbors (see _star_nested).  Any other
+    stack, such as one built by hand with an explicit layer 0 or without
+    parents, and any stack whose deltas have a peak that the layer above
+    leaves out (only corrupted deltas do), is checked against the deltas
+    directly by _star_direct.  Both give the same report.
     """
     locs = _nesting(stack)
-    if locs is None:
-        return _star_direct(stack)
-    return _star_nested(stack, locs)
+    report = None if locs is None else _star_nested(stack, locs)
+    return _star_direct(stack) if report is None else report
 
 
 def _star_direct(stack: LayerStack) -> PropertyReport:
@@ -579,8 +582,11 @@ def _star_direct(stack: LayerStack) -> PropertyReport:
             bad = gap & (interior >= bound)
             if bad.any():
                 k = int(np.argmax(bad))
-                return fail(_interior_failure(deltas, t, int(a[k]),
-                                              int(b[k])))
+                lo, hi = int(a[k]), int(b[k])
+                x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
+                return fail({"check": "star", "layer": t, "left": lo,
+                             "right": hi, "position": x,
+                             "reason": "interior delta not dominated"})
         nxt = stack.layers[t + 1] if t + 1 < len(stack.layers) else P[:0]
         drop = np.setdiff1d(P, nxt, assume_unique=True).astype(np.int64)
         if drop.size == 0:
@@ -608,12 +614,6 @@ def _star_direct(stack: LayerStack) -> PropertyReport:
     return PropertyReport(ok=True, checks=checks, counterexample=None)
 
 
-def _interior_failure(deltas: np.ndarray, t: int, lo: int, hi: int) -> dict:
-    x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
-    return {"check": "star", "layer": t, "left": lo, "right": hi,
-            "position": x, "reason": "interior delta not dominated"}
-
-
 def _boundary_failure(t: int, pos: int) -> dict:
     return {"check": "drop_dominance", "layer": t, "position": pos,
             "reason": "element not interior to layer below"}
@@ -627,13 +627,21 @@ def _flank_failure(t: int, pos: int, left: int, right: int) -> dict:
 
 # --- nested star check --------------------------------------------------------
 #
-# Write gaps[k] for the largest delta strictly between the positions k and
-# k+1 of a layer (-1 when they are adjacent).  A sublayer at indices loc
-# has between two consecutive positions, at indices i < j, the gaps i..j-1
-# of the layer and the positions i+1..j-1, so its own gaps follow from the
-# layer's; a dropped element at index k has as flanks the gaps k-1 and k
-# and the deltas at k-1 and k+1.  So after layer 0 only the layers, their
-# deltas and their gaps are read, never the full delta sequence again.
+# Layers are checked bottom-up, so when layer t is read, layer t-1 already
+# has the star property: every delta strictly between its positions k and
+# k+1 is below max(d[k], d[k+1]), where d holds layer t-1's deltas at its
+# own indices.  Two facts follow, and with them layer t is checked from d
+# at its own indices and at their two neighbors, never from the full delta
+# sequence or from the gaps between positions.
+#
+# - A dropped element at index l dominates its flanks (every delta from
+#   the position of l-1 to that of l+1) iff d[l-1] < d[l] > d[l+1].
+# - Call an interior index k with d[k] >= d[k-1] and d[k] >= d[k+1] a
+#   peak.  If every peak is in layer t, no pair of consecutive layer-t
+#   indices i < j fails the interior check.  For j = i+1 the star
+#   property of layer t-1 dominates the deltas between them; for j > i+1
+#   the largest of d[i+1..j-1] is no peak, so it is d[i+1] or d[j-1] and
+#   below d[i] or d[j] in turn, which dominates the deltas in between.
 
 
 def _nesting(stack: LayerStack) -> Optional[list[np.ndarray]]:
@@ -641,13 +649,13 @@ def _nesting(stack: LayerStack) -> Optional[list[np.ndarray]]:
 
     Only a stack of the shape build_layers makes has them: an implicit
     layer 0 (None), so that layer-1 positions are their own indices; a
-    layer 1 that strictly increases inside [0, deltas.size); for every
-    t >= 2 a recorded integer parents[t] that strictly increases inside
-    layer t-1 and picks layer t out of it; and no negative delta, since
-    -1 marks an empty gap.  Any other stack gets None.
+    layer 1 that strictly increases inside [0, deltas.size); and for
+    every t >= 2 a recorded integer parents[t] that strictly increases
+    inside layer t-1 and picks layer t out of it.  Any other stack gets
+    None.
     """
     layers, parents, deltas = stack.layers, stack.parents, stack.deltas
-    if layers[0] is not None or (deltas.size and int(deltas.min()) < 0):
+    if layers[0] is not None:
         return None
     locs = [None]
     for t in range(1, len(layers)):
@@ -669,61 +677,38 @@ def _nesting(stack: LayerStack) -> Optional[list[np.ndarray]]:
 _STAR_CHUNK = 1 << 14  # sublayer elements per slice of the nested check
 
 
-def _slice_gap_maxima(d: np.ndarray, gaps: Optional[np.ndarray],
-                      lj: np.ndarray) -> np.ndarray:
-    """gaps of consecutive sublayer elements at layer indices lj.
-
-    d holds the layer's deltas and gaps its own gaps (None for layer 0,
-    which has none).  The layer's star property was checked before its
-    sublayer is read, so its gaps are dominated by their end positions
-    and the inner gaps of a sublayer gap by its inner positions.  Unless
-    some inner position is at least both of its neighbors, with all
-    three inside, those peak at one of the ends, and the gap's maximum is
-    among its two end positions and its first and last gap of the layer.
-    When such an inner peak exists, every gap and inner position is
-    scanned.
-    """
-    lo, hi = int(lj[0]), int(lj[-1])
-    rel = lj - lo
-    a, b = rel[:-1], rel[1:]
-    seg = d[lo:hi + 1]
-    g = None if gaps is None else gaps[lo:hi]
-    inside = np.ones(seg.size, dtype=bool)
-    inside[rel] = False
-    peak = seg[1:-1] >= seg[:-2]
-    peak &= seg[1:-1] >= seg[2:]
-    peak &= inside[:-2]
-    peak &= inside[1:-1]
-    peak &= inside[2:]
-    if not peak.any():
-        out = np.maximum(seg[1:][a], seg[b - 1])
-        adjacent = ~inside[1:][a]
-        if g is None:
-            out[adjacent] = -1
-        else:
-            first = g[a]
-            np.maximum(out, first, out=out)
-            np.maximum(out, g[b - 1], out=out)
-            out[adjacent] = first[adjacent]
-        return out
-    if g is None:
-        g = np.full(hi - lo, -1, dtype=d.dtype)
-    # joined[k]: gap k and, unless a sublayer gap ends there, position k+1
-    joined = np.maximum(g, seg[1:])
-    joined[b - 1] = g[b - 1]
-    return np.maximum.reduceat(joined, a)
+def _peak_count(d: np.ndarray) -> int:
+    """Interior indices k with d[k] >= d[k-1] and d[k] >= d[k+1]."""
+    count = 0
+    for s in range(1, d.size - 1, _SCAN_CHUNK):
+        e = min(s + _SCAN_CHUNK, d.size - 1)
+        mid = d[s:e]
+        count += int(np.count_nonzero((mid >= d[s - 1:e - 1])
+                                      & (mid >= d[s + 1:e + 1])))
+    return count
 
 
 def _first(flags: np.ndarray) -> int:
     return int(np.argmax(flags)) if flags.any() else -1
 
 
-def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
-    """verify_star_property for a stack _nesting accepts, one layer at a time.
+def _star_nested(stack: LayerStack,
+                 locs: list[np.ndarray]) -> Optional[PropertyReport]:
+    """verify_star_property for a stack _nesting accepts, or None.
 
-    Each layer is walked in slices of _STAR_CHUNK elements, keeping the
-    first failure of every kind, which are then reported in the order
-    the direct scan checks them.
+    Layer t is checked from the deltas of layer t-1 at the indices of
+    layer t and at their two neighbors (see the note above), in slices of
+    _STAR_CHUNK elements, keeping the first failure of every kind; these
+    are then reported in the order the direct scan checks them.  This is
+    an induction on t: a failure in layer t-1 is reported before layer t
+    is read.  Counting the peaks of layer t-1 inside and outside layer t
+    stands in for the interior check.  A build_layers stack has every
+    peak in the layer above, since its layers hold every strict local
+    maximum and a peak that is not strict has an equal neighbor, which
+    the equal-deltas check of layer t-1 rules out (in layer 0,
+    delta(x, y) != delta(y, z) for x < y < z).  On any other stack an
+    equal-deltas failure of layer t is still reported; a peak outside
+    layer t then gives None, and the caller runs the direct scan.
     """
     deltas, layers = stack.deltas, stack.layers
     checks = {"star_pairs": 0, "drop_dominance": 0}
@@ -731,45 +716,39 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
     def fail(info):
         return PropertyReport(ok=False, checks=checks, counterexample=info)
 
-    # layer 0 is every position: its deltas are all of them, and it has
-    # no gaps
-    d, gaps = deltas, None
+    d = deltas  # layer 0 is every position: its deltas are all of them
     for t in range(1, len(layers)):
         P, below, loc = layers[t], layers[t - 1], locs[t]
+        kept = locs[t + 1] if t + 1 < len(layers) else loc[:0]
         dP = np.empty(P.size, dtype=deltas.dtype)
-        gP = np.empty(max(P.size - 1, 0), dtype=deltas.dtype)
-        dropped = np.ones(P.size, dtype=bool)
-        if t + 1 < len(layers):
-            dropped[locs[t + 1]] = False
-        equal = interior = flank = -1
+        peaks = 0
+        equal = flank = -1
         for j0 in range(0, P.size, _STAR_CHUNK):
             j1 = min(j0 + _STAR_CHUNK, P.size)
-            lj = loc[j0:j1 + 1].astype(np.intp)   # one element past the slice
-            dj = dP[j0:j0 + lj.size]
+            lj = loc[j0:j1].astype(np.intp)
+            dj = dP[j0:j1]
             np.take(d, lj, out=dj)
-            if lj.size >= 2:
-                if equal < 0:
-                    k = _first(dj[:-1] == dj[1:])
-                    equal = j0 + k if k >= 0 else -1
-                inner = gP[j0:j0 + lj.size - 1]
-                inner[:] = _slice_gap_maxima(d, gaps, lj)
-                if interior < 0:
-                    Pj = P[j0:j0 + lj.size]
-                    k = _first((Pj[1:] - Pj[:-1] > 1)
-                               & (inner >= np.maximum(dj[:-1], dj[1:])))
-                    interior = j0 + k if k >= 0 else -1
-            if flank < 0:
-                # clipping only touches end elements, which are either kept
-                # or caught by the boundary check first
-                la = lj[:j1 - j0]
-                around = np.take(d, la - 1, mode="clip")
-                np.maximum(around, np.take(d, la + 1, mode="clip"), out=around)
-                if gaps is not None and gaps.size:
-                    np.maximum(around, np.take(gaps, la - 1, mode="clip"),
-                               out=around)
-                    np.maximum(around, np.take(gaps, la, mode="clip"),
-                               out=around)
-                k = _first(dropped[j0:j1] & (around >= dj[:j1 - j0]))
+            if equal < 0:
+                # from the element before the slice, so pairs across
+                # slice boundaries are compared too
+                run = dP[max(j0 - 1, 0):j1]
+                k = _first(run[:-1] == run[1:])
+                equal = max(j0 - 1, 0) + k if k >= 0 else -1
+            # clipping only touches end elements: they are no peaks, and
+            # are either kept or caught by the boundary check first
+            left = np.take(d, lj - 1, mode="clip")
+            right = np.take(d, lj + 1, mode="clip")
+            peak = (dj >= left) & (dj >= right)
+            # loc strictly increases, so only the layer's first and last
+            # element can sit at an end of layer t-1
+            peak[0] &= lj[0] > 0
+            peak[-1] &= lj[-1] < d.size - 1
+            peaks += int(np.count_nonzero(peak))
+            weak = (dj <= left) | (dj <= right)
+            if flank < 0 and weak.any():
+                lo, hi = np.searchsorted(kept, (j0, j1))
+                weak[kept[lo:hi] - j0] = False
+                k = _first(weak)
                 flank = j0 + k if k >= 0 else -1
         if P.size >= 2:
             checks["star_pairs"] += int(P.size - 1)
@@ -777,15 +756,15 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
             return fail({"check": "star", "layer": t,
                          "left": int(P[equal]), "right": int(P[equal + 1]),
                          "reason": "equal deltas"})
-        if interior >= 0:
-            return fail(_interior_failure(deltas, t, int(P[interior]),
-                                          int(P[interior + 1])))
-        n_drop = int(np.count_nonzero(dropped))
+        if peaks != _peak_count(d):
+            return None
+        n_drop = P.size - kept.size
         if n_drop:
-            # loc strictly increases: only the ends can lack a neighbor
-            if dropped[0] and loc[0] == 0:
+            # only the ends can lack a neighbor below
+            if loc[0] == 0 and not (kept.size and kept[0] == 0):
                 return fail(_boundary_failure(t, int(P[0])))
-            if dropped[-1] and loc[-1] >= d.size - 1:
+            if loc[-1] == d.size - 1 and not (kept.size
+                                              and kept[-1] == P.size - 1):
                 return fail(_boundary_failure(t, int(P[-1])))
             checks["drop_dominance"] += n_drop
             if flank >= 0:
@@ -794,7 +773,7 @@ def _star_nested(stack: LayerStack, locs: list[np.ndarray]) -> PropertyReport:
                 left, right = ((k - 1, k + 1) if below is None
                                else (int(below[k - 1]), int(below[k + 1])))
                 return fail(_flank_failure(t, int(P[flank]), left, right))
-        d, gaps = dP, gP
+        d = dP
     return PropertyReport(ok=True, checks=checks, counterexample=None)
 
 
@@ -851,14 +830,21 @@ def _stream_subset(rng: np.random.Generator, D: int, m: int) -> np.ndarray:
 
 
 def _dense_subset(rng: np.random.Generator, D: int, m: int) -> np.ndarray:
+    """Uniform m-subset of [0, 2^D) marked on a byte map of the universe.
+
+    Each vertex is marked when a 16-bit uniform falls below m / 2^D,
+    rounded to 1/2^16.  The uniforms are the generator's raw 64-bit words
+    read four to a word: for a fresh generator on a little-endian machine
+    that is the stream of rng.bytes, with no copy (D >= 20 here, so every
+    slice is a whole number of words).  Uniform draws then add or remove
+    vertices until exactly m are marked, whatever the rounding.
+    """
     N = 1 << D
-    # 16-bit uniforms against m / N rounded to 1/2^16; the fix-up below
-    # makes the size exact whatever the rounding
     threshold = round(m / N * 65536)
     mark = np.empty(N, dtype=bool)
     for s in range(0, N, _MARK_CHUNK):
         e = min(s + _MARK_CHUNK, N)
-        draws = np.frombuffer(rng.bytes(2 * (e - s)), dtype=np.uint16)
+        draws = rng.bit_generator.random_raw((e - s) // 4).view(np.uint16)
         np.less(draws, threshold, out=mark[s:e])
     surplus = int(np.count_nonzero(mark)) - m
     # Uniform draws from [0, N) that land on the side being thinned pick

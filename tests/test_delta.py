@@ -251,6 +251,18 @@ def test_consecutive_deltas_across_slices_and_wide_vertices():
         consecutive_deltas(bad)
 
 
+def test_consecutive_deltas_unsorted_with_early_wide_value_is_malformed():
+    # the path is chosen by the last vertex, so these take the float path
+    # although they hold vertices past 2^53
+    wide = np.uint64(1 << 60)
+    for q in (np.array([wide, 3, 5], dtype=np.uint64),
+              np.concatenate([wide + np.arange(100_000, dtype=np.uint64),
+                              np.arange(10, dtype=np.uint64)])):
+        with pytest.raises(MalformedTuple,
+                           match="vertex array must be strictly increasing"):
+            consecutive_deltas(q)
+
+
 def test_consecutive_deltas_are_int8_up_to_delta_63():
     # D = 64: the top bit gives the largest delta, 63, on the wide path
     top = np.uint64(1 << 63)
