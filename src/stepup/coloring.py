@@ -409,23 +409,12 @@ class _RepairTables:
             _pair_index_arr(ta, tc, D),
         ], axis=1).astype(np.int32)
 
-        # colex rank of a sorted n-subset: sum of C(v_i, i+1)
+        # the subsets through a triple: the triple plus each (n-3)-subset of
+        # the other members, in lexicographic order
         self.subs_per_triple = math.comb(D - 3, n - 3)
-        rest_pairs = np.array(list(combinations(range(D - 3), n - 3)),
-                              dtype=np.int16).reshape(self.subs_per_triple, n - 3)
-        tri_to_subs = np.empty((self.ntriples, self.subs_per_triple), dtype=np.int32)
-        all_vals = np.arange(D, dtype=np.int16)
-        for t in range(self.ntriples):
-            a, b, c = triples[t]
-            rest = np.delete(all_vals, [a, b, c])
-            cols = rest[rest_pairs]
-            full = np.concatenate(
-                [np.broadcast_to(triples[t], (len(cols), 3)), cols], axis=1)
-            full = np.sort(full, axis=1)
-            rank = np.zeros(len(full), dtype=np.int64)
-            for pos in range(n):
-                rank += comb_table[full[:, pos], pos + 1]
-            tri_to_subs[t] = rank
+        rest = np.array(list(combinations(range(D - 3), n - 3)),
+                        dtype=np.intp).reshape(self.subs_per_triple, n - 3)
+        tri_to_subs = _colex_ranks(triples, rest, comb_table).astype(np.int32)
 
         # subset keys gc * width + bias: key + dsub still decodes to (gc,
         # dsub) for dsub in [-(n-2), n-2], so a lookup tells whether the
@@ -451,22 +440,14 @@ class _RepairTables:
                            dtype=np.intp).reshape(-1, n - 2)
         self.sub_tris = [np.ascontiguousarray(members[:, j])
                          for j in range(n - 2)]
-        self.pair_tris: list[np.ndarray] = []
-        self.pair_slot: list[np.ndarray] = []
-        self.pair_bit: list[np.ndarray] = []
-        self.pair_sub_uniq: list[np.ndarray] = []
-        pair_members = [[] for _ in range(self.npairs)]
-        for t in range(self.ntriples):
-            for p in self.tri_pairs[t]:
-                pair_members[p].append(t)
-        for p in range(self.npairs):
-            tris = np.array(pair_members[p], dtype=np.int32)
-            slot = np.argmax(self.tri_pairs[tris] == p, axis=1)
-            self.pair_tris.append(tris)
-            self.pair_slot.append(3 * tris.astype(np.intp) + slot)
-            self.pair_bit.append((1 << slot).astype(np.uint8))
-            self.pair_sub_uniq.append(
-                np.unique(tri_to_subs[tris]).astype(np.int64))
+        # flat indices 3t + slot grouped by pair, t increasing in each group
+        flat = np.argsort(self.tri_pairs.ravel(), kind="stable").reshape(
+            self.npairs, D - 2)
+        self.pair_tris = list((flat // 3).astype(np.int32))
+        self.pair_slot = list(flat)
+        self.pair_bit = list((1 << flat % 3).astype(np.uint8))
+        pairs = np.array(list(combinations(range(D), 2)), dtype=np.intp)
+        self.pair_sub_uniq = list(_colex_ranks(pairs, members, comb_table))
         self.tri_to_subs = tri_to_subs
 
     def initial_state(self, bits: np.ndarray):
@@ -480,6 +461,46 @@ class _RepairTables:
             minlength=self.nsubsets,
         ).astype(np.intp)
         return code, _FLIP_DELTA[code], gc * self.width + self.bias
+
+
+def _colex_ranks(fixed: np.ndarray, rest: np.ndarray,
+                 comb: np.ndarray) -> np.ndarray:
+    """Colex ranks of the sets F | S, one row per F and one column per S.
+
+    comb[x, j] is C(x, j) for x in [0, D].  Row f of `fixed` is an
+    increasing k-subset F of [0, D); row s of `rest` is an increasing
+    subset S of [0, D - k), read as indices into the members of [0, D)
+    outside F in increasing order.  The colex rank of a set is the sum of
+    C(v, p + 1) over its members v, p being the number of members below v.
+    With low_i = F[i] - i, index v stands for the member v + above[F, v],
+    above[F, v] = #{i : low_i <= v} being the members of F below it, and
+    F[i] has below[S, low_i], the indices of S under low_i, below it: every
+    position is a count, so no set is sorted.
+    """
+    D, width = comb.shape[0] - 1, comb.shape[1]
+    k, r = fixed.shape[1], rest.shape[1]
+    flat = comb.ravel()
+    fixed = fixed.astype(np.intp)
+    lows = fixed - np.arange(k)
+    values = np.arange(D - k + 1)
+    above = (lows[:, :, None] <= values).sum(axis=1)
+    below = np.zeros((len(values), len(rest)), dtype=np.intp)
+    for s in rest.T:
+        below += s < values[:, None]
+    ranks = np.empty((len(fixed), len(rest)), dtype=np.int64)
+    step = max(1, (1 << 17) // max(1, len(rest)))    # transients near 1 MB
+    for lo in range(0, len(fixed), step):
+        part = slice(lo, lo + step)
+        total = np.zeros((len(fixed[part]), len(rest)), dtype=np.int64)
+        for t in range(r):
+            s = rest[:, t]
+            total += flat.take(s * width + t + 1
+                               + above[part][:, s] * (width + 1))
+        for i in range(k):
+            total += flat.take(fixed[part, i, None] * width + i + 1
+                               + below[lows[part, i]])
+        ranks[part] = total
+    return ranks
 
 
 def _pair_index_arr(a, b, D):

@@ -24,7 +24,9 @@ back into the lexicographically first violating 5-set by a greedy
 realization.  A capped prefix [0, V) is decided the same way: only
 patterns over [0, L) with L = (V-1).bit_length() can fit, and a pattern
 fits iff its greedy realization, which is componentwise minimal, ends
-below V.  Because edge3 depends only on the order type of its inputs and
+below V.  The patterns over [0, L), as E3 indices with their realization
+ends, are tabled once per (D, L) and cached, so a check only gathers and
+ANDs.  Because edge3 depends only on the order type of its inputs and
 the colors among them, the 64 colorings at D = 4 cover every phi at
 every D.  A plain lexicographic scalar scan stays as the reference
 implementation.
@@ -373,41 +375,81 @@ def _realize(pattern) -> tuple:
     return tuple(vs)
 
 
+# patterns per slice of a K5 check: the slice's transient arrays stay
+# near 1 MB however many patterns the table holds
+_K5_SLICE = 1 << 16
+
+
+@functools.lru_cache(maxsize=8)
+def _k5_pattern_table(D: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The delta patterns over [0, L) as the K5 check reads them, for a
+    graph over [0, 2^D), L <= D; built once per (D, L) and read-only.
+
+    Row t of the (5, N) array `index` holds, per pattern in the
+    lexicographic order of delta_patterns(L), the flat E3 index
+    (x * D + y) * D + z of the delta triple of the t-th 4-subset: (d1, d2,
+    d3), (d1, d2, max(d3, d4)), (d1, max(d2, d3), d4), (max(d1, d2), d3,
+    d4) and (d2, d3, d4).  `ends` holds each pattern's greedy realization
+    end, which is below 2^L.  Both take the narrowest unsigned dtype that
+    fits, so a pattern costs 11 bytes at D = L = 7 (1,190 patterns,
+    13 KB), 14 at D = L = 26 (384,800 patterns, 5.4 MB) and 28 at
+    D = L = 64 (15,665,664 patterns, 439 MB).  The arrays are allocated at
+    their final size and filled one delta_patterns slice at a time.
+    """
+    count = sum(b.size for _, b, _, _ in delta_patterns(L))
+    index = np.empty((5, count), dtype=np.min_scalar_type(D ** 3 - 1))
+    ends = np.empty(count, dtype=np.min_scalar_type((1 << L) - 1))
+    at = 0
+    for a, *bcd in delta_patterns(L):
+        part = slice(at, at + bcd[0].size)
+        # every index and every vertex of a realization fits its dtype
+        b, c, d = (x.astype(index.dtype) for x in bcd)
+        ab = (a * D + b) * D
+        index[0, part] = ab + c
+        index[1, part] = ab + np.maximum(c, d)
+        index[2, part] = (a * D + np.maximum(b, c)) * D + d
+        index[3, part] = (np.maximum(a, b) * D + c) * D + d
+        index[4, part] = (b * D + c) * D + d
+        ends[part] = _realize((a, *(x.astype(ends.dtype) for x in bcd)))[-1]
+        at += b.size
+    index.setflags(write=False)
+    ends.setflags(write=False)
+    return index, ends
+
+
 def _check_k5_patterns(H: StepUpHypergraph, V: int, flip_rule2: bool
                        ) -> tuple[Optional[FiveSetViolation], int]:
     """K5 check over every 5-set of the vertex prefix [0, V), by delta pattern.
 
-    The five 4-subsets of a 5-set with consecutive deltas (d1..d4) have the
-    delta triples (d1,d2,d3), (d1,d2,max(d3,d4)), (d1,max(d2,d3),d4),
-    (max(d1,d2),d3,d4) and (d2,d3,d4).  Every delta inside [0, V) is below
-    (V-1).bit_length(), which bounds the patterns read; below 2^D a pattern
-    is kept iff its realization ends below V.  delta_patterns yields the
-    patterns in lexicographic order and the realization is increasing in
-    it, so the realization of the first firing pattern is the
+    A pattern fires iff E3 holds at the delta triples of all five 4-subsets,
+    which _k5_pattern_table lists as flat E3 indices.  Every delta inside
+    [0, V) is below (V-1).bit_length(), which bounds the patterns read;
+    below 2^D a pattern is kept iff its realization ends below V.  The
+    table is in lexicographic pattern order and the realization is
+    increasing in it, so the realization of the first firing pattern is the
     lexicographically first violating 5-set.  Returns it (or None) and the
     number of patterns checked.
     """
     D = H.D
     E3 = _edge3_table(H.coloring, flip_rule2=True) if flip_rule2 else H._edge3
+    index, ends = _k5_pattern_table(D, min(D, (V - 1).bit_length()))
     capped = V < H.vertex_count
     checked = 0
-    for a, b, c, d in delta_patterns(min(D, (V - 1).bit_length())):
+    for start in range(0, ends.size, _K5_SLICE):
+        part = slice(start, start + _K5_SLICE)
+        fire = E3.take(index[0, part])
+        for row in index[1:, part]:
+            fire &= E3.take(row)
         if capped:
-            # uint64: at D = 64 a realization may need bit 63
-            fits = _realize((a, b.astype(np.uint64), c.astype(np.uint64),
-                             d.astype(np.uint64)))[-1] < V
-            b, c, d = b[fits], c[fits], d[fits]
-        ab = (a * D + b) * D
-        fire = (E3[ab + c] & E3[ab + np.maximum(c, d)]
-                & E3[(a * D + np.maximum(b, c)) * D + d]
-                & E3[(np.maximum(a, b) * D + c) * D + d]
-                & E3[(b * D + c) * D + d])
+            fits = ends[part] < V
+            fire &= fits
         if fire.any():
             i = int(np.argmax(fire))
-            checked += i + 1
-            vs = _realize((a, int(b[i]), int(c[i]), int(d[i])))
-            return _violation_report(H, vs, flip_rule2), checked
-        checked += b.size
+            checked += int(np.count_nonzero(fits[:i + 1])) if capped else i + 1
+            a, bc = divmod(int(index[0, start + i]), D * D)
+            pattern = (a, *divmod(bc, D), int(index[4, start + i]) % D)
+            return _violation_report(H, _realize(pattern), flip_rule2), checked
+        checked += int(np.count_nonzero(fits)) if capped else fire.size
     return None, checked
 
 
@@ -446,10 +488,13 @@ def check_k5_free(
     says always) or the lexicographically first violating 5-set, which
     signals an implementation bug and is reported verbatim.  The budget
     gate counts binom(V, 5) five-sets, though the check never touches a
-    vertex: it runs over the delta patterns that occur in [0, V).
-    `threads` is accepted for compatibility and has no effect.  If given,
-    `stats` receives the engine name (delta-patterns) and the number of
-    patterns checked.
+    vertex: it runs over the delta patterns that occur in [0, V), read
+    from a table of their E3 indices and realization ends that is built
+    once per (D, L) and cached (_k5_pattern_table), so a call is five E3
+    gathers and four ANDs per slice of 65,536 patterns.  `threads` is
+    accepted for compatibility and has no effect.  If given, `stats`
+    receives the engine name (delta-patterns) and the number of patterns
+    checked.
     """
     V = H.vertex_count if vertex_cap is None else min(vertex_cap, H.vertex_count)
     if V < 5:
@@ -481,15 +526,100 @@ def find_nonedge_in_5set(H: StepUpHypergraph, P) -> tuple[int, int, int, int]:
         vertices=vs)
 
 
+def _first_edge(H: StepUpHypergraph, vs: list[int]
+                ) -> Optional[tuple[int, int, int, int]]:
+    """The lexicographically first 4-subset of the sorted distinct vertices
+    vs that is an edge, or None.
+
+    For i < j the delta of vs[i], vs[j] is the largest consecutive delta
+    between them, so per j the deltas from below, left[j], and per k the
+    deltas to above, right[k], are bitmasks built in one pass each.  Any a
+    in left[j] and b in right[k] come from one 4-tuple with the middle
+    delta x of (j, k), so the pair j < k spans an edge iff the row of
+    (a, x), the b making (a, x, b) an edge, meets right[k] for some a in
+    left[j].  A row is classified by the scalar rules, each distinct triple
+    once and never by the delta-triple table, and only at the b that occur
+    in some right[k]; the union of the rows over left[j] is kept per
+    (left[j], x).  That decides the set in O(|vs|^2) pair steps.  If it
+    spans an edge, the first one is found by walking (i, j, k) in order
+    with the same rows, O(|vs|^3) steps at worst.
+    """
+    n = len(vs)
+    C = H._color_rows
+    gap = [(u ^ v).bit_length() - 1 for u, v in zip(vs, vs[1:])]
+    left, right = [0] * n, [0] * n
+    for j in range(1, n):       # the deltas below gap[j-1] rise to it
+        g = gap[j - 1]
+        left[j] = left[j - 1] >> g << g | 1 << g
+    for k in range(n - 2, -1, -1):
+        g = gap[k]
+        right[k] = right[k + 1] >> g << g | 1 << g
+    outgoing = functools.reduce(int.__or__, right, 0)
+    right_deltas = [b for b in range(H.D) if outgoing >> b & 1]
+    rows: dict[tuple[int, int], int] = {}
+    unions: dict[tuple[int, int], int] = {}
+
+    def row(a: int, x: int) -> int:
+        bits = rows.get((a, x))
+        if bits is None:
+            # b = x, and b = a below a valley, occur in no 4-tuple
+            bits = rows[a, x] = sum(
+                1 << b for b in right_deltas
+                if b != x and (b != a or a < x)
+                and _classify_deltas(a, x, b, C)[1])
+        return bits
+
+    def union(mask: int, x: int) -> int:
+        bits = unions.get((mask, x))
+        if bits is None:
+            bits, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                bits |= row(low.bit_length() - 1, x)
+                rest ^= low
+            unions[mask, x] = bits
+        return bits
+
+    def spans_edge() -> bool:
+        for j in range(1, n - 2):
+            x = -1
+            for k in range(j + 1, n - 1):
+                if gap[k - 1] > x:
+                    x = gap[k - 1]
+                    hits = union(left[j], x)
+                if hits & right[k]:
+                    return True
+        return False
+
+    if not spans_edge():
+        return None
+    for i in range(n - 3):
+        a = -1
+        for j in range(i + 1, n - 2):
+            a = max(a, gap[j - 1])
+            x = -1
+            for k in range(j + 1, n - 1):
+                if gap[k - 1] > x:
+                    x = gap[k - 1]
+                    hits = row(a, x)
+                if hits & right[k]:
+                    b = -1
+                    for m in range(k + 1, n):
+                        b = max(b, gap[m - 1])
+                        if hits >> b & 1:
+                            return vs[i], vs[j], vs[k], vs[m]
+    raise AssertionError("unreachable: a spanning pair has a first edge")
+
+
 def is_independent(H: StepUpHypergraph, Q,
                    *, budget: int = INDEPENDENT_BUDGET_DEFAULT
                    ) -> Optional[EdgeWitness]:
     """None if Q spans no edge; otherwise the first edge in lex subset order.
 
-    The vertex set is validated once.  A 4-subset is then classified by
-    the scalar rules on its consecutive deltas, read from a table of the
-    |Q|^2 pairs; the rules see nothing else, so each distinct delta triple
-    is classified once.
+    The vertex set is validated once and gated by its binom(|Q|, 4)
+    4-subsets against the budget; _first_edge then reads each delta
+    triple that occurs in Q once, by the scalar rules, in O(|Q|^2) steps
+    for an independent set and O(|Q|^3) at worst for the first edge.
     """
     vs = sorted(int(v) for v in Q)
     if len(set(vs)) != len(vs):
@@ -503,18 +633,10 @@ def is_independent(H: StepUpHypergraph, Q,
         raise BudgetExceeded(
             f"binom({len(vs)},4) = {total} exceeds budget {budget}",
             required=total, budget=budget)
-    C = H._color_rows
-    dt = [[(u ^ v).bit_length() - 1 for v in vs] for u in vs]
-    verdicts: dict[tuple[int, int, int], bool] = {}
-    for i, j, k, m in combinations(range(len(vs)), 4):
-        deltas = dt[i][j], dt[j][k], dt[k][m]
-        edge = verdicts.get(deltas)
-        if edge is None:
-            edge = verdicts[deltas] = _classify_deltas(*deltas, C)[1]
-        if edge:
-            return _edge_witness_for(H, (vs[i], vs[j], vs[k], vs[m]),
-                                     branch="DirectScanBranch")
-    return None
+    edge = _first_edge(H, vs)
+    if edge is None:
+        return None
+    return _edge_witness_for(H, edge, branch="DirectScanBranch")
 
 
 # --- exact independence number ----------------------------------------------
@@ -689,18 +811,19 @@ def exact_alpha(H: StepUpHypergraph, *,
     aL (= A_R).  A pattern with an entry in F2 is dropped from F3, since
     F2 already forbids it.  The witness is the lex-smaller of the best set
     inside L ("one-half") and the best L part followed by the best R part
-    ("split"); an edge in it (is_independent) raises EngineDisagreement.
+    ("split").  The witness is checked by is_independent's engine
+    (_first_edge), which reads its delta triples by the scalar rules, not
+    the recursion's table, in O(alpha^2) steps; an edge in it raises
+    EngineDisagreement.
 
     `nodes` counts the states (k, F2, F3) solved and `level_states` splits
-    them by k.  BudgetExceeded is raised once they pass node_budget, and
-    by is_independent when the witness has more than
-    INDEPENDENT_BUDGET_DEFAULT 4-subsets (alpha above 222).
+    them by k.  BudgetExceeded is raised once they pass node_budget.
     """
     result = _alpha_recursion(H, node_budget)
-    edge = is_independent(H, result.witness)
+    edge = _first_edge(H, list(result.witness))
     if edge is not None:
         raise EngineDisagreement(
-            f"alpha witness {result.witness} spans the edge {edge.vertices} "
+            f"alpha witness {result.witness} spans the edge {edge} "
             "under classify_4tuple; the engines disagree",
-            vertices=result.witness, edge=edge.vertices)
+            vertices=result.witness, edge=edge)
     return result

@@ -592,3 +592,33 @@ def test_repair_member_table_is_shared_by_every_pair():
                        // tab.subs_per_triple).reshape(len(uniq), n - 2)
             assert np.array_equal(uniq, tab.pair_sub_uniq[p])
             assert np.array_equal(members, shared), (D, n, p)
+
+
+def test_repair_tables_by_colex_rank_match_the_sorted_construction():
+    # the construction the closed form replaced: per triple, sort each
+    # subset through it and sum C(v_i, i + 1); per pair, np.unique over the
+    # subsets of its triples
+    for D, n in ((8, 4), (12, 5), (16, 5), (9, 3), (10, 6)):
+        tab = _repair_tables(D, n)
+        rest = list(combinations(range(D - 3), n - 3))
+        want = np.array([
+            [sum(math.comb(v, i + 1) for i, v in enumerate(sorted(
+                (*t, *(others[j] for j in pick)))))
+             for pick in rest]
+            for t in combinations(range(D), 3)
+            for others in [[v for v in range(D) if v not in t]]])
+        assert tab.tri_to_subs.dtype == np.int32
+        assert np.array_equal(tab.tri_to_subs, want), (D, n)
+        for p, (a, b) in enumerate(combinations(range(D), 2)):
+            tris = [t for t, tri in enumerate(combinations(range(D), 3))
+                    if a in tri and b in tri]
+            assert tab.pair_tris[p].tolist() == tris
+            slots = [[(x, y) for x, y in ((0, 1), (1, 2), (0, 2))].index(
+                (tri.index(a), tri.index(b)))
+                for tri in (tab.triples[t].tolist() for t in tris)]
+            assert tab.pair_slot[p].tolist() == [3 * t + s
+                                                 for t, s in zip(tris, slots)]
+            assert tab.pair_bit[p].tolist() == [1 << s for s in slots]
+            uniq = np.unique(tab.tri_to_subs[tris])
+            assert tab.pair_sub_uniq[p].dtype == np.int64
+            assert np.array_equal(tab.pair_sub_uniq[p], uniq), (D, n, p)

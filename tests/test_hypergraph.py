@@ -326,6 +326,140 @@ def test_capped_check_at_d8_is_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
+# --- the cached pattern table -------------------------------------------------
+
+
+def per_slice_k5(H, V, E3):
+    """The K5 engine the cached table replaced: delta_patterns rebuilt on
+    every call and read one d1 slice at a time.  Returns the first pattern
+    that fires under the flat table E3, realized (or None), and the
+    patterns checked."""
+    D = H.D
+    capped = V < H.vertex_count
+    checked = 0
+    for a, b, c, d in delta_patterns(min(D, (V - 1).bit_length())):
+        if capped:
+            fits = hg._realize((a, b.astype(np.uint64), c.astype(np.uint64),
+                                d.astype(np.uint64)))[-1] < V
+            b, c, d = b[fits], c[fits], d[fits]
+        ab = (a * D + b) * D
+        fire = (E3[ab + c] & E3[ab + np.maximum(c, d)]
+                & E3[(a * D + np.maximum(b, c)) * D + d]
+                & E3[(np.maximum(a, b) * D + c) * D + d]
+                & E3[(b * D + c) * D + d])
+        if fire.any():
+            i = int(np.argmax(fire))
+            return (hg._realize((a, int(b[i]), int(c[i]), int(d[i]))),
+                    checked + i + 1)
+        checked += b.size
+    return None, checked
+
+
+def test_k5_table_lists_delta_patterns_in_order():
+    for L in range(2, 13):
+        want = [(a, int(b), int(c), int(d)) for a, bs, cs, ds in delta_patterns(L)
+                for b, c, d in zip(bs, cs, ds)]
+        for D in sorted({L, 12}):
+            index, ends = hg._k5_pattern_table(D, L)
+            assert index.shape == (5, len(want)) and ends.shape == (len(want),)
+            got = []
+            for row in index.T.tolist():
+                a, bc = divmod(row[0], D * D)
+                got.append((a, *divmod(bc, D), row[4] % D))
+            assert got == want, (D, L)
+            flat = [(a * D + b) * D + c for a, b, c in (
+                triple for a, b, c, d in want for triple in (
+                    (a, b, c), (a, b, max(c, d)), (a, max(b, c), d),
+                    (max(a, b), c, d), (b, c, d)))]
+            assert index.T.ravel().tolist() == flat
+            assert ends.tolist() == [hg._realize(p)[-1] for p in want]
+    assert len(hg._k5_pattern_table(7, 7)[1]) == 1190
+
+
+def test_k5_table_is_read_only_and_holds_no_coloring_state():
+    cases = [(StepUpHypergraph(sample_coloring(6, seed)), cap, flip)
+             for seed in range(3) for cap in (None, 15, 40)
+             for flip in (False, True)]
+    cases += [(StepUpHypergraph(constant_coloring(6)), cap, True)
+              for cap in (None, 40)]
+
+    def run(H, cap, flip):
+        stats = {}
+        v = check_k5_free(H, cap, stats=stats, _flip_rule2=flip)
+        return (None if v is None else v.as_dict()), stats["patterns_checked"]
+
+    hg._k5_pattern_table.cache_clear()
+    fresh = []
+    for case in cases:
+        fresh.append(run(*case))
+        hg._k5_pattern_table.cache_clear()
+    assert any(v is not None for v, _ in fresh)
+    tables = {L: [t.copy() for t in hg._k5_pattern_table(6, L)]
+              for L in (4, 6)}
+    for _ in range(2):
+        for case, want in zip(cases[::-1], fresh[::-1]):
+            assert run(*case) == want
+    for L, (index, ends) in tables.items():
+        cached = hg._k5_pattern_table(6, L)
+        assert np.array_equal(cached[0], index)
+        assert np.array_equal(cached[1], ends)
+        for table in cached:
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
+def test_k5_engine_matches_the_per_slice_engine():
+    fired = 0
+    for D in range(3, 10):
+        graphs = [StepUpHypergraph(constant_coloring(D, color))
+                  for color in (0, 1)]
+        graphs += [graph(D, seed) for seed in range(3)]
+        for H in graphs:
+            for cap in (None, 15, 40, 128):
+                V = H.vertex_count if cap is None else min(cap, H.vertex_count)
+                for flip in (False, True):
+                    stats = {}
+                    got = check_k5_free(H, cap, force=True, stats=stats,
+                                        _flip_rule2=flip)
+                    first, checked = per_slice_k5(
+                        H, V, _edge3_table(H.coloring, flip_rule2=flip))
+                    assert stats["patterns_checked"] == checked, (D, cap, flip)
+                    if first is None:
+                        assert got is None
+                    else:
+                        assert got == hg._violation_report(H, first, flip)
+                        fired += 1
+    assert fired >= 50
+
+
+def test_k5_engine_skips_patterns_that_end_past_the_cap():
+    # The colorings above, honest or corrupted, never fire a pattern that
+    # ends past the cap before one that fits, so random delta-triple tables
+    # stand in for E3; the engine's 5-set then fails the violation re-check.
+    rng = np.random.default_rng(5)
+    skipped = 0
+    for D in (5, 6, 7):
+        H = graph(D, 0)
+        for _ in range(30):
+            E3 = rng.random(D ** 3) < 0.6
+            H.__dict__["_edge3"] = E3        # the cached_property's slot
+            for _ in range(4):
+                # just above a power of two most patterns over [0, L) end
+                # past the cap
+                V = (1 << int(rng.integers(2, D))) + int(rng.integers(1, 5))
+                first, _ = per_slice_k5(H, V, E3)
+                try:
+                    got, _ = hg._check_k5_patterns(H, V, False)
+                    got = None if got is None else got.vertices
+                except EngineDisagreement as exc:
+                    got = exc.vertices
+                assert got == first, (D, V)
+                # every pattern over [0, L) fits below 2^L
+                whole = per_slice_k5(H, 1 << (V - 1).bit_length(), E3)[0]
+                skipped += first != whole
+    assert skipped >= 40
+
+
 # --- the corrupted predicate --------------------------------------------------
 #
 # Reversing rule (ii)'s leading d1 > d2 comparison inside the valley-shape
@@ -708,6 +842,57 @@ def test_is_independent_returns_the_scalar_scans_first_edge():
             assert scalar_first_edge(H, w) is None
             assert is_independent(H, w[::-1]) is None
     assert found[True] > 100 and found[False] > 100
+
+
+def test_edge_engine_matches_the_scalar_scan_up_to_40_vertices():
+    rng = np.random.default_rng(43)
+    found = {True: 0, False: 0}
+    for D in range(3, 10):
+        for seed in range(3):
+            H = graph(D, seed)
+            for _ in range(60):
+                k = int(rng.integers(4, min(40, 1 << D) + 1))
+                q = [int(v) for v in rng.choice(1 << D, size=k, replace=False)]
+                want = scalar_first_edge(H, q)
+                got = is_independent(H, q)
+                found[want is not None] += 1
+                if want is None:
+                    assert got is None
+                else:
+                    assert (got.vertices, got.deltas, got.rule,
+                            got.colors) == want
+    # an independent set plus one vertex: the first edge may start late
+    for D in (7, 8):
+        for seed in range(3):
+            H = graph(D, seed)
+            w = exact_alpha(H).witness
+            for v in rng.choice(sorted(set(range(1 << D)) - set(w)), size=8,
+                                replace=False):
+                q = [*w, int(v)]
+                want = scalar_first_edge(H, q)
+                got = is_independent(H, q)
+                found[want is not None] += 1
+                assert (None if got is None else got.vertices) == (
+                    None if want is None else want[0])
+    assert found[True] > 100 and found[False] > 100
+
+
+def test_exact_alpha_checks_witnesses_above_222_vertices():
+    # binom(232, 4) = 117M 4-subsets: over the independence budget, which
+    # gates is_independent but not the witness check
+    H = StepUpHypergraph(constant_coloring(21))
+    r = exact_alpha(H)
+    assert r.alpha == len(r.witness) == 232
+    assert list(r.witness) == sorted(set(r.witness))
+    with pytest.raises(BudgetExceeded):
+        is_independent(H, r.witness)
+    assert is_independent(H, r.witness, budget=math.comb(232, 4)) is None
+    # a second, plain route: classify_4tuple on a seeded sample
+    picks = np.sort(np.random.default_rng(21).integers(232, size=(120_000, 4)))
+    picks = picks[(np.diff(picks, axis=1) > 0).all(axis=1)][:10 ** 5]
+    assert len(picks) == 10 ** 5
+    w = np.array(r.witness)
+    assert not any(classify_4tuple(H, sub)[1] for sub in w[picks])
 
 
 def test_is_independent_errors_are_unchanged():
