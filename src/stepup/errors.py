@@ -74,12 +74,13 @@ class NoNonEdge(StepupError):
 class EngineDisagreement(StepupError):
     """Bug trap: two computations of one verdict disagree.
 
-    Raised when a K5(4) violation found by the delta-pattern engine does
-    not hold under classify_4tuple, when the K5 verdict changes with the
-    thread count, when an exact_alpha witness spans an edge, when a
-    certification counterexample holds a good triple, when the annealer's
-    bad-subset count and exact certification disagree, or when a greedy
-    Steiner packing falls below the Turan floor.  Unreachable when the
+    Raised when a K5(4) violation found by the delta-pattern engine or an
+    edge found by is_independent's engine does not hold under
+    classify_4tuple, when the K5 verdict changes with the thread count,
+    when an exact_alpha witness spans an edge, when a certification
+    counterexample holds a good triple, when the annealer's bad-subset
+    count and exact certification disagree, or when a greedy Steiner
+    packing falls below the Turan floor.  Unreachable when the
     engines are correct; carries the vertex set (or value subset) when
     there is one, the edge it spans, and the coloring involved.
     """
@@ -125,11 +126,11 @@ class NoGoodTripleInRun(ExtractorError):
 
 
 class ProofGapTrap(ExtractorError):
-    """All anchor-chain candidates failed on a large-enough Q, or an
-    emitted witness failed re-validation.
+    """All anchor-chain candidates failed on a large-enough Q, an anchor
+    chain came out of order, or an emitted witness failed re-validation.
 
-    Must be unreachable; the trace holds the full anchor state dump, or the
-    witness vertices and |Q|.
+    Must be unreachable; the trace holds the full anchor state dump, the
+    chain's positions and deltas, or the witness vertices and |Q|.
     """
 
     kind = "ProofGapTrap"

@@ -29,7 +29,9 @@ ends, are tabled once per (D, L) and cached, so a check only gathers and
 ANDs.  Because edge3 depends only on the order type of its inputs and
 the colors among them, the 64 colorings at D = 4 cover every phi at
 every D.  A plain lexicographic scalar scan stays as the reference
-implementation.
+implementation.  The rules exist twice only: as the scalar core
+_classify_deltas and as the D^3 delta-triple table _edge3_table, which
+agree on every triple that a 4-tuple has.
 
 exact_alpha splits [0, 2^D) into halves L = [0, h) and R = [h, 2h),
 h = 2^(D-1).  Vertices in different halves have the largest delta D-1,
@@ -124,7 +126,7 @@ class StepUpHypergraph:
     @functools.cached_property
     def _edge3(self) -> np.ndarray:
         """The flattened D^3 edge table of phi (_edge3_table), read-only;
-        the mutated table of the mutation tests is never cached."""
+        built on first use and kept for the life of the graph."""
         table = _edge3_table(self.coloring)
         table.setflags(write=False)
         return table
@@ -231,29 +233,12 @@ def _deltas(vs) -> tuple[int, int, int]:
             (c ^ d).bit_length() - 1)
 
 
-def classify_4tuple(H: StepUpHypergraph, e,
-                    _flip_rule2: bool = False) -> tuple[EdgeRule, bool]:
+def classify_4tuple(H: StepUpHypergraph, e) -> tuple[EdgeRule, bool]:
     """Rule slot and edge verdict for a strictly increasing 4-tuple."""
     vs = _validate_4tuple(H, e)
     if any(a >= b for a, b in zip(vs, vs[1:])):
         raise MalformedTuple(f"4-tuple must be strictly increasing: {vs}")
-    d1, d2, d3 = _deltas(vs)
-    C = H._color_rows
-    if _flip_rule2:
-        # Deliberately corrupted classifier; only the mutation tests set the
-        # flag.  Rule (ii)'s leading d1 > d2 comparison is reversed inside
-        # the valley-shape test the rule shares with rule (iii): rule (ii)
-        # can then never fire, valleys stop being edges, and rule (iii)'s
-        # all-equal condition misfires on increasing triples.
-        if not (d1 < d2 < d3 or d1 > d2 > d3):
-            return EdgeRule.NONE_SLOT, False
-        c12, c23, c13 = C[d1][d2], C[d2][d3], C[d1][d3]
-        if c12 == c23 != c13:
-            return EdgeRule.RULE_I, True
-        if d1 < d2 < d3 and c12 == c13 == c23:
-            return EdgeRule.RULE_III, True
-        return EdgeRule.RULE_I, False
-    return _classify_deltas(d1, d2, d3, C)
+    return _classify_deltas(*_deltas(vs), H._color_rows)
 
 
 def is_edge(H: StepUpHypergraph, e) -> bool:
@@ -265,7 +250,10 @@ def is_edge(H: StepUpHypergraph, e) -> bool:
 def _edge_witness_for(H: StepUpHypergraph, vs: tuple[int, int, int, int],
                       branch: str, **kw) -> EdgeWitness:
     rule, verdict = classify_4tuple(H, vs)
-    assert verdict, "witness constructor called on a non-edge"
+    if not verdict:
+        raise EngineDisagreement(
+            f"4-tuple {vs} was returned as an edge, but classify_4tuple "
+            "rejects it; the engines disagree", vertices=vs)
     d1, d2, d3 = delta_sequence(vs)
     phi = H.coloring
     colors = [(min(a, b), max(a, b), phi.color(a, b))
@@ -276,60 +264,46 @@ def _edge_witness_for(H: StepUpHypergraph, vs: tuple[int, int, int, int],
 
 # --- K5(4)-freeness ----------------------------------------------------------
 
-def _msb_matrix(V: int) -> np.ndarray:
-    idx = np.arange(V, dtype=np.uint64)
-    x = np.bitwise_xor(idx[:, None], idx[None, :])
-    _, e = np.frexp(x.astype(np.float64))
-    return (e - 1).astype(np.int64)  # diagonal is -1, never consulted
-
-
-def _edge3_table(phi: PairColoring, flip_rule2: bool = False) -> np.ndarray:
-    """Flattened D^3 lookup: is (d1,d2,d3) an edge-making delta triple."""
+def _edge3_table(phi: PairColoring) -> np.ndarray:
+    """Flattened D^3 lookup: is (d1,d2,d3) an edge-making delta triple;
+    False where no 4-tuple has it (d1 = d2, d2 = d3, valley d1 = d3)."""
     D = phi.D
     pm = phi.as_matrix().astype(np.int16)
-    a = np.arange(D)[:, None, None]
-    b = np.arange(D)[None, :, None]
-    c = np.arange(D)[None, None, :]
-    pab = pm[a, b]
-    pbc = pm[b, c]
-    pac = pm[a, c]
+    a, b, c = np.ix_(*[np.arange(D)] * 3)
+    pab, pbc, pac = pm[a, b], pm[b, c], pm[a, c]
     mono = ((a < b) & (b < c)) | ((a > b) & (b > c))
     e_mono = mono & (pab == pbc) & (pab != pac)
-    # flip_rule2 reverses rule (ii)'s leading d1 > d2 comparison inside the
-    # valley mask the rule shares with rule (iii); mutation tests only.
-    valley = ((a < b) if flip_rule2 else (a > b)) & (b < c)
+    valley = (a > b) & (b < c)
     e_rule2 = valley & (a > c) & (pab == pac) & (pab != pbc)
     e_rule3 = valley & (a < c) & (pab == pac) & (pac == pbc)
     return (e_mono | e_rule2 | e_rule3).reshape(-1)
 
 
-def _scan_scalar_lex(H: StepUpHypergraph, V: int,
-                     flip_rule2: bool = False) -> Optional[tuple]:
+def _scan_scalar_lex(H: StepUpHypergraph, V: int) -> Optional[tuple]:
     """Reference engine: lexicographic 5-set scan with early exit.
 
-    Consecutive deltas are cached per enumeration prefix.  Returns the
+    Consecutive deltas are computed per enumeration prefix.  Returns the
     first 5-set whose four-subsets are all edges, or None.
     """
     D = H.D
-    E3 = _edge3_table(H.coloring, flip_rule2=flip_rule2).tolist()
-    dt = _msb_matrix(V).tolist()
+    E3 = H._edge3.tolist()
 
     def edge3(d1, d2, d3) -> bool:
         return E3[(d1 * D + d2) * D + d3]
 
     for v1 in range(V - 4):
         for v2 in range(v1 + 1, V - 3):
-            d12 = dt[v1][v2]
+            d12 = (v1 ^ v2).bit_length() - 1
             for v3 in range(v2 + 1, V - 2):
-                d23 = dt[v2][v3]
+                d23 = (v2 ^ v3).bit_length() - 1
                 d13 = max(d12, d23)
                 for v4 in range(v3 + 1, V - 1):
-                    d34 = dt[v3][v4]
+                    d34 = (v3 ^ v4).bit_length() - 1
                     if not edge3(d12, d23, d34):
                         continue
                     d24 = max(d23, d34)
                     for v5 in range(v4 + 1, V):
-                        d45 = dt[v4][v5]
+                        d45 = (v4 ^ v5).bit_length() - 1
                         if (edge3(d23, d34, d45)
                                 and edge3(d13, d34, d45)
                                 and edge3(d12, d24, d45)
@@ -417,7 +391,7 @@ def _k5_pattern_table(D: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return index, ends
 
 
-def _check_k5_patterns(H: StepUpHypergraph, V: int, flip_rule2: bool
+def _check_k5_patterns(H: StepUpHypergraph, V: int
                        ) -> tuple[Optional[FiveSetViolation], int]:
     """K5 check over every 5-set of the vertex prefix [0, V), by delta pattern.
 
@@ -431,7 +405,7 @@ def _check_k5_patterns(H: StepUpHypergraph, V: int, flip_rule2: bool
     number of patterns checked.
     """
     D = H.D
-    E3 = _edge3_table(H.coloring, flip_rule2=True) if flip_rule2 else H._edge3
+    E3 = H._edge3
     index, ends = _k5_pattern_table(D, min(D, (V - 1).bit_length()))
     capped = V < H.vertex_count
     checked = 0
@@ -448,16 +422,15 @@ def _check_k5_patterns(H: StepUpHypergraph, V: int, flip_rule2: bool
             checked += int(np.count_nonzero(fits[:i + 1])) if capped else i + 1
             a, bc = divmod(int(index[0, start + i]), D * D)
             pattern = (a, *divmod(bc, D), int(index[4, start + i]) % D)
-            return _violation_report(H, _realize(pattern), flip_rule2), checked
+            return _violation_report(H, _realize(pattern)), checked
         checked += int(np.count_nonzero(fits)) if capped else fire.size
     return None, checked
 
 
-def _violation_report(H: StepUpHypergraph, vs: tuple,
-                      flip_rule2: bool) -> FiveSetViolation:
+def _violation_report(H: StepUpHypergraph, vs: tuple) -> FiveSetViolation:
     subsets = []
     for sub in combinations(vs, 4):
-        rule, verdict = classify_4tuple(H, sub, _flip_rule2=flip_rule2)
+        rule, verdict = classify_4tuple(H, sub)
         subsets.append({
             "vertices": list(sub),
             "deltas": [int(d) for d in delta_sequence(sub)],
@@ -480,7 +453,6 @@ def check_k5_free(
     force: bool = False,
     threads: int = 1,
     stats: Optional[dict] = None,
-    _flip_rule2: bool = False,
 ) -> Optional[FiveSetViolation]:
     """Exhaustively verify that no 5-set of {0,...,V-1} induces a K5(4).
 
@@ -490,9 +462,9 @@ def check_k5_free(
     gate counts binom(V, 5) five-sets, though the check never touches a
     vertex: it runs over the delta patterns that occur in [0, V), read
     from a table of their E3 indices and realization ends that is built
-    once per (D, L) and cached (_k5_pattern_table), so a call is five E3
-    gathers and four ANDs per slice of 65,536 patterns.  `threads` is
-    accepted for compatibility and has no effect.  If given, `stats`
+    once per (D, L) and cached (_k5_pattern_table), so a call is five
+    gathers from H._edge3 and four ANDs per slice of 65,536 patterns.
+    `threads` is accepted and has no effect.  If given, `stats`
     receives the engine name (delta-patterns) and the number of patterns
     checked.
     """
@@ -507,7 +479,7 @@ def check_k5_free(
             f"binom({V},5) = {total} five-sets exceed budget {budget}; "
             "pass force to run anyway", required=total, budget=budget)
 
-    violation, checked = _check_k5_patterns(H, V, _flip_rule2)
+    violation, checked = _check_k5_patterns(H, V)
     if stats is not None:
         stats.update(engine="delta-patterns", patterns_checked=checked)
     return violation

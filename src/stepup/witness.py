@@ -368,30 +368,31 @@ def edge_from_monotone_run(H: StepUpHypergraph, Q,
     return _edge_witness_for(H, vs, branch="MonotoneRunBranch", trace=trace)
 
 
-def _left_in(stack: LayerStack, pos: int, level: int) -> int:
+def _neighbor_in(stack: LayerStack, pos: int, level: int, side: str) -> int:
+    """The nearest position of layer `level` on `side` ("left" or "right")
+    of pos; an implicit layer 0 holds every position."""
     layer = stack.layers[level]
-    if layer is None:           # every position: the neighbor is pos - 1
-        i = min(pos, stack.deltas.size)
+    if layer is None:
+        size = stack.deltas.size
+        i = min(pos + (side == "right"), size)
     else:
         # a key of the layer's own dtype keeps numpy from converting it
-        i = int(np.searchsorted(layer, layer.dtype.type(pos)))
-    if i == 0:
-        raise InsufficientLayers(
-            f"position {pos} has no left neighbor in layer {level}")
-    return i - 1 if layer is None else int(layer[i - 1])
-
-
-def _right_in(stack: LayerStack, pos: int, level: int) -> int:
-    layer = stack.layers[level]
-    if layer is None:           # every position: the neighbor is pos + 1
-        i, size = min(pos + 1, stack.deltas.size), stack.deltas.size
-    else:
-        i = int(np.searchsorted(layer, layer.dtype.type(pos), side="right"))
+        i = int(np.searchsorted(layer, layer.dtype.type(pos), side=side))
         size = layer.size
-    if i == size:
+    i -= side == "left"
+    if not 0 <= i < size:
         raise InsufficientLayers(
-            f"position {pos} has no right neighbor in layer {level}")
+            f"position {pos} has no {side} neighbor in layer {level}")
     return i if layer is None else int(layer[i])
+
+
+def _require_order(ok: bool, chain: str, dl: np.ndarray, **at: int) -> None:
+    """ProofGapTrap, with the chain's positions and deltas, unless ok."""
+    if not ok:
+        raise ProofGapTrap(
+            f"{chain} positions or deltas out of order",
+            trace={"positions": at,
+                   "deltas": {k: int(dl[p]) for k, p in at.items()}})
 
 
 def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
@@ -407,11 +408,11 @@ def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
             f"{len(stack.layers)}")
     dl = stack.deltas
     a = int(stack.layers[7][0])
-    b1 = _left_in(stack, a, 6)
-    b2 = _right_in(stack, b1, 5)
-    b3 = _right_in(stack, b2, 4)
-    assert b1 < b2 < b3 < a, "anchor positions out of order"
-    assert dl[b3] < dl[b2] < dl[b1] < dl[a], "anchor deltas out of order"
+    b1 = _neighbor_in(stack, a, 6, "left")
+    b2 = _neighbor_in(stack, b1, 5, "right")
+    b3 = _neighbor_in(stack, b2, 4, "right")
+    _require_order(b1 < b2 < b3 < a and dl[b3] < dl[b2] < dl[b1] < dl[a],
+                   "anchor", dl, a=a, b1=b1, b2=b2, b3=b3)
     colors = [int(phi.color(int(dl[b]), int(dl[a]))) for b in (b1, b2, b3)]
     for i, j in ((1, 3), (1, 2), (2, 3)):
         if colors[i - 1] == colors[j - 1]:
@@ -420,13 +421,13 @@ def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
     bs = (b1, b2, b3)
     B1, B3 = bs[pair[0] - 1], bs[pair[1] - 1]
     ell = LAYER_DEPTH - pair[1]  # layer level of B3
-    c = _left_in(stack, B3, ell - 1)
-    d = _right_in(stack, c, ell - 2)
-    e = _left_in(stack, d, ell - 3)
-    f = _right_in(stack, e, ell - 4)
-    assert c < e < f < d < B3, "descent chain positions out of order"
-    assert dl[B3] > dl[c] > dl[d] > dl[e] > dl[f], \
-        "descent chain deltas out of order"
+    c = _neighbor_in(stack, B3, ell - 1, "left")
+    d = _neighbor_in(stack, c, ell - 2, "right")
+    e = _neighbor_in(stack, d, ell - 3, "left")
+    f = _neighbor_in(stack, e, ell - 4, "right")
+    _require_order(c < e < f < d < B3
+                   and dl[B3] > dl[c] > dl[d] > dl[e] > dl[f],
+                   "descent chain", dl, B3=B3, c=c, d=d, e=e, f=f)
     names = {"a": a, "b1": b1, "b2": b2, "b3": b3,
              "B1": B1, "B3": B3, "c": c, "d": d, "e": e, "f": f}
     levels = {"a": 7, "b1": 6, "b2": 5, "b3": 4, "B1": 7 - pair[0],

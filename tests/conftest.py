@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+from itertools import product
+
 import numpy as np
+import pytest
+
+import stepup.hypergraph as hg
+from stepup.hypergraph import EdgeRule
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -54,3 +61,50 @@ def random_increasing_tuples(rng, count, length, bits):
     v0 = rng.integers(0, step_hi, size=(count, 1), dtype=np.uint64)
     steps = rng.integers(1, step_hi, size=(count, length - 1), dtype=np.uint64)
     return np.concatenate([v0, steps], axis=1).cumsum(axis=1, dtype=np.uint64)
+
+
+# --- the corrupted predicate of the mutation tests ----------------------------
+#
+# Rule (ii)'s leading d1 > d2 comparison is reversed inside the valley-shape
+# test the rule shares with rule (iii): rule (ii) can then never fire,
+# valleys stop being edges, and rule (iii)'s all-equal condition misfires on
+# increasing triples.  Any coloring that is monochromatic along an increasing
+# delta chain then spans a K5(4), which the checkers have to catch.
+
+
+def flipped_rule2_deltas(d1, d2, d3, C):
+    """The scalar rule core with rule (ii)'s leading d1 > d2 reversed; the
+    same signature as stepup.hypergraph._classify_deltas."""
+    if not (d1 < d2 < d3 or d1 > d2 > d3):
+        return EdgeRule.NONE_SLOT, False
+    c12, c23, c13 = C[d1][d2], C[d2][d3], C[d1][d3]
+    if c12 == c23 != c13:
+        return EdgeRule.RULE_I, True
+    if d1 < d2 < d3 and c12 == c13 == c23:
+        return EdgeRule.RULE_III, True
+    return EdgeRule.RULE_I, False
+
+
+def flipped_rule2_table(phi):
+    """flipped_rule2_deltas over all D^3 delta triples, flattened as
+    stepup.hypergraph._edge3_table lays its table out."""
+    C = phi.as_matrix().tolist()
+    return np.array([flipped_rule2_deltas(a, b, c, C)[1]
+                     for a, b, c in product(range(phi.D), repeat=3)],
+                    dtype=bool)
+
+
+@contextlib.contextmanager
+def flipped_rule2():
+    """Install the corrupted rule (ii) as both copies of the edge rules.
+
+    Inside the context the scalar core and the delta-triple table are the
+    mutant, so classify_4tuple, is_edge, the K5 check and the reference
+    scan all read it.  A graph caches its table on first use, so build the
+    graphs that should see the mutant inside the context, and do not reuse
+    them outside it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hg, "_classify_deltas", flipped_rule2_deltas)
+        patch.setattr(hg, "_edge3_table", flipped_rule2_table)
+        yield

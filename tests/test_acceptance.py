@@ -12,7 +12,7 @@ from itertools import combinations
 
 import mpmath as mp
 import numpy as np
-from conftest import random_increasing_tuples
+from conftest import flipped_rule2, random_increasing_tuples
 
 from stepup.cli import main as cli_main
 from stepup.coloring import (
@@ -138,9 +138,10 @@ def test_criterion_2_k5_freeness_exhaustive_with_mutation_control():
     parts.append(f"D=7: 3x{math.comb(128, 5):,} clean in {elapsed:.0f}s")
 
     # mutation control: the corrupted rule (ii) comparison must be caught
-    all_red = StepUpHypergraph(PairColoring(4, np.zeros(6, dtype=np.uint8)))
-    assert check_k5_free(all_red) is None
-    violation = check_k5_free(all_red, _flip_rule2=True)
+    all_red = PairColoring(4, np.zeros(6, dtype=np.uint8))
+    assert check_k5_free(StepUpHypergraph(all_red)) is None
+    with flipped_rule2():
+        violation = check_k5_free(StepUpHypergraph(all_red))
     assert violation is not None
     assert violation.vertices == (0, 1, 2, 4, 8)
     parts.append("mutation caught at D=4")

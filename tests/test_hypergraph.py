@@ -1,13 +1,14 @@
 """Tests for the stepping-up 4-graph: edge rules, the K5 checker, alpha."""
 
+import contextlib
 import functools
 import math
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from conftest import tuple_from_distinct_deltas
+from conftest import flipped_rule2, tuple_from_distinct_deltas
 
 import stepup.hypergraph as hg
 from stepup.coloring import (
@@ -27,8 +28,8 @@ from stepup.errors import (
 from stepup.hypergraph import (
     EdgeRule,
     StepUpHypergraph,
+    _classify_deltas,
     _edge3_table,
-    _msb_matrix,
     _scan_scalar_lex,
     check_k5_free,
     classify_4tuple,
@@ -252,31 +253,39 @@ def _engine_inputs():
         yield StepUpHypergraph(coloring_from_mask(4, mask))
 
 
+def delta_matrix(V):
+    """[u, v] = the delta of u and v, the top bit where they differ."""
+    return np.array([[(u ^ v).bit_length() - 1 for v in range(V)]
+                     for u in range(V)])
+
+
 @functools.cache
 def _patterns_in_prefix(V):
     """Number of distinct consecutive-delta patterns of the 5-sets of [0, V)."""
     five = np.array(list(combinations(range(V), 5)))
-    dt = _msb_matrix(V)
+    dt = delta_matrix(V)
     return len(np.unique(dt[five[:, :-1], five[:, 1:]], axis=0))
 
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_pattern_engine_matches_scalar_scan_under_every_cap(flip):
     violations = 0
-    for H in _engine_inputs():
-        n = H.vertex_count
-        for V in sorted({min(cap, n) for cap in (5, 9, 17, 20, n - 1, n)}):
-            by_pattern, checked = hg._check_k5_patterns(H, V, flip)
-            first = _scan_scalar_lex(H, V, flip_rule2=flip)
-            by_scan = (None if first is None
-                       else hg._violation_report(H, first, flip))
-            assert by_pattern == by_scan
-            if by_pattern is None:
-                # the patterns that occur in [0, V), counted off its 5-sets
-                assert checked == _patterns_in_prefix(V)
-                if V == n:
-                    assert checked == {3: 10, 4: 64, 5: 220}[H.D]
-            violations += by_pattern is not None
+    with flipped_rule2() if flip else contextlib.nullcontext():
+        for H in _engine_inputs():
+            n = H.vertex_count
+            for V in sorted({min(cap, n) for cap in (5, 9, 17, 20, n - 1, n)}):
+                by_pattern, checked = hg._check_k5_patterns(H, V)
+                first = _scan_scalar_lex(H, V)
+                by_scan = (None if first is None
+                           else hg._violation_report(H, first))
+                assert by_pattern == by_scan
+                if by_pattern is None:
+                    # the patterns that occur in [0, V), counted off its
+                    # 5-sets
+                    assert checked == _patterns_in_prefix(V)
+                    if V == n:
+                        assert checked == {3: 10, 4: 64, 5: 220}[H.D]
+                violations += by_pattern is not None
     # the honest rules never fire; the corrupted ones must, or the
     # comparison says nothing about the violation reports
     assert (violations >= 10) if flip else violations == 0
@@ -289,7 +298,7 @@ def test_delta_patterns_are_exactly_the_realizable_ones():
                   for b, c, d in zip(bs, cs, ds)}
         assert len(listed) == count
         five = np.array(list(combinations(range(1 << D), 5)))
-        dt = _msb_matrix(1 << D)
+        dt = delta_matrix(1 << D)
         seen = {tuple(int(x) for x in row) for row in np.unique(
             dt[five[:, :-1], five[:, 1:]], axis=0)}
         assert seen == listed
@@ -377,15 +386,15 @@ def test_k5_table_lists_delta_patterns_in_order():
 
 
 def test_k5_table_is_read_only_and_holds_no_coloring_state():
-    cases = [(StepUpHypergraph(sample_coloring(6, seed)), cap, flip)
+    cases = [(sample_coloring(6, seed), cap, flip)
              for seed in range(3) for cap in (None, 15, 40)
              for flip in (False, True)]
-    cases += [(StepUpHypergraph(constant_coloring(6)), cap, True)
-              for cap in (None, 40)]
+    cases += [(constant_coloring(6), cap, True) for cap in (None, 40)]
 
-    def run(H, cap, flip):
+    def run(phi, cap, flip):
         stats = {}
-        v = check_k5_free(H, cap, stats=stats, _flip_rule2=flip)
+        with flipped_rule2() if flip else contextlib.nullcontext():
+            v = check_k5_free(StepUpHypergraph(phi), cap, stats=stats)
         return (None if v is None else v.as_dict()), stats["patterns_checked"]
 
     hg._k5_pattern_table.cache_clear()
@@ -411,23 +420,23 @@ def test_k5_table_is_read_only_and_holds_no_coloring_state():
 def test_k5_engine_matches_the_per_slice_engine():
     fired = 0
     for D in range(3, 10):
-        graphs = [StepUpHypergraph(constant_coloring(D, color))
-                  for color in (0, 1)]
-        graphs += [graph(D, seed) for seed in range(3)]
-        for H in graphs:
-            for cap in (None, 15, 40, 128):
-                V = H.vertex_count if cap is None else min(cap, H.vertex_count)
-                for flip in (False, True):
+        colorings = [constant_coloring(D, color) for color in (0, 1)]
+        colorings += [sample_coloring(D, seed) for seed in range(3)]
+        for phi, flip in product(colorings, (False, True)):
+            with flipped_rule2() if flip else contextlib.nullcontext():
+                H = StepUpHypergraph(phi)
+                for cap in (None, 15, 40, 128):
+                    V = (H.vertex_count if cap is None
+                         else min(cap, H.vertex_count))
                     stats = {}
-                    got = check_k5_free(H, cap, force=True, stats=stats,
-                                        _flip_rule2=flip)
+                    got = check_k5_free(H, cap, force=True, stats=stats)
                     first, checked = per_slice_k5(
-                        H, V, _edge3_table(H.coloring, flip_rule2=flip))
+                        H, V, hg._edge3_table(H.coloring))
                     assert stats["patterns_checked"] == checked, (D, cap, flip)
                     if first is None:
                         assert got is None
                     else:
-                        assert got == hg._violation_report(H, first, flip)
+                        assert got == hg._violation_report(H, first)
                         fired += 1
     assert fired >= 50
 
@@ -449,7 +458,7 @@ def test_k5_engine_skips_patterns_that_end_past_the_cap():
                 V = (1 << int(rng.integers(2, D))) + int(rng.integers(1, 5))
                 first, _ = per_slice_k5(H, V, E3)
                 try:
-                    got, _ = hg._check_k5_patterns(H, V, False)
+                    got, _ = hg._check_k5_patterns(H, V)
                     got = None if got is None else got.vertices
                 except EngineDisagreement as exc:
                     got = exc.vertices
@@ -462,16 +471,16 @@ def test_k5_engine_skips_patterns_that_end_past_the_cap():
 
 # --- the corrupted predicate --------------------------------------------------
 #
-# Reversing rule (ii)'s leading d1 > d2 comparison inside the valley-shape
-# test it shares with rule (iii) leaves rule (ii) unsatisfiable and lets
-# rule (iii)'s all-equal condition fire on increasing triples.  Any coloring
-# that is monochromatic along an increasing delta chain then yields a K5;
-# the checker has to catch it at D = 4.
+# conftest.flipped_rule2 installs rule (ii) with its leading d1 > d2
+# comparison reversed as both copies of the edge rules.  Any coloring that is
+# monochromatic along an increasing delta chain then yields a K5; the checker
+# has to catch it at D = 4.
 
 def test_mutation_flipped_rule_ii_inequality_violates_at_d4():
     H = StepUpHypergraph(constant_coloring(4))
     assert check_k5_free(H) is None
-    v = check_k5_free(H, _flip_rule2=True)
+    with flipped_rule2():
+        v = check_k5_free(StepUpHypergraph(constant_coloring(4)))
     assert v is not None
     assert v.vertices == (0, 1, 2, 4, 8)
     for sub in v.subsets:
@@ -482,9 +491,10 @@ def test_mutation_flipped_rule_ii_inequality_violates_at_d4():
     # the honest classifier rejects the same subsets
     for sub in combinations(v.vertices, 4):
         assert not is_edge(H, sub)
-    # the corrupted table is never cached in place of the graph's own
-    assert check_k5_free(H) is None
-    assert np.array_equal(H._edge3, _edge3_table(H.coloring))
+    # once the context exits, graphs read the honest rules again
+    for G in (H, StepUpHypergraph(constant_coloring(4))):
+        assert check_k5_free(G) is None
+        assert np.array_equal(G._edge3, _edge3_table(G.coloring))
 
 
 def test_mutation_violation_found_for_random_seed_too():
@@ -492,21 +502,22 @@ def test_mutation_violation_found_for_random_seed_too():
     # classifier trips over
     H = StepUpHypergraph(sample_coloring(4, 5))
     assert check_k5_free(H) is None
-    v = check_k5_free(H, _flip_rule2=True)
+    with flipped_rule2():
+        v = check_k5_free(StepUpHypergraph(sample_coloring(4, 5)))
     assert v is not None and v.vertices == (0, 1, 2, 4, 8)
 
 
 def test_corrupted_engines_and_threads_agree():
-    H = StepUpHypergraph(constant_coloring(4))
-    by_pattern, _ = hg._check_k5_patterns(H, 15, True)
-    assert by_pattern.vertices == (0, 1, 2, 4, 8)
-    assert _scan_scalar_lex(H, 16, flip_rule2=True) == (0, 1, 2, 4, 8)
-    v = check_k5_free(H, _flip_rule2=True, threads=2)
-    assert v.vertices == (0, 1, 2, 4, 8)
-    assert check_k5_free(H, 15, _flip_rule2=True, threads=2) == by_pattern
-    # verdict direction: classify under the flip flags the corrupted edge
-    assert classify_4tuple(H, (0, 1, 2, 4), _flip_rule2=True) == (
-        EdgeRule.RULE_III, True)
+    with flipped_rule2():
+        H = StepUpHypergraph(constant_coloring(4))
+        by_pattern, _ = hg._check_k5_patterns(H, 15)
+        assert by_pattern.vertices == (0, 1, 2, 4, 8)
+        assert _scan_scalar_lex(H, 16) == (0, 1, 2, 4, 8)
+        v = check_k5_free(H, threads=2)
+        assert v.vertices == (0, 1, 2, 4, 8)
+        assert check_k5_free(H, 15, threads=2) == by_pattern
+        # verdict direction: the corrupted classifier flags the corrupted edge
+        assert classify_4tuple(H, (0, 1, 2, 4)) == (EdgeRule.RULE_III, True)
     assert classify_4tuple(H, (0, 1, 2, 4)) == (EdgeRule.RULE_I, False)
 
 
@@ -516,24 +527,27 @@ def test_violation_report_rejects_a_5set_the_classifier_clears():
     # error rather than an assert that python -O strips
     H = StepUpHypergraph(constant_coloring(4))
     with pytest.raises(EngineDisagreement, match=r"\(0, 1, 2, 4, 8\)") as exc:
-        hg._violation_report(H, (0, 1, 2, 4, 8), False)
+        hg._violation_report(H, (0, 1, 2, 4, 8))
     assert exc.value.vertices == (0, 1, 2, 4, 8)
 
 
-def test_corrupted_classifier_random_agreement():
-    # scalar corrupted classifier vs corrupted table, random tuples at D = 6
-    D = 6
-    H = graph(D, 2)
-    E3 = _edge3_table(H.coloring, flip_rule2=True)
-    rng = np.random.default_rng(4)
-    for _ in range(2000):
-        vs = np.sort(rng.choice(1 << D, size=4, replace=False))
-        vs = tuple(int(v) for v in vs)
-        d1 = (vs[0] ^ vs[1]).bit_length() - 1
-        d2 = (vs[1] ^ vs[2]).bit_length() - 1
-        d3 = (vs[2] ^ vs[3]).bit_length() - 1
-        want = bool(E3[(d1 * D + d2) * D + d3])
-        assert classify_4tuple(H, vs, _flip_rule2=True)[1] == want
+def test_edge_table_is_the_scalar_rules_on_every_genuine_triple():
+    # a genuine delta triple is one that some 4-tuple has: no two equal
+    # neighbours and no valley with d1 = d3; the table is False elsewhere
+    colorings = [coloring_from_mask(4, mask) for mask in range(64)]
+    colorings += [sample_coloring(D, seed)
+                  for D in range(5, 9) for seed in range(4)]
+    for phi in colorings:
+        D, C = phi.D, phi.as_matrix().tolist()
+        E3 = _edge3_table(phi).reshape(D, D, D)
+        genuine = 0
+        for a, b, c in np.ndindex(D, D, D):
+            if a != b and b != c and not (a > b < c and a == c):
+                assert E3[a, b, c] == _classify_deltas(a, b, c, C)[1]
+                genuine += 1
+            else:
+                assert not E3[a, b, c]
+        assert genuine == D * (D - 1) ** 2 - D * (D - 1) // 2
 
 
 # --- non-edge extraction from 5-sets ------------------------------------------
@@ -624,6 +638,18 @@ def test_is_independent_examples():
         is_independent(H, (0, 1, 2, 2, 5))
     with pytest.raises(BudgetExceeded):
         is_independent(H, range(12), budget=100)
+
+
+def test_is_independent_traps_a_non_edge_from_its_engine(monkeypatch):
+    # an engine bug that returns a non-edge must not be reported as a
+    # witness, with or without python -O
+    H = graph(5, 2)
+    vs = (0, 1, 2, 3)
+    assert not is_edge(H, vs)
+    monkeypatch.setattr(hg, "_first_edge", lambda H, q: vs)
+    with pytest.raises(EngineDisagreement, match=r"\(0, 1, 2, 3\)") as exc:
+        is_independent(H, range(8))
+    assert exc.value.vertices == vs
 
 
 def test_is_independent_agrees_with_bitmask_oracle():

@@ -225,6 +225,22 @@ def test_select_anchors_requires_full_stack():
         select_anchors(shallow, sample_coloring(10, seed=3))
 
 
+def test_select_anchors_traps_an_out_of_order_chain():
+    # a stack whose deltas break the anchor order is a proof gap, raised as
+    # a typed error with the chain rather than an assert that python -O
+    # strips
+    stack = build_layers(random_subset(12, 2000, seed=4), 5)
+    a = int(stack.layers[7][0])
+    stack.deltas[a] = 0
+    with pytest.raises(ProofGapTrap, match="anchor") as exc:
+        select_anchors(stack, sample_coloring(12, seed=3))
+    positions = exc.value.trace["positions"]
+    assert positions["a"] == a
+    assert exc.value.trace["deltas"] == {
+        k: int(stack.deltas[p]) for k, p in positions.items()}
+    assert exc.value.trace["deltas"]["a"] == 0
+
+
 # --- extract_edge -------------------------------------------------------------
 
 
