@@ -64,10 +64,13 @@ from .hypergraph import (
     exact_alpha,
     is_independent,
 )
+# extract_edge is not called here, but callers that wrap or patch the
+# witness functions by their cli names (perfbench's tracer) find it
 from .witness import (
     LayerStack,
     build_layers,
-    extract_edge,
+    extract_edge,  # noqa: F401
+    extract_with_layers,
     guarantee_threshold,
     load_q,
     random_subset,
@@ -94,22 +97,6 @@ def _default_threads() -> int:
     if value < 1:
         raise UsageError(f"STEPUP_THREADS must be >= 1, got {value}")
     return value
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
-        return x
-    return str(x)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -289,7 +276,7 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
     timings = report["timings"] = {}
     t0 = time.perf_counter()
     try:
-        witness = extract_edge(H, q, args.n)
+        witness, built = extract_with_layers(H, q, args.n)
     except ExtractorError as exc:
         timings["extract_s"] = round(time.perf_counter() - t0, 6)
         report["verdict"] = "ExtractionFailed"
@@ -311,7 +298,9 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
     report["witness"] = witness.as_dict()
     if args.check_star:
         t0 = time.perf_counter()
-        built = build_layers(q, args.n)
+        if built is None:
+            # a Q scanned directly has no layers yet
+            built = build_layers(q, args.n)
         if isinstance(built, LayerStack):
             star = verify_star_property(built)
             report["star_property"] = {
@@ -499,6 +488,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a value whose type is exactly one of these
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, float: _float_text,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): {None: "null"}.__getitem__}
+
+
+def _encode(x, indent: str = "") -> str:
+    """The text ``json.dumps(x, indent=2, sort_keys=True)`` gives, in one
+    walk of x.
+
+    Keys are made str and then sorted; when two keys give the same str,
+    the later value is kept.  Tuples are lists, numpy arrays are their
+    tolist(), numpy integers and floats are Python ones, and any other
+    object is written as the string str(x) (a numpy bool too).  The
+    standard encoder indents only in pure Python, and would need all of
+    that converted first, in a second walk.
+    """
+    scalar = _SCALAR_TEXT.get(type(x))
+    if scalar is not None:
+        return scalar(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        items = sorted({str(k): v for k, v in x.items()}.items())
+        texts = _encode_each([v for _, v in items], inner)
+        return ("{\n" + inner
+                + (",\n" + inner).join([_quote(k) + ": " + text for (k, _), text
+                                        in zip(items, texts)])
+                + "\n" + indent + "}")
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        return ("[\n" + inner + (",\n" + inner).join(_encode_each(x, inner))
+                + "\n" + indent + "]")
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, (int, np.integer)):
+        return int.__repr__(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _float_text(float(x))
+    if isinstance(x, np.ndarray):
+        return _encode(x.tolist(), indent)
+    return _quote(str(x))
+
+
+def _encode_each(values, indent: str) -> list[str]:
+    """_encode of each value; most are scalars of a _SCALAR_TEXT type, which
+    are written without a call of _encode."""
+    scalar_text = _SCALAR_TEXT.get
+    return [_encode(v, indent) if (scalar := scalar_text(type(v))) is None
+            else scalar(v) for v in values]
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
@@ -507,8 +562,7 @@ def _write_text(path: str, text: str) -> None:
 def _emit(args: argparse.Namespace, report: dict) -> None:
     """Encode the report once and write the files before stdout, so a file
     that cannot be written leaves stdout empty."""
-    report = _jsonable(report)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _encode(report) + "\n"
     out = text
     if args.command == "bench":
         buf = io.StringIO()

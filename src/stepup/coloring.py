@@ -354,20 +354,6 @@ def _recheck_counterexample(phi: PairColoring, bad: tuple[int, ...]) -> None:
             "disagree", vertices=bad, coloring=phi)
 
 
-def _certify_exact_scalar(phi: PairColoring, n: int) -> CertificationResult:
-    """Plain-python reference for the exact mode, used for cross-checks."""
-    D = phi.D
-    total = math.comb(D, n)
-    for count, subset in enumerate(combinations(range(D), n), start=1):
-        if find_good_triple(phi, subset) is None:
-            return CertificationResult(
-                verdict="Refuted", mode="Exact", D=D, n=n,
-                subsets_checked=count, total=total, counterexample=subset)
-    return CertificationResult(
-        verdict="Certified", mode="Exact", D=D, n=n,
-        subsets_checked=total, total=total)
-
-
 # --- annealing repair -------------------------------------------------------
 #
 # State: per-subset count of good triples (gc) for all binom(D, n) subsets,
@@ -507,14 +493,11 @@ def _pair_index_arr(a, b, D):
     return a.astype(np.int64) * D - a.astype(np.int64) * (a + 1) // 2 + (b - a - 1)
 
 
-_REPAIR_TABLE_CACHE: dict[tuple[int, int], _RepairTables] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _repair_tables(D: int, n: int) -> _RepairTables:
-    key = (D, n)
-    if key not in _REPAIR_TABLE_CACHE:
-        _REPAIR_TABLE_CACHE[key] = _RepairTables(D, n)
-    return _REPAIR_TABLE_CACHE[key]
+    """The annealer's tables for (D, n), built once and shared by every
+    search at that size."""
+    return _RepairTables(D, n)
 
 
 def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,

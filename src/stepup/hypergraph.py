@@ -28,8 +28,8 @@ below V.  The patterns over [0, L), as E3 indices with their realization
 ends, are tabled once per (D, L) and cached, so a check only gathers and
 ANDs.  Because edge3 depends only on the order type of its inputs and
 the colors among them, the 64 colorings at D = 4 cover every phi at
-every D.  A plain lexicographic scalar scan stays as the reference
-implementation.  The rules exist twice only: as the scalar core
+every D.  The tests keep a plain lexicographic scan of 5-sets as the
+reference engine.  The rules exist twice only: as the scalar core
 _classify_deltas and as the D^3 delta-triple table _edge3_table, which
 agree on every triple that a 4-tuple has.
 
@@ -277,39 +277,6 @@ def _edge3_table(phi: PairColoring) -> np.ndarray:
     e_rule2 = valley & (a > c) & (pab == pac) & (pab != pbc)
     e_rule3 = valley & (a < c) & (pab == pac) & (pac == pbc)
     return (e_mono | e_rule2 | e_rule3).reshape(-1)
-
-
-def _scan_scalar_lex(H: StepUpHypergraph, V: int) -> Optional[tuple]:
-    """Reference engine: lexicographic 5-set scan with early exit.
-
-    Consecutive deltas are computed per enumeration prefix.  Returns the
-    first 5-set whose four-subsets are all edges, or None.
-    """
-    D = H.D
-    E3 = H._edge3.tolist()
-
-    def edge3(d1, d2, d3) -> bool:
-        return E3[(d1 * D + d2) * D + d3]
-
-    for v1 in range(V - 4):
-        for v2 in range(v1 + 1, V - 3):
-            d12 = (v1 ^ v2).bit_length() - 1
-            for v3 in range(v2 + 1, V - 2):
-                d23 = (v2 ^ v3).bit_length() - 1
-                d13 = max(d12, d23)
-                for v4 in range(v3 + 1, V - 1):
-                    d34 = (v3 ^ v4).bit_length() - 1
-                    if not edge3(d12, d23, d34):
-                        continue
-                    d24 = max(d23, d34)
-                    for v5 in range(v4 + 1, V):
-                        d45 = (v4 ^ v5).bit_length() - 1
-                        if (edge3(d23, d34, d45)
-                                and edge3(d13, d34, d45)
-                                and edge3(d12, d24, d45)
-                                and edge3(d12, d23, max(d34, d45))):
-                            return (v1, v2, v3, v4, v5)
-    return None
 
 
 def delta_patterns(D: int):

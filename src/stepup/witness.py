@@ -52,6 +52,7 @@ __all__ = [
     "edge_from_monotone_run",
     "select_anchors",
     "extract_edge",
+    "extract_with_layers",
     "verify_star_property",
     "guarantee_threshold",
     "random_subset",
@@ -466,7 +467,20 @@ def extract_edge(H: StepUpHypergraph, Q, n: int) -> EdgeWitness:
     anchors give the candidate chain; the first candidate passing is_edge
     wins.  Failure on Q of at least (2n)^7 + 1 vertices with a certified
     coloring is impossible, so it raises the ProofGapTrap bug trap instead
-    of NeedMoreVertices.
+    of NeedMoreVertices.  The witness holds no array: the layers are freed
+    on return (extract_with_layers keeps them).
+    """
+    return extract_with_layers(H, Q, n)[0]
+
+
+def extract_with_layers(
+        H: StepUpHypergraph, Q, n: int,
+) -> tuple[EdgeWitness, Union[LayerStack, MonotoneRun, None]]:
+    """extract_edge, also handing back what build_layers built on the way.
+
+    The second item is the LayerStack the anchor chain was read from, the
+    MonotoneRun that was mapped to the edge, or None when Q was small
+    enough to be scanned directly and nothing was built.
     """
     q = _as_vertex_array(Q)
     if q.size and int(q[-1]) >= H.vertex_count:
@@ -487,7 +501,7 @@ def extract_edge(H: StepUpHypergraph, Q, n: int) -> EdgeWitness:
                 f"|Q| = {q.size} is below the direct-scan threshold and "
                 "spans no edge", trace={"size": int(q.size)})
         wit.trace = {"path": "small-q scan"}
-        return wit
+        return wit, None
 
     try:
         built = build_layers(q, n)
@@ -500,7 +514,7 @@ def extract_edge(H: StepUpHypergraph, Q, n: int) -> EdgeWitness:
             f"layering failed: {exc}", trace=exc.trace) from exc
 
     if isinstance(built, MonotoneRun):
-        return edge_from_monotone_run(H, q, built)
+        return edge_from_monotone_run(H, q, built), built
 
     stack = built
     anchors = select_anchors(stack, H.coloring)
@@ -521,7 +535,7 @@ def extract_edge(H: StepUpHypergraph, Q, n: int) -> EdgeWitness:
                      "anchors": anchors.as_dict(),
                      "candidates": tested}
             return _edge_witness_for(H, vs, branch="AnchorChainBranch",
-                                     candidate_index=k, trace=trace)
+                                     candidate_index=k, trace=trace), stack
     dump = {"stack": stack.as_dict(), "anchors": anchors.as_dict(),
             "candidates": tested}
     if guaranteed:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepup.hypergraph as hg
 from stepup import cli
@@ -23,9 +25,15 @@ from stepup.coloring import (
     save_coloring,
     search_certified_coloring,
 )
-from stepup.errors import EngineDisagreement, ProofGapTrap
+from stepup.errors import EngineDisagreement, InsufficientLayers, ProofGapTrap
 from stepup.hypergraph import AlphaResult, StepUpHypergraph, exact_alpha, is_edge
-from stepup.witness import extract_edge, random_subset, save_q
+from stepup.witness import (
+    build_layers,
+    extract_with_layers,
+    random_subset,
+    save_q,
+    verify_star_property,
+)
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -181,6 +189,59 @@ def test_extract_witness_check_star(capsys, certified12_file, tmp_path):
     assert rep["star_property"]["ok"] is True
 
 
+def test_check_star_verifies_the_extractions_own_layers(capsys,
+                                                        certified12_file,
+                                                        monkeypatch):
+    def no_rebuild(q, n):
+        raise AssertionError("the star check rebuilt the layers")
+
+    monkeypatch.setattr(cli, "build_layers", no_rebuild)
+    argv = ["extract-witness", "--coloring", certified12_file, "--n", "5",
+            "--q-size", "2000", "--check-star"]
+    for q_seed, branch in ((4, "AnchorChainBranch"), (1, "MonotoneRunBranch")):
+        code, rep = run_json(capsys, argv + ["--q-seed", str(q_seed)])
+        assert code == 0 and rep["witness"]["branch"] == branch
+        q = random_subset(12, 2000, derive_seed(q_seed, "q"))
+        built = build_layers(q, 5)
+        if branch == "AnchorChainBranch":
+            star = verify_star_property(built)
+            assert star.ok and rep["star_property"] == {
+                "ok": True, "checks": star.checks, "counterexample": None}
+        else:
+            assert rep["witness"]["trace"]["run"] == built.as_dict()
+            assert rep["star_property"] == {
+                "ok": True, "note": "monotone run, no stack built"}
+
+
+def test_check_star_builds_layers_for_a_directly_scanned_q(capsys,
+                                                           certified12_file,
+                                                           monkeypatch):
+    # |Q| <= SMALL_Q_DIRECT is scanned without layers, so the star check
+    # builds them, with the errors build_layers gives
+    calls = []
+
+    def counting(q, n):
+        calls.append(int(q.size))
+        return build_layers(q, n)
+
+    monkeypatch.setattr(cli, "build_layers", counting)
+    argv = ["extract-witness", "--coloring", certified12_file, "--q-seed", "0",
+            "--check-star"]
+    code, rep = run_json(capsys, argv + ["--n", "3", "--q-size", "20"])
+    assert code == 0 and rep["witness"]["branch"] == "DirectScanBranch"
+    assert rep["star_property"] == {"ok": True,
+                                    "note": "monotone run, no stack built"}
+    assert calls == [20]
+    with pytest.raises(InsufficientLayers) as info:
+        build_layers(random_subset(12, 24, derive_seed(0, "q")), 5)
+    code, out, err = run_raw(capsys, argv + ["--n", "5", "--q-size", "24"])
+    assert code == 2 and out == ""
+    assert err == f"error: InsufficientLayers: {info.value}\n"
+    assert err.startswith("error: InsufficientLayers: layer 4 came out empty: "
+                          "|Q| = 24 cannot sustain depth 7")
+    assert calls == [20, 24]
+
+
 def test_extract_witness_reports_stage_timings(capsys, certified12_file,
                                                tmp_path):
     qpath = tmp_path / "q.bin"
@@ -321,9 +382,10 @@ def test_bound_command_matches_library(capsys):
 
 
 def test_bench_emits_fixed_csv_schema(capsys, tmp_path):
-    csv_path = tmp_path / "bench.csv"
+    csv_path, report = tmp_path / "bench.csv", tmp_path / "bench.json"
     code = main(["bench", "--bits", "4", "--threads", "2", "--q-bits", "16",
-                 "--q-size", "20000", "--csv", str(csv_path)])
+                 "--q-size", "20000", "--csv", str(csv_path),
+                 "--report", str(report)])
     out = capsys.readouterr().out
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -332,6 +394,15 @@ def test_bench_emits_fixed_csv_schema(capsys, tmp_path):
     k5 = [r for r in rows[1:] if r[0] == "k5-sweep"]
     assert len(k5) == 2 and k5[0][6] == k5[1][6]
     assert csv_path.read_text() == out
+    # the CSV holds the rows as the JSON report writes them
+    rep = json.loads(report.read_text())
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rep["columns"])
+    writer.writerows(rep["rows"])
+    assert out == buf.getvalue()
+    assert report.read_text() == json.dumps(rep, indent=2,
+                                            sort_keys=True) + "\n"
 
 
 def test_bench_k5_rows_count_the_patterns_checked(capsys):
@@ -436,13 +507,113 @@ def test_reports_reproduce_modulo_timings(capsys, certified12_file, tmp_path):
         assert code1 == code2 and rep1 == rep2, argv
 
 
-def test_report_file_matches_stdout(capsys, tmp_path):
-    report_path = tmp_path / "report.json"
-    code, out, err = run_raw(capsys, ["steiner", "--n", "20", "--seed", "3",
-                                      "--report", str(report_path)])
-    assert code == 0 and err == ""
-    assert report_path.read_bytes() == out.encode()
-    assert json.loads(report_path.read_text()) == json.loads(out)
+def test_report_file_matches_stdout(capsys, certified12_file, tmp_path):
+    # every subcommand but bench (CSV on stdout), and both outcomes: the
+    # report file holds stdout's bytes, the standard indented encoding
+    qpath = tmp_path / "q.bin"
+    save_q(random_subset(12, 20, seed=5), 12, qpath)
+    extract = ["extract-witness", "--coloring", certified12_file, "--n", "5"]
+    argvs = [
+        ["gen-coloring", "--bits", "8", "--seed", "3",
+         "--out", str(tmp_path / "g.bin")],
+        ["gen-coloring", "--bits", "16", "--seed", "0", "--search", "--n", "5",
+         "--attempts", "1", "--out", str(tmp_path / "s.bin")],
+        ["verify-coloring", "--coloring", certified12_file, "--n", "5"],
+        ["verify-coloring", "--bits", "10", "--seed", "1", "--n", "5",
+         "--samples", "100"],
+        ["check-k5", "--bits", "3", "--all-colorings"],
+        ["check-k5", "--bits", "7", "--seed", "1"],
+        ["alpha", "--bits", "12", "--seed", "0"],
+        ["independent", "--bits", "5", "--seed", "2", "--vertices", "0,1,2,3"],
+        ["independent", "--coloring", certified12_file, "--q-file", str(qpath)],
+        extract + ["--q-seed", "4", "--q-size", "2000", "--check-star"],
+        extract + ["--q-seed", "1", "--q-size", "2000", "--check-star"],
+        extract + ["--q-file", str(qpath)],
+        ["extract-witness", "--bits", "12", "--seed", "1", "--n", "5",
+         "--q-seed", "3", "--q-size", "30"],
+        ["steiner", "--n", "20", "--seed", "3"],
+        ["bound", "--bits", "10", "--n", "5", "--cprime", "0.08"],
+    ]
+    report = tmp_path / "report.json"
+    codes = set()
+    for argv in argvs:
+        code, out, err = run_raw(capsys, argv + ["--report", str(report)])
+        codes.add(code)
+        assert err == "" and report.read_bytes() == out.encode(), argv
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n", argv
+    assert codes == {0, 1}
+
+
+# Values paired with their plain copies: what the standard encoder is
+# given once numpy values, tuples and other objects are converted.
+def _same(strategy):
+    return strategy.map(lambda v: (v, v))
+
+
+_SCALARS = st.one_of(
+    _same(st.none()), _same(st.booleans()), _same(st.integers(-2 ** 70, 2 ** 70)),
+    _same(st.floats()), _same(st.text(max_size=6)),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(lambda v: (np.int64(v), v)),
+    st.integers(0, 255).map(lambda v: (np.uint8(v), v)),
+    st.floats().map(lambda v: (np.float64(v), v)),
+    st.floats(width=32).map(lambda v: (np.float32(v), float(np.float32(v)))),
+    st.booleans().map(lambda v: (np.bool_(v), str(v))),
+    st.fractions().map(lambda v: (v, str(v))),
+    st.lists(st.integers(-2 ** 31, 2 ** 31), max_size=4).map(
+        lambda v: (np.array(v, dtype=np.int64), v)),
+    st.lists(st.booleans(), max_size=4).map(
+        lambda v: (np.array(v, dtype=bool), v)),
+    st.lists(st.floats(), max_size=4).map(
+        lambda v: (np.array(v, dtype=np.float64), v)),
+    st.lists(st.integers(-9, 9), max_size=3).map(
+        lambda v: (np.array([v, v], dtype=np.int16), [v, v])),
+)
+_KEYS = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans(),
+                  st.none(), st.floats(width=16))
+
+
+def _as_dict(pairs):
+    # keys equal as Python values (1, 1.0, True) share one entry; of keys
+    # with the same str, the last one's value is kept
+    value, plain_of = {}, {}
+    for key, (v, p) in pairs:
+        value[key] = v
+        plain_of[key] = p
+    return value, {str(k): plain_of[k] for k in value}
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(
+            lambda kids: ([v for v, _ in kids], [p for _, p in kids])),
+        st.lists(children, max_size=4).map(
+            lambda kids: (tuple(v for v, _ in kids), [p for _, p in kids])),
+        st.lists(st.tuples(_KEYS, children), max_size=4).map(_as_dict),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=24))
+def test_encoder_writes_what_json_dumps_writes_for_a_plain_copy(pair):
+    value, plain = pair
+    assert cli._encode(value) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def test_encoder_edge_values():
+    value = {"b": True, "i": 1, "n": np.int8(1), "f": np.float32(0.1),
+             "x": [float("nan"), float("inf"), -float("inf"), -0.0],
+             "s": "é☃\n\"/", "e": [[], {}, ()], 2: (None,),
+             "2": "kept", "a": np.array([[1, 2], [3, 4]], dtype=np.uint8)}
+    assert cli._encode(value) == "\n".join([
+        '{', '  "2": "kept",',
+        '  "a": [', '    [', '      1,', '      2', '    ],',
+        '    [', '      3,', '      4', '    ]', '  ],',
+        '  "b": true,', '  "e": [', '    [],', '    {},', '    []', '  ],',
+        '  "f": 0.10000000149011612,', '  "i": 1,', '  "n": 1,',
+        '  "s": "\\u00e9\\u2603\\n\\"/",',
+        '  "x": [', '    NaN,', '    Infinity,', '    -Infinity,', '    -0.0',
+        '  ]', '}'])
 
 
 def test_directory_as_coloring_file_exits_two(capsys, tmp_path):
@@ -478,8 +649,8 @@ def test_witness_outside_q_is_a_proof_gap_trap(capsys, certified12_file,
     full = random_subset(12, 2000, seed=4)
     qpath = tmp_path / "q.bin"
     save_q(full[full != 767], 12, qpath)
-    monkeypatch.setattr(cli, "extract_edge",
-                        lambda H, q, n: extract_edge(H, full, n))
+    monkeypatch.setattr(cli, "extract_with_layers",
+                        lambda H, q, n: extract_with_layers(H, full, n))
     argv = ["extract-witness", "--coloring", certified12_file, "--n", "5",
             "--q-file", str(qpath)]
     code, out, err = run_raw(capsys, argv)

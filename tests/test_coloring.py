@@ -9,11 +9,11 @@ import pytest
 
 from stepup.coloring import (
     BLUE,
+    CertificationResult,
     RED,
     PairColoring,
     _repair_tables,
     _all_triples,
-    _certify_exact_scalar,
     _greedy_pairs,
     _greedy_scalar,
     _triple_pairs,
@@ -47,6 +47,21 @@ def coloring_from_mask(D, mask):
     npairs = D * (D - 1) // 2
     bits = np.array([(mask >> i) & 1 for i in range(npairs)], dtype=np.uint8)
     return PairColoring(D, bits)
+
+
+def _certify_exact_scalar(phi: PairColoring, n: int) -> CertificationResult:
+    """Reference for certify_good_property's exact mode: every n-subset
+    in lexicographic order, each scanned by find_good_triple."""
+    D = phi.D
+    total = math.comb(D, n)
+    for count, subset in enumerate(combinations(range(D), n), start=1):
+        if find_good_triple(phi, subset) is None:
+            return CertificationResult(
+                verdict="Refuted", mode="Exact", D=D, n=n,
+                subsets_checked=count, total=total, counterexample=subset)
+    return CertificationResult(
+        verdict="Certified", mode="Exact", D=D, n=n,
+        subsets_checked=total, total=total)
 
 
 def test_pair_index_is_lexicographic_rank():

@@ -30,7 +30,6 @@ from stepup.hypergraph import (
     StepUpHypergraph,
     _classify_deltas,
     _edge3_table,
-    _scan_scalar_lex,
     check_k5_free,
     classify_4tuple,
     delta_patterns,
@@ -199,6 +198,40 @@ def test_monotone_edges_match_good_triple_oracle():
 
 
 # --- K5(4)-freeness -----------------------------------------------------------
+
+def _scan_scalar_lex(H: StepUpHypergraph, V: int) -> tuple | None:
+    """Reference engine for check_k5_free: lexicographic 5-set scan with
+    early exit.
+
+    Consecutive deltas are computed per enumeration prefix.  Returns the
+    first 5-set whose four-subsets are all edges, or None.
+    """
+    D = H.D
+    E3 = H._edge3.tolist()
+
+    def edge3(d1, d2, d3) -> bool:
+        return E3[(d1 * D + d2) * D + d3]
+
+    for v1 in range(V - 4):
+        for v2 in range(v1 + 1, V - 3):
+            d12 = (v1 ^ v2).bit_length() - 1
+            for v3 in range(v2 + 1, V - 2):
+                d23 = (v2 ^ v3).bit_length() - 1
+                d13 = max(d12, d23)
+                for v4 in range(v3 + 1, V - 1):
+                    d34 = (v3 ^ v4).bit_length() - 1
+                    if not edge3(d12, d23, d34):
+                        continue
+                    d24 = max(d23, d34)
+                    for v5 in range(v4 + 1, V):
+                        d45 = (v4 ^ v5).bit_length() - 1
+                        if (edge3(d23, d34, d45)
+                                and edge3(d13, d34, d45)
+                                and edge3(d12, d24, d45)
+                                and edge3(d12, d23, max(d34, d45))):
+                            return (v1, v2, v3, v4, v5)
+    return None
+
 
 def test_k5_free_d3_all_colorings_both_engines():
     assert math.comb(8, 5) == 56

@@ -40,6 +40,7 @@ from stepup.witness import (
     build_layers,
     edge_from_monotone_run,
     extract_edge,
+    extract_with_layers,
     guarantee_threshold,
     load_q,
     random_subset,
@@ -322,6 +323,44 @@ def test_extract_is_deterministic(certified12):
     w1 = extract_edge(certified12, q, 5)
     w2 = extract_edge(certified12, q, 5)
     assert w1.as_dict() == w2.as_dict()
+
+
+def _holds_an_array(x) -> bool:
+    if isinstance(x, np.ndarray):
+        return True
+    if isinstance(x, dict):
+        return any(_holds_an_array(v) for v in x.values())
+    if isinstance(x, (list, tuple)):
+        return any(_holds_an_array(v) for v in x)
+    return False
+
+
+def test_extraction_hands_back_what_it_built(certified12):
+    # the stack the anchor chain was read from, the run that was mapped,
+    # and nothing for a direct scan, each as build_layers builds it anew
+    for q, kind in ((random_subset(12, 2000, seed=4), LayerStack),
+                    (random_subset(12, 100, seed=6), MonotoneRun),
+                    (random_subset(12, 20, seed=0), type(None))):
+        wit, built = extract_with_layers(certified12, q, 5)
+        assert type(built) is kind
+        assert wit.as_dict() == extract_edge(certified12, q, 5).as_dict()
+        assert not _holds_an_array(vars(wit))
+        if kind is type(None):
+            assert wit.branch == "DirectScanBranch"
+            continue
+        fresh = build_layers(q, 5)
+        if kind is MonotoneRun:
+            assert built == fresh and wit.trace["run"] == built.as_dict()
+            continue
+        assert np.array_equal(built.q, q) and np.array_equal(built.deltas,
+                                                              fresh.deltas)
+        assert built.layers[0] is None and built.parents[:2] == [None, None]
+        for t in range(1, len(fresh.layers)):
+            assert np.array_equal(built.layers[t], fresh.layers[t])
+        for t in range(2, len(fresh.parents)):
+            assert np.array_equal(built.parents[t], fresh.parents[t])
+        assert verify_star_property(built) == verify_star_property(fresh)
+        assert wit.trace["stack"] == built.as_dict()
 
 
 def test_interval_q_full_scale_anchor_chain():
