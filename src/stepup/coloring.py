@@ -759,19 +759,6 @@ def _all_triples(n: int) -> np.ndarray:
                      tk.astype(np.int32)], axis=1)
 
 
-def _greedy_scalar(triples: np.ndarray, n: int) -> list[int]:
-    """Reference greedy: accept a triple iff its three pairs are unused."""
-    used = set()
-    out = []
-    for row, (a, b, c) in enumerate(triples.tolist()):
-        pairs = ((a, b), (a, c), (b, c))
-        if any(p in used for p in pairs):
-            continue
-        used.update(pairs)
-        out.append(row)
-    return out
-
-
 def _triple_pairs(triples: np.ndarray, n: int) -> np.ndarray:
     """Pair indices (ab, ac, bc) of each sorted triple (a, b, c)."""
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -790,8 +777,9 @@ def _triple_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _greedy_pairs(pid: np.ndarray, n: int) -> list[int]:
-    """Chunked greedy on the rows' pair indices (_triple_pairs), equivalent
-    to _greedy_scalar on the same triple order."""
+    """Chunked greedy on the rows' pair indices (_triple_pairs): accept a
+    row iff its three pairs are unused, in row order.  tests/test_coloring.py
+    holds the plain reference, _greedy_scalar."""
     npairs = n * (n - 1) // 2
     used = np.zeros(npairs, dtype=bool)
     accepted: list[int] = []

@@ -106,19 +106,17 @@ class LayerStack:
 
     layers[0] is every position; layers[t] holds the positions of delta
     values that are strict local maxima with respect to layers[t-1].
-    layers[0] may be None, meaning every position in [0, deltas.size)
-    without storing them, as build_layers leaves it; layer(t) gives any
-    layer as an array.  beta
-    keeps the targets (m-1)/(2n)^t as diagnostics only: the all-maxima
-    policy makes each layer a superset of the first-beta_t prefix the
-    counting argument reasons about, and observed sizes are recorded, not
-    asserted.  parents holds for t >= 2 the index of each position of
-    layers[t] within layers[t-1], as build_layers records them (layer-1
-    positions are their own indices in an implicit layer 0).
-    verify_star_property checks them before relying on them; it checks a
+    build_layers leaves layers[0] as None, meaning every position in
+    [0, deltas.size) without storing them.  beta keeps the targets
+    (m-1)/(2n)^t as diagnostics only: the all-maxima policy makes each
+    layer a superset of the first-beta_t prefix the counting argument
+    reasons about, and observed sizes are recorded, not asserted.
+    parents holds for t >= 2 the index of each position of layers[t]
+    within layers[t-1], as build_layers records them (layer-1 positions
+    are their own indices in an implicit layer 0).  verify_star_property
+    checks them before relying on them, and raises InvalidParams on a
     stack with an explicit layer 0, with a missing or stale parents row,
-    or with a peak of some layer's deltas left out of the layer above
-    against the deltas directly.
+    or with a layer that does not strictly increase inside the one below.
     """
 
     q: np.ndarray
@@ -127,13 +125,6 @@ class LayerStack:
     n: int
     beta: tuple[float, ...]
     parents: Optional[list] = None
-
-    def layer(self, t: int) -> np.ndarray:
-        """Layer t as a position array, materialising an implicit layer 0."""
-        found = self.layers[t]
-        if found is None:
-            return np.arange(self.deltas.size, dtype=np.int32)
-        return found
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -547,107 +538,13 @@ def extract_with_layers(
         f"guarantee threshold {guarantee_threshold(n)}", trace=dump)
 
 
-def verify_star_property(stack: LayerStack) -> PropertyReport:
-    """Check per-layer domination and dropped-element dominance.
-
-    Within any layer t >= 1, consecutive positions a < b must have
-    distinct deltas and dominate everything strictly between them.
-    Between layers, an element of layer t absent from layer t+1 must
-    still dominate the closed interval spanned by its layer t-1
-    neighbors.
-
-    A stack of the shape build_layers makes (see _nesting) is checked
-    layer on layer: each layer from the deltas of the layer below at its
-    own indices and at their two neighbors (see _star_nested).  Any other
-    stack, such as one built by hand with an explicit layer 0 or without
-    parents, and any stack whose deltas have a peak that the layer above
-    leaves out (only corrupted deltas do), is checked against the deltas
-    directly by _star_direct.  Both give the same report.
-    """
-    locs = _nesting(stack)
-    report = None if locs is None else _star_nested(stack, locs)
-    return _star_direct(stack) if report is None else report
-
-
-def _star_direct(stack: LayerStack) -> PropertyReport:
-    deltas = stack.deltas
-    dpad = np.concatenate([deltas, np.array([-1], dtype=deltas.dtype)])
-    checks = {"star_pairs": 0, "drop_dominance": 0}
-
-    def fail(info):
-        return PropertyReport(ok=False, checks=checks, counterexample=info)
-
-    for t in range(1, len(stack.layers)):
-        P = stack.layers[t]
-        if P.size >= 2:
-            a, b = P[:-1].astype(np.int64), P[1:].astype(np.int64)
-            checks["star_pairs"] += int(a.size)
-            equal = deltas[a] == deltas[b]
-            if equal.any():
-                k = int(np.argmax(equal))
-                return fail({"check": "star", "layer": t,
-                             "left": int(a[k]), "right": int(b[k]),
-                             "reason": "equal deltas"})
-            idx = np.empty(2 * a.size, dtype=np.int64)
-            idx[0::2] = a + 1
-            idx[1::2] = b
-            interior = np.maximum.reduceat(dpad, idx)[0::2]
-            gap = b > a + 1
-            bound = np.maximum(deltas[a], deltas[b])
-            bad = gap & (interior >= bound)
-            if bad.any():
-                k = int(np.argmax(bad))
-                lo, hi = int(a[k]), int(b[k])
-                x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
-                return fail({"check": "star", "layer": t, "left": lo,
-                             "right": hi, "position": x,
-                             "reason": "interior delta not dominated"})
-        nxt = stack.layers[t + 1] if t + 1 < len(stack.layers) else P[:0]
-        drop = np.setdiff1d(P, nxt, assume_unique=True).astype(np.int64)
-        if drop.size == 0:
-            continue
-        prev = stack.layer(t - 1)
-        loc = np.searchsorted(prev, drop)
-        if (loc == 0).any() or (loc >= prev.size - 1).any():
-            k = int(np.argmax((loc == 0) | (loc >= prev.size - 1)))
-            return fail(_boundary_failure(t, int(drop[k])))
-        jm = prev[loc - 1].astype(np.int64)
-        jp = prev[loc + 1].astype(np.int64)
-        checks["drop_dominance"] += int(drop.size)
-        idx = np.empty(4 * drop.size, dtype=np.int64)
-        idx[0::4] = jm
-        idx[1::4] = drop
-        idx[2::4] = drop + 1
-        idx[3::4] = jp + 1
-        red = np.maximum.reduceat(dpad, idx)
-        flank = np.maximum(red[0::4], red[2::4])
-        bad = flank >= deltas[drop]
-        if bad.any():
-            k = int(np.argmax(bad))
-            return fail(_flank_failure(t, int(drop[k]), int(jm[k]),
-                                       int(jp[k])))
-    return PropertyReport(ok=True, checks=checks, counterexample=None)
-
-
-def _boundary_failure(t: int, pos: int) -> dict:
-    return {"check": "drop_dominance", "layer": t, "position": pos,
-            "reason": "element not interior to layer below"}
-
-
-def _flank_failure(t: int, pos: int, left: int, right: int) -> dict:
-    return {"check": "drop_dominance", "layer": t, "position": pos,
-            "left": left, "right": right,
-            "reason": "neighborhood not dominated"}
-
-
-# --- nested star check --------------------------------------------------------
+# --- star property ------------------------------------------------------------
 #
 # Layers are checked bottom-up, so when layer t is read, layer t-1 already
 # has the star property: every delta strictly between its positions k and
 # k+1 is below max(d[k], d[k+1]), where d holds layer t-1's deltas at its
-# own indices.  Two facts follow, and with them layer t is checked from d
-# at its own indices and at their two neighbors, never from the full delta
-# sequence or from the gaps between positions.
+# own indices.  Three facts follow, and with them layer t is checked from
+# d, never from the full delta sequence.
 #
 # - A dropped element at index l dominates its flanks (every delta from
 #   the position of l-1 to that of l+1) iff d[l-1] < d[l] > d[l+1].
@@ -657,74 +554,40 @@ def _flank_failure(t: int, pos: int, left: int, right: int) -> dict:
 #   property of layer t-1 dominates the deltas between them; for j > i+1
 #   the largest of d[i+1..j-1] is no peak, so it is d[i+1] or d[j-1] and
 #   below d[i] or d[j] in turn, which dominates the deltas in between.
+# - A delta strictly between the positions of i and j reaches
+#   max(d[i], d[j]) iff some d[k], i < k < j, does: a delta between the
+#   positions of k and k+1 is below max(d[k], d[k+1]), so a k reaching it
+#   is neither i nor j.  So a failing pair is found from d alone, and only
+#   a peak left out of layer t (only corrupted deltas leave one out) makes
+#   the check look for one.
 
 
-def _nesting(stack: LayerStack) -> Optional[list[np.ndarray]]:
-    """Index of every layer's positions inside the layer below, or None.
+def verify_star_property(stack: LayerStack) -> PropertyReport:
+    """Check per-layer domination and dropped-element dominance.
 
-    Only a stack of the shape build_layers makes has them: an implicit
-    layer 0 (None), so that layer-1 positions are their own indices; a
-    layer 1 that strictly increases inside [0, deltas.size); and for
-    every t >= 2 a recorded integer parents[t] that strictly increases
-    inside layer t-1 and picks layer t out of it.  Any other stack gets
-    None.
+    Within any layer t >= 1, consecutive positions a < b must have
+    distinct deltas and dominate everything strictly between them.
+    Between layers, an element of layer t absent from layer t+1 must
+    still dominate the closed interval spanned by its layer t-1
+    neighbors.  The first failure is reported, layer by layer in that
+    order of checks; its position, for an undominated interior, is the
+    first largest delta between the pair.
+
+    The stack must have the shape build_layers makes (see _nesting), and
+    any other raises InvalidParams.  Layer t is checked from the deltas
+    of layer t-1 at the indices of layer t and at their two neighbors
+    (see the note above), in slices of _STAR_CHUNK elements, keeping the
+    first failure of every kind.  This is an induction on t: a failure in
+    layer t-1 is reported before layer t is read.  Counting the peaks of
+    layer t-1 inside layer t stands in for the interior check.  A
+    build_layers stack has every peak in the layer above, since its
+    layers hold every strict local maximum and a peak that is not strict
+    has an equal neighbor, which the equal-deltas check of layer t-1
+    rules out (in layer 0, delta(x, y) != delta(y, z) for x < y < z).
+    When the count falls short, the first failing pair, if any, is found
+    by a maximum over d between consecutive indices.
     """
-    layers, parents, deltas = stack.layers, stack.parents, stack.deltas
-    if layers[0] is not None:
-        return None
-    locs = [None]
-    for t in range(1, len(layers)):
-        P, loc, bound = layers[t], layers[t], deltas.size
-        if t > 1:
-            loc = parents[t] if parents and t < len(parents) else None
-            bound = layers[t - 1].size
-        if not (isinstance(loc, np.ndarray) and loc.dtype.kind in "iu"
-                and loc.shape == P.shape):
-            return None
-        if loc.size and not (loc[0] >= 0 and loc[-1] < bound
-                             and (loc[1:] > loc[:-1]).all()
-                             and (t == 1 or (layers[t - 1][loc] == P).all())):
-            return None
-        locs.append(loc)
-    return locs
-
-
-_STAR_CHUNK = 1 << 14  # sublayer elements per slice of the nested check
-
-
-def _peak_count(d: np.ndarray) -> int:
-    """Interior indices k with d[k] >= d[k-1] and d[k] >= d[k+1]."""
-    count = 0
-    for s in range(1, d.size - 1, _SCAN_CHUNK):
-        e = min(s + _SCAN_CHUNK, d.size - 1)
-        mid = d[s:e]
-        count += int(np.count_nonzero((mid >= d[s - 1:e - 1])
-                                      & (mid >= d[s + 1:e + 1])))
-    return count
-
-
-def _first(flags: np.ndarray) -> int:
-    return int(np.argmax(flags)) if flags.any() else -1
-
-
-def _star_nested(stack: LayerStack,
-                 locs: list[np.ndarray]) -> Optional[PropertyReport]:
-    """verify_star_property for a stack _nesting accepts, or None.
-
-    Layer t is checked from the deltas of layer t-1 at the indices of
-    layer t and at their two neighbors (see the note above), in slices of
-    _STAR_CHUNK elements, keeping the first failure of every kind; these
-    are then reported in the order the direct scan checks them.  This is
-    an induction on t: a failure in layer t-1 is reported before layer t
-    is read.  Counting the peaks of layer t-1 inside and outside layer t
-    stands in for the interior check.  A build_layers stack has every
-    peak in the layer above, since its layers hold every strict local
-    maximum and a peak that is not strict has an equal neighbor, which
-    the equal-deltas check of layer t-1 rules out (in layer 0,
-    delta(x, y) != delta(y, z) for x < y < z).  On any other stack an
-    equal-deltas failure of layer t is still reported; a peak outside
-    layer t then gives None, and the caller runs the direct scan.
-    """
+    locs = _nesting(stack)
     deltas, layers = stack.deltas, stack.layers
     checks = {"star_pairs": 0, "drop_dominance": 0}
 
@@ -772,7 +635,13 @@ def _star_nested(stack: LayerStack,
                          "left": int(P[equal]), "right": int(P[equal + 1]),
                          "reason": "equal deltas"})
         if peaks != _peak_count(d):
-            return None
+            k = _first_undominated_pair(d, loc)
+            if k >= 0:
+                lo, hi = int(P[k]), int(P[k + 1])
+                x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
+                return fail({"check": "star", "layer": t, "left": lo,
+                             "right": hi, "position": x,
+                             "reason": "interior delta not dominated"})
         n_drop = P.size - kept.size
         if n_drop:
             # only the ends can lack a neighbor below
@@ -787,9 +656,94 @@ def _star_nested(stack: LayerStack,
                 # an implicit layer 0 is indexed by position
                 left, right = ((k - 1, k + 1) if below is None
                                else (int(below[k - 1]), int(below[k + 1])))
-                return fail(_flank_failure(t, int(P[flank]), left, right))
+                return fail({"check": "drop_dominance", "layer": t,
+                             "position": int(P[flank]), "left": left,
+                             "right": right,
+                             "reason": "neighborhood not dominated"})
         d = dP
     return PropertyReport(ok=True, checks=checks, counterexample=None)
+
+
+def _boundary_failure(t: int, pos: int) -> dict:
+    return {"check": "drop_dominance", "layer": t, "position": pos,
+            "reason": "element not interior to layer below"}
+
+
+def _nesting(stack: LayerStack) -> list:
+    """Index of every layer's positions inside the layer below.
+
+    Only build_layers' shape is accepted: an implicit layer 0 (None), so
+    that layer-1 positions are their own indices; a layer 1 of integer
+    positions that strictly increases inside [0, deltas.size); and for
+    every t >= 2 a recorded integer parents[t] that strictly increases
+    inside layer t-1 and picks layer t out of it.  Any other stack raises
+    InvalidParams naming the first layer out of shape.
+    """
+    layers, parents, deltas = stack.layers, stack.parents, stack.deltas
+    if layers[0] is not None:
+        raise InvalidParams(
+            "layer 0 must be left implicit (None), as build_layers leaves it")
+    locs = [None]
+    for t in range(1, len(layers)):
+        P, loc, bound = layers[t], layers[t], deltas.size
+        if t > 1:
+            loc = parents[t] if parents and t < len(parents) else None
+            bound = layers[t - 1].size
+        if not (isinstance(P, np.ndarray) and P.dtype.kind in "iu"
+                and P.ndim == 1):
+            raise InvalidParams(f"layer {t} is not an integer position array")
+        if not (isinstance(loc, np.ndarray) and loc.dtype.kind in "iu"
+                and loc.shape == P.shape):
+            raise InvalidParams(
+                f"layer {t} has no integer parents row of its own length")
+        if loc.size and not (loc[0] >= 0 and loc[-1] < bound
+                             and (loc[1:] > loc[:-1]).all()
+                             and (t == 1 or (layers[t - 1][loc] == P).all())):
+            raise InvalidParams(
+                f"layer {t} does not strictly increase inside layer {t - 1}"
+                + ("" if t == 1 else " at its parents row's indices"))
+        locs.append(loc)
+    return locs
+
+
+_STAR_CHUNK = 1 << 14  # sublayer elements per slice of the star check
+
+
+def _peak_count(d: np.ndarray) -> int:
+    """Interior indices k with d[k] >= d[k-1] and d[k] >= d[k+1]."""
+    count = 0
+    for s in range(1, d.size - 1, _SCAN_CHUNK):
+        e = min(s + _SCAN_CHUNK, d.size - 1)
+        mid = d[s:e]
+        count += int(np.count_nonzero((mid >= d[s - 1:e - 1])
+                                      & (mid >= d[s + 1:e + 1])))
+    return count
+
+
+def _first_undominated_pair(d: np.ndarray, loc: np.ndarray) -> int:
+    """First i with some d[k], loc[i] < k < loc[i+1], at least
+    max(d[loc[i]], d[loc[i+1]]), or -1; read in slices of _STAR_CHUNK."""
+    for j0 in range(0, loc.size - 1, _STAR_CHUNK):
+        j1 = min(j0 + _STAR_CHUNK, loc.size - 1)
+        a = loc[j0:j1].astype(np.intp)
+        b = loc[j0 + 1:j1 + 1].astype(np.intp)
+        gap = np.flatnonzero(b > a + 1)
+        if gap.size == 0:
+            continue
+        a, b = a[gap], b[gap]
+        idx = np.empty(2 * gap.size, dtype=np.intp)
+        idx[0::2] = a + 1
+        idx[1::2] = b
+        # cut d after the last index, which would otherwise reduce to its end
+        inner = np.maximum.reduceat(d[:b[-1] + 1], idx)[0::2]
+        k = _first(inner >= np.maximum(d[a], d[b]))
+        if k >= 0:
+            return j0 + int(gap[k])
+    return -1
+
+
+def _first(flags: np.ndarray) -> int:
+    return int(np.argmax(flags)) if flags.any() else -1
 
 
 # --- Q generation and file I/O ------------------------------------------------

@@ -217,7 +217,8 @@ def test_check_star_builds_layers_for_a_directly_scanned_q(capsys,
                                                            certified12_file,
                                                            monkeypatch):
     # |Q| <= SMALL_Q_DIRECT is scanned without layers, so the star check
-    # builds them, with the errors build_layers gives
+    # builds them; a Q too small to carry them keeps its witness, and the
+    # star report names build_layers' InsufficientLayers
     calls = []
 
     def counting(q, n):
@@ -234,12 +235,22 @@ def test_check_star_builds_layers_for_a_directly_scanned_q(capsys,
     assert calls == [20]
     with pytest.raises(InsufficientLayers) as info:
         build_layers(random_subset(12, 24, derive_seed(0, "q")), 5)
-    code, out, err = run_raw(capsys, argv + ["--n", "5", "--q-size", "24"])
-    assert code == 2 and out == ""
-    assert err == f"error: InsufficientLayers: {info.value}\n"
-    assert err.startswith("error: InsufficientLayers: layer 4 came out empty: "
-                          "|Q| = 24 cannot sustain depth 7")
+    assert str(info.value).startswith(
+        "layer 4 came out empty: |Q| = 24 cannot sustain depth 7")
+    code, rep = run_json(capsys, argv + ["--n", "5", "--q-size", "24"])
+    assert code == 0 and rep["verdict"] == "WitnessFound"
+    assert rep["witness"]["branch"] == "DirectScanBranch"
+    assert rep["star_property"] == {"ok": None,
+                                    "note": f"no stack: {info.value}"}
+    assert set(rep["timings"]) == {"extract_s", "star_s", "total_s"}
     assert calls == [20, 24]
+    # the rest of the report is the one written without --check-star
+    code, plain = run_json(capsys, argv[:-1] + ["--n", "5", "--q-size", "24"])
+    assert code == 0
+    for r in (rep, plain):
+        del r["timings"], r["config"]
+    del rep["star_property"]
+    assert rep == plain
 
 
 def test_extract_witness_reports_stage_timings(capsys, certified12_file,

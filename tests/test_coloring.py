@@ -15,7 +15,6 @@ from stepup.coloring import (
     _repair_tables,
     _all_triples,
     _greedy_pairs,
-    _greedy_scalar,
     _triple_pairs,
     certify_good_property,
     failure_probability_bound,
@@ -449,6 +448,19 @@ def test_steiner_pair_disjoint_and_floor():
 
 def test_steiner_deterministic():
     assert greedy_steiner(19, 5).triples == greedy_steiner(19, 5).triples
+
+
+def _greedy_scalar(triples: np.ndarray, n: int) -> list[int]:
+    """Reference greedy: accept a triple iff its three pairs are unused."""
+    used = set()
+    out = []
+    for row, (a, b, c) in enumerate(triples.tolist()):
+        pairs = ((a, b), (a, c), (b, c))
+        if any(p in used for p in pairs):
+            continue
+        used.update(pairs)
+        out.append(row)
+    return out
 
 
 def test_greedy_vector_equals_scalar_reference():

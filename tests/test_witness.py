@@ -20,6 +20,7 @@ from stepup.coloring import (
     sample_coloring,
     search_certified_coloring,
 )
+from stepup.delta import PropertyReport
 from stepup.errors import (
     ExtractorError,
     InsufficientLayers,
@@ -67,6 +68,13 @@ def constant_graph(D, color=0):
     return StepUpHypergraph(phi)
 
 
+def _layer(stack, t):
+    """Layer t as a position array, materialising an implicit layer 0."""
+    layer = stack.layers[t]
+    return np.arange(stack.deltas.size, dtype=np.int32) if layer is None \
+        else layer
+
+
 @pytest.fixture(scope="module")
 def certified12():
     res = search_certified_coloring(12, 5)
@@ -99,7 +107,7 @@ def test_ruler_stack_has_halving_layers():
     assert stack.layer_sizes == [1023, 511, 255, 127, 63, 31, 15, 7]
     # the ruler's t-th layer holds exactly the positions = 2^t - 1 mod 2^t
     for t in range(len(stack.layers)):
-        layer = stack.layer(t)
+        layer = _layer(stack, t)
         step = 1 << t
         assert layer[0] == step - 1 and np.all(np.diff(layer) == step)
     assert [round(b, 4) for b in stack.beta[:3]] == [1023, 102.3, 10.23]
@@ -434,6 +442,73 @@ def test_extract_returns_member_edge_or_typed_error(seed, m):
 # --- star property ------------------------------------------------------------
 
 
+def _star_reference(stack):
+    """verify_star_property's reference oracle: each pair and each dropped
+    element checked against the full delta sequence, on any stack whose
+    layer 0 is implicit or an array, nested or not."""
+    deltas = stack.deltas
+    dpad = np.concatenate([deltas, np.array([-1], dtype=deltas.dtype)])
+    checks = {"star_pairs": 0, "drop_dominance": 0}
+
+    def fail(info):
+        return PropertyReport(ok=False, checks=checks, counterexample=info)
+
+    for t in range(1, len(stack.layers)):
+        P = stack.layers[t]
+        if P.size >= 2:
+            a, b = P[:-1].astype(np.int64), P[1:].astype(np.int64)
+            checks["star_pairs"] += int(a.size)
+            equal = deltas[a] == deltas[b]
+            if equal.any():
+                k = int(np.argmax(equal))
+                return fail({"check": "star", "layer": t,
+                             "left": int(a[k]), "right": int(b[k]),
+                             "reason": "equal deltas"})
+            idx = np.empty(2 * a.size, dtype=np.int64)
+            idx[0::2] = a + 1
+            idx[1::2] = b
+            interior = np.maximum.reduceat(dpad, idx)[0::2]
+            gap = b > a + 1
+            bound = np.maximum(deltas[a], deltas[b])
+            bad = gap & (interior >= bound)
+            if bad.any():
+                k = int(np.argmax(bad))
+                lo, hi = int(a[k]), int(b[k])
+                x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
+                return fail({"check": "star", "layer": t, "left": lo,
+                             "right": hi, "position": x,
+                             "reason": "interior delta not dominated"})
+        nxt = stack.layers[t + 1] if t + 1 < len(stack.layers) else P[:0]
+        drop = np.setdiff1d(P, nxt, assume_unique=True).astype(np.int64)
+        if drop.size == 0:
+            continue
+        prev = _layer(stack, t - 1)
+        loc = np.searchsorted(prev, drop)
+        edge = (loc == 0) | (loc >= prev.size - 1)
+        if edge.any():
+            return fail({"check": "drop_dominance", "layer": t,
+                         "position": int(drop[int(np.argmax(edge))]),
+                         "reason": "element not interior to layer below"})
+        jm = prev[loc - 1].astype(np.int64)
+        jp = prev[loc + 1].astype(np.int64)
+        checks["drop_dominance"] += int(drop.size)
+        idx = np.empty(4 * drop.size, dtype=np.int64)
+        idx[0::4] = jm
+        idx[1::4] = drop
+        idx[2::4] = drop + 1
+        idx[3::4] = jp + 1
+        red = np.maximum.reduceat(dpad, idx)
+        flank = np.maximum(red[0::4], red[2::4])
+        bad = flank >= deltas[drop]
+        if bad.any():
+            k = int(np.argmax(bad))
+            return fail({"check": "drop_dominance", "layer": t,
+                         "position": int(drop[k]), "left": int(jm[k]),
+                         "right": int(jp[k]),
+                         "reason": "neighborhood not dominated"})
+    return PropertyReport(ok=True, checks=checks, counterexample=None)
+
+
 def test_star_property_holds_on_built_stacks(certified12):
     for stack in (build_layers(RULER, 5),
                   build_layers(random_subset(12, 2000, seed=4), 5)):
@@ -474,7 +549,7 @@ def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
             return str(exc)
         if isinstance(built, MonotoneRun):
             return built.as_dict()
-        return [built.layer(t).tolist() for t in range(len(built.layers))]
+        return [_layer(built, t).tolist() for t in range(len(built.layers))]
 
     for _ in range(100):
         D = int(rng.integers(6, 12))
@@ -513,10 +588,10 @@ def _with_element_added(stack, rng):
     """The stack with one more element of some layer t-1 put into layer t.
 
     The element is an end of layer t-1 half the time it can be; parents
-    are renumbered, so the stack keeps the shape _nesting accepts.
+    are renumbered, so the stack keeps build_layers' shape.
     """
     t = int(rng.integers(1, len(stack.layers)))
-    below = stack.layer(t - 1)
+    below = _layer(stack, t - 1)
     own = stack.layers[t] if t == 1 else stack.parents[t]
     free = np.setdiff1d(np.arange(below.size), own)
     ends = np.intersect1d(free, [0, below.size - 1])
@@ -535,20 +610,48 @@ def _with_element_added(stack, rng):
     return replace(stack, layers=layers, parents=parents)
 
 
+def _with_element_removed(stack, rng):
+    """The stack with one element of some layer t taken out, parents
+    renumbered; the stack is no longer nested when layer t+1 held it."""
+    t = int(rng.integers(1, len(stack.layers)))
+    if stack.layers[t].size < 2:
+        return stack
+    k = int(rng.integers(stack.layers[t].size))
+    layers, parents = list(stack.layers), list(stack.parents)
+    layers[t] = np.delete(layers[t], k)
+    if t > 1:
+        parents[t] = np.delete(parents[t], k)
+    if t + 1 < len(layers):
+        up = parents[t + 1]
+        parents[t + 1] = (up - (up > k)).astype(np.int32)
+    return replace(stack, layers=layers, parents=parents)
+
+
+def _first_unnested(stack):
+    """The first layer with a position outside the layer below, or None."""
+    for t in range(1, len(stack.layers)):
+        if not np.isin(stack.layers[t], _layer(stack, t - 1)).all():
+            return t
+    return None
+
+
 @pytest.mark.parametrize("chunk", [2, 1 << 14])
 def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
     """The layer-on-layer star check reports exactly what a direct scan does.
 
-    Small slices put slice boundaries inside every gap and run.  Stacks
-    not of build_layers' shape (an explicit layer 0, stale parents) are
-    refused by _nesting and checked by the direct scan.  On corrupted
-    deltas, or with an element added to a layer, a layer's deltas may
-    have a peak outside the layer above; _star_nested then returns None
-    and only the public report, the direct one, is compared.
+    Stacks of build_layers' shape are compared with the reference scan as
+    built, with corrupted deltas, and with an element added to or removed
+    from a layer, parents renumbered.  A removal that leaves a layer
+    outside the one below is refused, and the scan reports a failure on
+    every such stack, so no passing stack is refused.  An explicit layer
+    0, missing or stale parents, and a layer out of order or off the
+    layer below are refused, naming the layer.  Slices of 2 put slice
+    boundaries inside every gap and run; 1 << 14 is the default.
     """
+    assert w._STAR_CHUNK == 1 << 14
     monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
     rng = np.random.default_rng(17)
-    compared = failing = 0
+    compared = failing = refused = 0
     for _ in range(800):
         D = int(rng.integers(6, 12))
         m = int(rng.integers(40, min(1 << D, 1000)))
@@ -559,53 +662,61 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
             stack = None
         if not isinstance(stack, LayerStack):
             stack = _local_maxima_stack(q)
-        kind = int(rng.integers(6))
+        kind = int(rng.integers(7))
+        bad_layer = None
         if kind == 1:
             stack.deltas = stack.deltas.copy()
             idx = rng.integers(stack.deltas.size, size=int(rng.integers(1, 4)))
             stack.deltas[idx] = rng.integers(0, D + 2, size=idx.size)
-        elif kind == 2 and len(stack.layers) > 2:
-            t = int(rng.integers(1, len(stack.layers)))
-            if stack.layers[t].size > 1:
-                stack.layers = list(stack.layers)
-                stack.layers[t] = np.delete(
-                    stack.layers[t], rng.integers(stack.layers[t].size))
+        elif kind == 2 and len(stack.layers) > 1:
+            stack = _with_element_removed(stack, rng)
         elif kind == 3 and len(stack.layers) > 1:
-            # a layer 0 with holes that the upper layers avoid
-            base, above = stack.layer(0), stack.layers[1]
-            free = np.setdiff1d(base, above)
-            holes = rng.choice(free, size=min(3, free.size), replace=False)
-            stack.layers = [np.setdiff1d(base, holes)] + list(stack.layers[1:])
-        elif kind == 4:
-            # stale parents must not be trusted: one row reversed
+            # an explicit layer 0, whole or with holes the upper layers avoid
+            base = _layer(stack, 0)
+            if rng.integers(2):
+                free = np.setdiff1d(base, stack.layers[1])
+                holes = rng.choice(free, size=min(3, free.size), replace=False)
+                base = np.setdiff1d(base, holes)
+            stack.layers = [base] + list(stack.layers[1:])
+            bad_layer = 0
+        elif kind == 4 and len(stack.layers) > 2:
+            # parents missing, or one row reversed: stale rows are not trusted
             rows = [t for t in range(2, len(stack.layers))
                     if stack.parents[t].size > 1]
-            if rows:
-                t = rows[int(rng.integers(len(rows)))]
+            if rows and rng.integers(2):
+                bad_layer = rows[int(rng.integers(len(rows)))]
                 stack.parents = list(stack.parents)
-                stack.parents[t] = stack.parents[t][::-1].copy()
+                stack.parents[bad_layer] = stack.parents[bad_layer][::-1].copy()
             else:
-                kind = 0
+                stack.parents, bad_layer = None, 2
         elif kind == 5 and len(stack.layers) > 2:
-            # one more element of the layer below, often one at its end,
-            # with the parents rows renumbered to match
             stack = _with_element_added(stack, rng)
-        direct = w._star_direct(stack)
-        assert _report_of(verify_star_property(stack)) == _report_of(direct)
-        locs = w._nesting(stack)
-        if kind in (3, 4) and len(stack.layers) > 1:
-            assert locs is None
-        if locs is None:
+        elif kind == 6 and len(stack.layers) > 1:
+            # layer 1 out of order, or a higher layer moved off the layer
+            # below: maxima are never adjacent, so p + 1 is no position there
+            bad_layer = int(rng.integers(1, len(stack.layers)))
+            stack.layers = list(stack.layers)
+            P = stack.layers[bad_layer]
+            if bad_layer == 1 and P.size > 1:
+                stack.layers[1] = P[::-1].copy()
+            elif bad_layer > 1:
+                stack.layers[bad_layer] = P + (np.arange(P.size) == P.size // 2)
+            else:
+                bad_layer = None
+        reference = _star_reference(stack)
+        if kind == 2 and bad_layer is None:
+            bad_layer = _first_unnested(stack)
+            # a removal only unnests a stack the reference scan fails
+            assert bad_layer is None or not reference.ok
+        if bad_layer is not None:
+            with pytest.raises(InvalidParams, match=f"layer {bad_layer} "):
+                verify_star_property(stack)
+            refused += 1
             continue
-        nested = w._star_nested(stack, locs)
-        if kind == 0:
-            assert nested is not None
-        if nested is None:
-            continue
-        assert _report_of(nested) == _report_of(direct)
+        assert _report_of(verify_star_property(stack)) == _report_of(reference)
         compared += 1
-        failing += not direct.ok
-    assert compared > 150 and failing > 40
+        failing += not reference.ok
+    assert compared > 350 and failing > 200 and refused > 300
 
 
 def test_layer_stack_memory_stays_lean():
@@ -635,7 +746,7 @@ def test_layer_stack_memory_stays_lean():
 def _explicit_base(stack):
     """The same stack with layer 0 stored as an array of every position."""
     return LayerStack(q=stack.q, deltas=stack.deltas,
-                      layers=[stack.layer(0)] + list(stack.layers[1:]),
+                      layers=[_layer(stack, 0)] + list(stack.layers[1:]),
                       n=stack.n, beta=stack.beta, parents=stack.parents)
 
 
@@ -650,47 +761,13 @@ def _extraction(H, q, n):
         return type(exc).__name__, str(exc), exc.trace
 
 
-def test_star_check_routes_by_stack_shape(monkeypatch):
-    """Only a stack of build_layers' shape takes the nested star check.
-
-    Stacks as built, at (12, 5) on q-seeds 1-12 and on an interval Q of
-    2^21 vertices, never reach the direct scan.  The same stacks with an
-    explicit layer 0, without parents, or with one stale parents row go
-    to the direct scan and get its report.
-    """
-    stacks = [build_layers(random_subset(12, 2000, seed), 5)
-              for seed in range(1, 13)]
-    stacks = [s for s in stacks if isinstance(s, LayerStack)]
-    stacks.append(build_layers(np.arange(1 << 21, dtype=np.uint64), 6))
-    assert len(stacks) >= 6
-    assert all(len(s.layers) == 8 for s in stacks)
-    direct = w._star_direct
-
-    def refuse(*args):
-        raise AssertionError("star check took the wrong engine")
-
-    monkeypatch.setattr(w, "_star_direct", refuse)
-    want = [_report_of(verify_star_property(s)) for s in stacks]
-    assert all(report[0] for report in want)
-    monkeypatch.setattr(w, "_star_direct", direct)
-    monkeypatch.setattr(w, "_star_nested", refuse)
-    for s, report in zip(stacks[:2] + stacks[-1:], want[:2] + want[-1:]):
-        stale = list(s.parents)
-        stale[4] = stale[4][::-1].copy()
-        for other in (_explicit_base(s), replace(s, parents=None),
-                      replace(s, parents=stale)):
-            assert _report_of(verify_star_property(other)) == \
-                _report_of(direct(other)) == report
-
-
-def test_plateau_peak_outside_layer1_goes_to_the_direct_scan(monkeypatch):
+def test_plateau_peak_outside_layer1_is_located():
     """Equal neighboring deltas make a peak that build_layers leaves out.
 
     Deltas of distinct vertices never repeat next to each other, so only a
     corrupted stack has such a plateau.  Between two layer-1 positions it
-    hides the largest inner delta from their neighbors, so layer 1 cannot
-    be checked from them: the nested check returns None and the public
-    report is the direct scan's, here an undominated interior delta.
+    hides the largest inner delta from their neighbors, so the pair's
+    interior failure is found by a maximum over the gap, not from them.
     """
     stack = build_layers(random_subset(12, 2000, seed=2), 5)
     P = stack.layers[1]
@@ -702,18 +779,8 @@ def test_plateau_peak_outside_layer1_goes_to_the_direct_scan(monkeypatch):
     # the neighbors of i and j stay below them
     assert max(stack.deltas[i + 1], stack.deltas[j - 1]) < \
         max(stack.deltas[i], stack.deltas[j])
-    assert w._star_nested(stack, w._nesting(stack)) is None
-    calls = []
-    direct = w._star_direct
-
-    def counted(s):
-        calls.append(s)
-        return direct(s)
-
-    monkeypatch.setattr(w, "_star_direct", counted)
     report = verify_star_property(stack)
-    assert calls == [stack]
-    assert _report_of(report) == _report_of(direct(stack))
+    assert _report_of(report) == _report_of(_star_reference(stack))
     assert report.counterexample == {
         "check": "star", "layer": 1, "left": i, "right": j,
         "position": i + 2, "reason": "interior delta not dominated"}
@@ -739,10 +806,8 @@ def test_layer_end_does_not_stand_in_for_a_left_out_peak():
     parents[2] = parents[2] + 1
     s = replace(stack, deltas=deltas, parents=parents,
                 layers=[None, np.insert(P, 0, 0)] + stack.layers[2:])
-    assert w._nesting(s) is not None
-    assert w._star_nested(s, w._nesting(s)) is None
     report = verify_star_property(s)
-    assert _report_of(report) == _report_of(w._star_direct(s))
+    assert _report_of(report) == _report_of(_star_reference(s))
     assert report.counterexample == {
         "check": "star", "layer": 1, "left": i, "right": j,
         "position": i + 2, "reason": "interior delta not dominated"}
@@ -752,8 +817,10 @@ def test_layer_end_does_not_stand_in_for_a_left_out_peak():
 def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
     """Layer 0 left implicit reads exactly like an np.arange layer 0.
 
-    chunk None keeps the default slice sizes; 2 puts slice boundaries
-    inside every run and gap.
+    Anchors and extraction agree on the two forms; the star check takes
+    only the implicit one, and reports what the reference scan reports
+    on either.  chunk None keeps the default slice sizes; 2 puts slice
+    boundaries inside every run and gap.
     """
     if chunk is not None:
         monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
@@ -779,9 +846,8 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
         assert stack.layer_sizes == full.layer_sizes
         assert stack.layer_sizes[0] == q.size - 1
         assert stack.as_dict() == full.as_dict()
-        locs = w._nesting(stack)
-        assert locs is not None
-        assert w._nesting(full) is None     # goes to the direct scan
+        with pytest.raises(InvalidParams, match="layer 0"):
+            verify_star_property(full)
         if len(stack.layers) == 8:
             assert select_anchors(stack, H.coloring).as_dict() == \
                 select_anchors(full, H.coloring).as_dict()
@@ -791,16 +857,12 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
         for deltas in (stack.deltas, corrupt):
             s1 = LayerStack(q=q, deltas=deltas, layers=stack.layers, n=n,
                             beta=stack.beta, parents=stack.parents)
-            s2 = _explicit_base(s1)
-            nested = w._star_nested(s1, locs)
-            if deltas is stack.deltas:
-                assert nested is not None
             first, *rest = [_report_of(r) for r in (
-                verify_star_property(s1), verify_star_property(s2),
-                w._star_direct(s1), w._star_direct(s2))]
+                verify_star_property(s1), _star_reference(s1),
+                _star_reference(_explicit_base(s1)))]
             assert all(r == first for r in rest)
-            if nested is not None:
-                assert _report_of(nested) == first
+            if deltas is stack.deltas:
+                assert first[0]
             failing += not first[0]
     assert stacks > 25 and failing > 10
 
