@@ -357,10 +357,11 @@ def _recheck_counterexample(phi: PairColoring, bad: tuple[int, ...]) -> None:
 # --- annealing repair -------------------------------------------------------
 #
 # State: per-subset count of good triples (gc) for all binom(D, n) subsets,
-# and per triple the colors of its pairs (ab, bc, ac) as a 3-bit code.
-# Flipping one pair's color touches the D-2 triples through that pair and,
-# through them, binom(D-3, n-3) subsets each; the tables below make that
-# update a handful of gathers.
+# per triple the colors of its pairs (ab, bc, ac) as a 3-bit code, and per
+# pair the change (dsub) that its flip would make to the gc of each subset
+# through it.  Flipping one pair's color touches the D-2 triples through
+# that pair and, through them, binom(D-3, n-3) subsets each; the tables
+# below make that update a handful of gathers.
 
 def _code_good(code: int) -> int:
     """Is the triple with pair colors (ab, bc, ac) = code bits 0, 1, 2 good."""
@@ -410,8 +411,12 @@ class _RepairTables:
         idx = np.arange((math.comb(n, 3) + 1) * self.width)
         gc_old = idx // self.width
         gc_new = gc_old + idx % self.width - self.bias
-        self.turns_bad = (gc_new == 0) & (gc_old != 0)
-        self.turns_good = (gc_old == 0) & (gc_new != 0)
+        # indexed by key + dsub: turn is +1 where the subset turns bad and -1
+        # where it stops being bad, so one gather and a sum give a flip's
+        # change in the bad count; next_key is the subset's key after it
+        self.turn = ((gc_new == 0) & (gc_old != 0)).astype(np.intp) - (
+            (gc_old == 0) & (gc_new != 0))
+        self.next_key = gc_new * self.width + self.bias
 
         # per-pair update tables: the triples through the pair, the flat
         # index 3t + slot of the pair in each and that slot's code bit, and
@@ -429,24 +434,53 @@ class _RepairTables:
         # flat indices 3t + slot grouped by pair, t increasing in each group
         flat = np.argsort(self.tri_pairs.ravel(), kind="stable").reshape(
             self.npairs, D - 2)
-        self.pair_tris = list((flat // 3).astype(np.int32))
+        self.slots = flat
+        self.pair_tris = list(flat // 3)
         self.pair_slot = list(flat)
-        self.pair_bit = list((1 << flat % 3).astype(np.uint8))
+        self.pair_bit = list(1 << flat % 3)
         pairs = np.array(list(combinations(range(D), 2)), dtype=np.intp)
         self.pair_sub_uniq = list(_colex_ranks(pairs, members, comb_table))
         self.tri_to_subs = tri_to_subs
 
+        # Flipping pair p changes, in each triple t of p, the flip delta of
+        # each other pair q of t by +-1 (of the four codes that the two
+        # flips reach, exactly one is good); t is the i-th of q's triples,
+        # so q's dsub changes on the subsets through q that hold that
+        # triple, row i of subs_of_tri.  Per pair: the flat indices
+        # 3t + slot of those other slots, the offset of q's row in the
+        # pairs x subsets dsub array (as a column), and i.
+        self.subs_per_pair = len(members)
+        self.subs_of_tri = (np.argsort(members.ravel(), kind="stable")
+                            // (n - 2)).reshape(D - 2, -1)
+        place = np.empty(3 * self.ntriples, dtype=np.intp)
+        place[flat] = np.arange(D - 2)
+        others = (flat - flat % 3)[:, :, None] + (
+            flat[:, :, None] % 3 + np.array([1, 2])) % 3
+        others = others.reshape(self.npairs, -1)
+        self.pair_nbr_slot = list(others)
+        self.pair_nbr_row = list(
+            self.tri_pairs.ravel()[others, None].astype(np.intp)
+            * self.subs_per_pair)
+        self.pair_nbr_place = list(place[others])
+
     def initial_state(self, bits: np.ndarray):
-        """Triple codes, flip deltas (triples x 3) and subset keys of bits."""
-        colors = bits[self.tri_pairs]
+        """Triple codes, flip deltas (triples x 3) and subset keys of bits,
+        and per pair the change dsub that flipping it makes to the good
+        count of each subset through it (pairs x subsets)."""
+        colors = bits[self.tri_pairs].astype(np.intp)
         code = colors[:, 0] | (colors[:, 1] << 1) | (colors[:, 2] << 2)
-        good = _FLIP_DELTA[code, 0] < 0     # a good triple loses by any flip
+        delta = _FLIP_DELTA[code]
+        good = delta[:, 0] < 0              # a good triple loses by any flip
         gc = np.bincount(
             self.tri_to_subs.ravel(),
             weights=np.repeat(good, self.subs_per_triple),
             minlength=self.nsubsets,
         ).astype(np.intp)
-        return code, _FLIP_DELTA[code], gc * self.width + self.bias
+        dtri = delta.ravel()[self.slots]
+        dsub = np.zeros((self.npairs, self.subs_per_pair), dtype=np.int8)
+        for col in self.sub_tris:
+            dsub += dtri[:, col]
+        return code, delta, gc * self.width + self.bias, dsub
 
 
 def _colex_ranks(fixed: np.ndarray, rest: np.ndarray,
@@ -500,49 +534,116 @@ def _repair_tables(D: int, n: int) -> _RepairTables:
     return _RepairTables(D, n)
 
 
+class _PCG64Replay:
+    """The values of Generator.integers(k) and Generator.random() on a PCG64
+    generator, computed from its raw 64-bit words.
+
+    numpy draws integers(k) for 2 <= k <= 2**32 by Lemire's method on
+    32-bit halves of the raw words, low half first, and keeps the high
+    half for the next such draw; random() is (w >> 11) * 2**-53 of the
+    next whole word w and leaves a kept half in place.  Reading the words
+    in blocks turns a call into numpy per draw into integer arithmetic.
+    The generator's own state runs ahead of the draws made.  The test
+    suite checks the replay against Generator's draws.
+    """
+
+    _BLOCK = 1024
+
+    def __init__(self, rng: np.random.Generator):
+        bg = rng.bit_generator
+        if type(bg) is not np.random.PCG64:
+            raise InvalidParams(
+                f"the anneal replays PCG64 words, got {type(bg).__name__}")
+        if bg.state["has_uint32"]:
+            raise InvalidParams(
+                "the generator holds a pending 32-bit half; the anneal "
+                "needs one that starts on a whole word")
+        self._raw = bg.random_raw
+        self._words: list[int] = []
+        self._next = 0
+        self._half = -1
+
+    def _word(self) -> int:
+        if self._next == len(self._words):
+            self._words = self._raw(self._BLOCK).tolist()
+            self._next = 0
+        self._next += 1
+        return self._words[self._next - 1]
+
+    def _half32(self) -> int:
+        half = self._half
+        if half < 0:
+            word = self._word()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = -1
+        return half
+
+    def integers(self, k: int) -> int:
+        m = self._half32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (2 ** 32 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._half32() * k
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+
 def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
                    steps: int, t_start: float = 2.0, t_end: float = 0.01):
     """Minimize the number of good-triple-free subsets by pair flips.
 
-    Returns (bits, steps_done, bad_count).  Stops early at zero bad
-    subsets.  Deterministic in (bits, rng state, steps).
+    Returns (bits, steps_done, bad_count, accepted_flips).  Stops early at
+    zero bad subsets.  Deterministic in (bits, rng state, steps): each step
+    draws rng.integers(#pairs) and, for a flip that adds bad subsets,
+    rng.random(), replayed from the raw words of rng (a fresh PCG64).
     """
     tab = _repair_tables(D, n)
+    draws = _PCG64Replay(rng)
     bits = bits.copy()
-    code, delta, keys = tab.initial_state(bits)
+    code, delta, keys, dsubs = tab.initial_state(bits)
     flat_delta = delta.reshape(-1)
+    flat_dsub = dsubs.reshape(-1)
     nbad = int(np.count_nonzero(keys == tab.bias))
     if nbad == 0:
-        return bits, 0, 0
-    first, *rest = tab.sub_tris
+        return bits, 0, 0, 0
+    turn, next_key, subs_of_tri = tab.turn, tab.next_key, tab.subs_of_tri
+    accepted = 0
     decay = (t_end / t_start) ** (1.0 / max(1, steps))
     temp = t_start
     for step in range(1, steps + 1):
         temp *= decay
-        p = int(rng.integers(tab.npairs))
-        dtri = flat_delta[tab.pair_slot[p]]
-        # count_nonzero skips the ufunc reduction machinery of any/sum
-        if not np.count_nonzero(dtri):
-            continue
+        p = draws.integers(tab.npairs)
         uniq = tab.pair_sub_uniq[p]
-        dsub = dtri[first]
-        for col in rest:
-            dsub += dtri[col]
-        old_keys = keys[uniq]
-        idx = old_keys + dsub
-        dbad = (np.count_nonzero(tab.turns_bad[idx])
-                - np.count_nonzero(tab.turns_good[idx]))
-        if dbad <= 0 or rng.random() < math.exp(-dbad / temp):
+        dsub = dsubs[p]
+        idx = keys[uniq]
+        idx += dsub
+        dbad = int(turn[idx].sum())
+        # a pair whose flip changes no triple (so dbad = 0) is skipped
+        # without a draw; count_nonzero skips the ufunc reduction machinery
+        # of any/sum
+        if not dbad and not np.count_nonzero(flat_delta[tab.pair_slot[p]]):
+            continue
+        if dbad <= 0 or draws.random() < math.exp(-dbad / temp):
+            accepted += 1
             bits[p] ^= 1
-            keys[uniq] = old_keys + dsub.astype(np.intp) * tab.width
+            keys[uniq] = next_key[idx]
+            nbr = tab.pair_nbr_slot[p]
+            before = flat_delta[nbr]
             tris = tab.pair_tris[p]
             new_code = code[tris] ^ tab.pair_bit[p]
             code[tris] = new_code
             delta[tris] = _FLIP_DELTA[new_code]
+            target = subs_of_tri.take(tab.pair_nbr_place[p], axis=0)
+            target += tab.pair_nbr_row[p]
+            flat_dsub[target] += (flat_delta[nbr] - before)[:, None]
+            np.negative(dsub, out=dsub)     # p's own flip deltas change sign
             nbad += dbad
             if nbad == 0:
-                return bits, step, 0
-    return bits, steps, nbad
+                return bits, step, 0, accepted
+    return bits, steps, nbad, accepted
 
 
 # --- Paley tournament colorings ---------------------------------------------
@@ -637,6 +738,7 @@ class SearchResult:
     anneal_steps: int
     best_bad_count: int
     strategy: str               # seeded | annealed | paley-<q>
+    anneal_accepted: int = 0    # accepted flips of the reported attempt
 
     @property
     def certifiable(self) -> Optional[bool]:
@@ -651,6 +753,7 @@ class SearchResult:
             "attempts": self.attempts,
             "repaired": self.repaired,
             "anneal_steps": self.anneal_steps,
+            "anneal_accepted": self.anneal_accepted,
             "best_bad_count": self.best_bad_count,
             "strategy": self.strategy,
             "certification": self.certification.as_dict(),
@@ -684,7 +787,7 @@ def search_certified_coloring(
         raise InvalidN(f"need 3 <= n <= D={D}, got n={n}")
     if attempts < 1:
         raise InvalidParams(f"need attempts >= 1, got {attempts}")
-    best: Optional[tuple[int, np.ndarray, int]] = None
+    best: Optional[tuple[int, np.ndarray, int, int]] = None
     for k in range(attempts):
         seed = base_seed + k
         phi = sample_coloring(D, seed)
@@ -692,7 +795,7 @@ def search_certified_coloring(
         if res.certified:
             return SearchResult(True, phi, res, k + 1, False, 0, 0, "seeded")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        new_bits, steps_used, nbad = _anneal_repair(
+        new_bits, steps_used, nbad, accepted = _anneal_repair(
             phi.bits, D, n, rng, repair_steps)
         if nbad == 0:
             repaired = PairColoring(D, new_bits, seed=-1)
@@ -703,9 +806,9 @@ def search_certified_coloring(
                     f"refuted with {res2.counterexample}; the two routes must "
                     "agree", vertices=res2.counterexample, coloring=repaired)
             return SearchResult(True, repaired, res2, k + 1, True, steps_used,
-                                0, "annealed")
+                                0, "annealed", accepted)
         if best is None or nbad < best[0]:
-            best = (nbad, new_bits, steps_used)
+            best = (nbad, new_bits, steps_used, accepted)
     # Beyond q = 2D the first D elements are a small slice of the tournament;
     # the bound keeps a failing fallback to a handful of exact scans.
     for q in filter(_is_paley_order, range(D, 2 * D + 1)):
@@ -714,7 +817,7 @@ def search_certified_coloring(
         if res.certified:
             return SearchResult(True, paley, res, attempts, False, 0, 0,
                                 f"paley-{q}")
-    nbad, bits, steps_used = best
+    nbad, bits, steps_used, accepted = best
     annealed = PairColoring(D, bits, seed=-1)
     res = certify_good_property(annealed, n, "exact", cap=cap)
     if res.certified:
@@ -722,7 +825,7 @@ def search_certified_coloring(
             f"annealer kept {nbad} bad subsets but exact certification "
             "certified; the two routes must agree", coloring=annealed)
     return SearchResult(False, annealed, res, attempts, True, steps_used,
-                        nbad, "annealed")
+                        nbad, "annealed", accepted)
 
 
 # --- Steiner packing --------------------------------------------------------

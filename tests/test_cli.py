@@ -461,6 +461,8 @@ def test_gen_coloring_search_report_has_no_note_when_certifiable(
                                   str(tmp_path / "phi.bin")])
     assert code == 0 and rep["search"]["certifiable"] is True
     assert "note" not in rep
+    assert (rep["search"]["anneal_steps"],
+            rep["search"]["anneal_accepted"]) == (36129, 5983)
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

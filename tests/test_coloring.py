@@ -316,7 +316,7 @@ def test_paley_prime_orders_and_validation():
 def test_search_falls_back_to_paley_27_at_26_6():
     sr = search_certified_coloring(26, 6, attempts=1, repair_steps=1_000)
     assert sr.success
-    assert sr.strategy == "paley-27"
+    assert sr.strategy == "paley-27" and sr.anneal_accepted == 0
     assert sr.as_dict()["strategy"] == "paley-27"
     assert sr.coloring == paley_coloring(27, 26)
     assert sr.coloring.seed == -1
@@ -398,6 +398,120 @@ def test_search_failure_at_16_5_is_pinned():
         "07ebe5bbaa87307ed19adfe0db895a7132840bbefc42f26eefae7f30eea0c9e8")
     assert sr.certification.counterexample == (0, 1, 3, 5, 11)
     assert sr.certification.subsets_checked == 95
+
+
+def _anneal_reference(bits, D, n, rng, steps, t_start=2.0, t_end=0.01):
+    """Reference for _anneal_repair: one Generator call per draw, each
+    proposed flip's dsub summed from the flip deltas of its triples, and
+    its change in the bad count from two lookup tables.  Returns (bits,
+    steps_done, bad_count, accepted_flips)."""
+    tab = _repair_tables(D, n)
+    bits = bits.copy()
+    code, delta, keys, _ = tab.initial_state(bits)
+    idx = np.arange((math.comb(n, 3) + 1) * tab.width)
+    gc_old = idx // tab.width
+    gc_new = gc_old + idx % tab.width - tab.bias
+    turns_bad = (gc_new == 0) & (gc_old != 0)
+    turns_good = (gc_old == 0) & (gc_new != 0)
+    flat_delta = delta.reshape(-1)
+    nbad = int(np.count_nonzero(keys == tab.bias))
+    if nbad == 0:
+        return bits, 0, 0, 0
+    first, *rest = tab.sub_tris
+    decay = (t_end / t_start) ** (1.0 / max(1, steps))
+    temp = t_start
+    accepted = 0
+    for step in range(1, steps + 1):
+        temp *= decay
+        p = int(rng.integers(tab.npairs))
+        dtri = flat_delta[tab.pair_slot[p]]
+        if not np.count_nonzero(dtri):
+            continue
+        uniq = tab.pair_sub_uniq[p]
+        dsub = dtri[first]
+        for col in rest:
+            dsub += dtri[col]
+        old_keys = keys[uniq]
+        idx = old_keys + dsub
+        dbad = (np.count_nonzero(turns_bad[idx])
+                - np.count_nonzero(turns_good[idx]))
+        if dbad <= 0 or rng.random() < math.exp(-dbad / temp):
+            accepted += 1
+            bits[p] ^= 1
+            keys[uniq] = old_keys + dsub.astype(np.intp) * tab.width
+            tris = tab.pair_tris[p]
+            new_code = code[tris] ^ tab.pair_bit[p]
+            code[tris] = new_code
+            delta[tris] = coloring._FLIP_DELTA[new_code]
+            nbad += dbad
+            if nbad == 0:
+                return bits, step, 0, accepted
+    return bits, steps, int(nbad), accepted
+
+
+def _search_rng(seed):
+    return np.random.default_rng(np.random.SeedSequence([seed, 1]))
+
+
+def _same_trajectory(D, n, seed, steps):
+    bits = sample_coloring(D, seed).bits
+    (got_bits, *got), (want_bits, *want) = (
+        anneal(bits, D, n, _search_rng(seed), steps)
+        for anneal in (coloring._anneal_repair, _anneal_reference))
+    assert all(type(v) is int for v in got), got
+    return np.array_equal(got_bits, want_bits) and got == want
+
+
+@pytest.mark.parametrize("D, n, steps", [(16, 5, 15_000), (24, 5, 20_000),
+                                         (26, 6, 3_000)])
+def test_anneal_follows_the_reference_trajectory(D, n, steps):
+    assert _same_trajectory(D, n, 0, steps)
+
+
+def test_anneal_follows_the_reference_on_small_cases():
+    # small D has pairs whose flip changes no triple (skipped without a
+    # draw); n = D has one subset; n = 3 has one triple per subset
+    for D, n in ((5, 3), (6, 6), (7, 5), (8, 4), (9, 4)):
+        for seed in range(20):
+            assert _same_trajectory(D, n, seed, 400), (D, n, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2000, 2 ** 40 + 7])
+def test_pcg64_replay_matches_generator_draws(seed):
+    # integers(k) and random() interleaved, so that random() also falls
+    # while a 32-bit half is kept; k = 2**31 + 1 rejects about half its
+    # first candidates
+    ks = (3, 66, 325, 2 ** 31 + 1)
+    gen = _search_rng(seed)
+    replay = coloring._PCG64Replay(_search_rng(seed))
+    for pick in np.random.default_rng(seed).integers(len(ks) + 1, size=3000):
+        if pick == len(ks):
+            assert replay.random() == gen.random()
+        else:
+            assert replay.integers(ks[pick]) == gen.integers(ks[pick])
+
+
+def test_anneal_refuses_a_stream_it_cannot_replay():
+    bits = sample_coloring(12, 0).bits
+    for bg in (np.random.MT19937(0), np.random.PCG64DXSM(0),
+               np.random.Philox(0)):
+        with pytest.raises(InvalidParams, match=type(bg).__name__):
+            coloring._anneal_repair(bits, 12, 5, np.random.Generator(bg), 10)
+    rng = _search_rng(0)
+    rng.integers(10)                    # keeps the high half of a word
+    with pytest.raises(InvalidParams, match="pending 32-bit half"):
+        coloring._anneal_repair(bits, 12, 5, rng, 10)
+
+
+def test_search_reports_accepted_flips():
+    sr = search_certified_coloring(12, 5, base_seed=0)
+    assert (sr.anneal_steps, sr.anneal_accepted) == (36129, 5983)
+    assert sr.as_dict()["anneal_accepted"] == 5983
+    # on failure, the count of the attempt whose coloring is returned
+    fail = search_certified_coloring(16, 5, attempts=2, repair_steps=15_000,
+                                     base_seed=0)
+    assert (fail.best_bad_count, fail.anneal_accepted) == (98, 243)
+    assert search_certified_coloring(8, 5, base_seed=17).anneal_accepted == 0
 
 
 def test_search_result_says_when_certification_is_impossible():
@@ -579,7 +693,7 @@ def test_annealer_zero_that_certification_refutes_is_a_typed_error(
         monkeypatch):
     # the annealer claims a repair but hands back the refuted draw
     monkeypatch.setattr(coloring, "_anneal_repair",
-                        lambda bits, D, n, rng, steps: (bits.copy(), 7, 0))
+                        lambda bits, D, n, rng, steps: (bits.copy(), 7, 0, 7))
     with pytest.raises(EngineDisagreement, match="reached zero") as exc:
         search_certified_coloring(12, 5, attempts=1, base_seed=0)
     assert exc.value.coloring.bits.tobytes() == sample_coloring(12, 0).bits.tobytes()
@@ -593,7 +707,7 @@ def test_annealer_bad_count_that_certification_clears_is_a_typed_error(
     assert not certify_good_property(sample_coloring(7, 0), 4).certified
     qr7 = paley_coloring(7, 7)
     monkeypatch.setattr(coloring, "_anneal_repair",
-                        lambda bits, D, n, rng, steps: (qr7.bits.copy(), 7, 3))
+                        lambda bits, D, n, rng, steps: (qr7.bits.copy(), 7, 3, 7))
     monkeypatch.setattr(coloring, "_is_paley_order", lambda q: False)
     with pytest.raises(EngineDisagreement, match="kept 3 bad subsets") as exc:
         search_certified_coloring(7, 4, attempts=1, base_seed=0)
