@@ -188,6 +188,10 @@ def _cmd_verify_coloring(args) -> tuple[int, dict]:
     return (1 if result.verdict == "Refuted" else 0), report
 
 
+def _capped_vertices(V: int, vertex_cap: Optional[int]) -> int:
+    return V if vertex_cap is None else min(vertex_cap, V)
+
+
 def _cmd_check_k5(args) -> tuple[int, dict]:
     report = {"command": "check-k5", "config": _config_echo(args)}
     if args.all_colorings:
@@ -196,31 +200,29 @@ def _cmd_check_k5(args) -> tuple[int, dict]:
                 f"--all-colorings enumerates 2^{args.bits * (args.bits - 1) // 2} "
                 "colorings; supported only for --bits <= 5")
         npairs = args.bits * (args.bits - 1) // 2
-        V = 1 << args.bits
-        per = math.comb(V, 5)
         for mask in range(1 << npairs):
             bits = ((mask >> np.arange(npairs)) & 1).astype(np.uint8)
             H = StepUpHypergraph(PairColoring(args.bits, bits))
-            violation = check_k5_free(H, budget=args.budget, force=args.force,
-                                      threads=args.threads)
+            violation = check_k5_free(H, args.vertex_cap, budget=args.budget,
+                                      force=args.force, threads=args.threads)
             if violation is not None:
                 report["verdict"] = "Violation"
                 report["coloring_mask"] = mask
                 report["violation"] = violation.as_dict()
                 return 1, report
         report["verdict"] = "NoViolation"
+        per = math.comb(_capped_vertices(1 << args.bits, args.vertex_cap), 5)
         report["counters"] = {"colorings": 1 << npairs,
                               "five_sets_each": per,
                               "five_sets_total": (1 << npairs) * per}
         return 0, report
     phi = _load_phi(args)
     H = StepUpHypergraph(phi)
-    V = H.vertex_count if args.vertex_cap is None else min(args.vertex_cap,
-                                                           H.vertex_count)
     stats = {}
     violation = check_k5_free(H, args.vertex_cap, budget=args.budget,
                               force=args.force, threads=args.threads,
                               stats=stats)
+    V = _capped_vertices(H.vertex_count, args.vertex_cap)
     report["counters"] = {"colorings": 1, "five_sets_each": math.comb(V, 5),
                           **stats}
     if violation is not None:

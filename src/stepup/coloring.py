@@ -25,7 +25,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -382,11 +382,6 @@ class _RepairTables:
         self.ntriples = math.comb(D, 3)
         self.nsubsets = math.comb(D, n)
 
-        comb_table = np.zeros((D + 1, n + 1), dtype=np.int64)
-        for x in range(D + 1):
-            for k in range(n + 1):
-                comb_table[x, k] = math.comb(x, k)
-
         triples = np.array(list(combinations(range(D), 3)), dtype=np.int16)
         self.triples = triples
         ta, tb, tc = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -395,13 +390,6 @@ class _RepairTables:
             _pair_index_arr(tb, tc, D),
             _pair_index_arr(ta, tc, D),
         ], axis=1).astype(np.int32)
-
-        # the subsets through a triple: the triple plus each (n-3)-subset of
-        # the other members, in lexicographic order
-        self.subs_per_triple = math.comb(D - 3, n - 3)
-        rest = np.array(list(combinations(range(D - 3), n - 3)),
-                        dtype=np.intp).reshape(self.subs_per_triple, n - 3)
-        tri_to_subs = _colex_ranks(triples, rest, comb_table).astype(np.int32)
 
         # subset keys gc * width + bias: key + dsub still decodes to (gc,
         # dsub) for dsub in [-(n-2), n-2], so a lookup tells whether the
@@ -426,9 +414,7 @@ class _RepairTables:
         # n-2 triples of the pair inside the s-th subset are, as indices into
         # the pair's triples, the s-th (n-2)-subset of range(D-2) in colex
         # order: one table for every pair, one column per slot
-        members = np.array(sorted(combinations(range(D - 2), n - 2),
-                                  key=lambda c: c[::-1]),
-                           dtype=np.intp).reshape(-1, n - 2)
+        members = _colex(D - 2, n - 2)
         self.sub_tris = [np.ascontiguousarray(members[:, j])
                          for j in range(n - 2)]
         # flat indices 3t + slot grouped by pair, t increasing in each group
@@ -438,9 +424,19 @@ class _RepairTables:
         self.pair_tris = list(flat // 3)
         self.pair_slot = list(flat)
         self.pair_bit = list(1 << flat % 3)
-        pairs = np.array(list(combinations(range(D), 2)), dtype=np.intp)
-        self.pair_sub_uniq = list(_colex_ranks(pairs, members, comb_table))
-        self.tri_to_subs = tri_to_subs
+        # the pairs of each n-subset, subsets in colex order: a stable sort by
+        # pair groups the subsets by pair, each group in colex order.  Pair
+        # ranks take the narrowest unsigned dtype that holds them all (16
+        # bits up to D = 362, where numpy's stable sort is a radix sort)
+        subsets = _colex(D, n)
+        pair_rank = np.zeros((D, D), dtype=np.min_scalar_type(self.npairs - 1))
+        pair_rank[_upper_pairs(D)] = np.arange(self.npairs)
+        sub_pairs = np.stack([pair_rank[subsets[:, i], subsets[:, j]]
+                              for i, j in combinations(range(n), 2)], axis=1)
+        pair_subs = np.argsort(sub_pairs.ravel(), kind="stable")
+        pair_subs //= sub_pairs.shape[1]
+        self.pair_subs = pair_subs.reshape(self.npairs, -1)
+        self.pair_sub_uniq = list(self.pair_subs)
 
         # Flipping pair p changes, in each triple t of p, the flip delta of
         # each other pair q of t by +-1 (of the four codes that the two
@@ -470,57 +466,26 @@ class _RepairTables:
         colors = bits[self.tri_pairs].astype(np.intp)
         code = colors[:, 0] | (colors[:, 1] << 1) | (colors[:, 2] << 2)
         delta = _FLIP_DELTA[code]
-        good = delta[:, 0] < 0              # a good triple loses by any flip
-        gc = np.bincount(
-            self.tri_to_subs.ravel(),
-            weights=np.repeat(good, self.subs_per_triple),
-            minlength=self.nsubsets,
-        ).astype(np.intp)
         dtri = delta.ravel()[self.slots]
         dsub = np.zeros((self.npairs, self.subs_per_pair), dtype=np.int8)
         for col in self.sub_tris:
             dsub += dtri[:, col]
+        # a triple's flip deltas sum to -3 if it is good, else to +1 (a bad
+        # code is one flip from one of the antipodal good codes 3 and 4), so
+        # a subset's dsub summed over its pairs is C(n, 3) - 4 * its good count
+        total = np.bincount(self.pair_subs.ravel(), weights=dsub.ravel(),
+                            minlength=self.nsubsets)
+        gc = (math.comb(self.n, 3) - total.astype(np.intp)) // 4
         return code, delta, gc * self.width + self.bias, dsub
 
 
-def _colex_ranks(fixed: np.ndarray, rest: np.ndarray,
-                 comb: np.ndarray) -> np.ndarray:
-    """Colex ranks of the sets F | S, one row per F and one column per S.
-
-    comb[x, j] is C(x, j) for x in [0, D].  Row f of `fixed` is an
-    increasing k-subset F of [0, D); row s of `rest` is an increasing
-    subset S of [0, D - k), read as indices into the members of [0, D)
-    outside F in increasing order.  The colex rank of a set is the sum of
-    C(v, p + 1) over its members v, p being the number of members below v.
-    With low_i = F[i] - i, index v stands for the member v + above[F, v],
-    above[F, v] = #{i : low_i <= v} being the members of F below it, and
-    F[i] has below[S, low_i], the indices of S under low_i, below it: every
-    position is a count, so no set is sorted.
-    """
-    D, width = comb.shape[0] - 1, comb.shape[1]
-    k, r = fixed.shape[1], rest.shape[1]
-    flat = comb.ravel()
-    fixed = fixed.astype(np.intp)
-    lows = fixed - np.arange(k)
-    values = np.arange(D - k + 1)
-    above = (lows[:, :, None] <= values).sum(axis=1)
-    below = np.zeros((len(values), len(rest)), dtype=np.intp)
-    for s in rest.T:
-        below += s < values[:, None]
-    ranks = np.empty((len(fixed), len(rest)), dtype=np.int64)
-    step = max(1, (1 << 17) // max(1, len(rest)))    # transients near 1 MB
-    for lo in range(0, len(fixed), step):
-        part = slice(lo, lo + step)
-        total = np.zeros((len(fixed[part]), len(rest)), dtype=np.int64)
-        for t in range(r):
-            s = rest[:, t]
-            total += flat.take(s * width + t + 1
-                               + above[part][:, s] * (width + 1))
-        for i in range(k):
-            total += flat.take(fixed[part, i, None] * width + i + 1
-                               + below[lows[part, i]])
-        ranks[part] = total
-    return ranks
+def _colex(N: int, k: int) -> np.ndarray:
+    """The k-subsets of range(N) as increasing rows in colex order (largest
+    member first, then the next), so that row r is the subset of rank r."""
+    subsets = np.fromiter(chain.from_iterable(combinations(range(N), k)),
+                          dtype=np.intp, count=math.comb(N, k) * k)
+    subsets = subsets.reshape(-1, k)
+    return subsets[np.lexsort(subsets.T)]
 
 
 def _pair_index_arr(a, b, D):
@@ -591,8 +556,13 @@ class _PCG64Replay:
         return (self._word() >> 11) * 2.0 ** -53
 
 
+# the anneal's temperature falls geometrically from _T_START to _T_END
+_T_START = 2.0
+_T_END = 0.01
+
+
 def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
-                   steps: int, t_start: float = 2.0, t_end: float = 0.01):
+                   steps: int):
     """Minimize the number of good-triple-free subsets by pair flips.
 
     Returns (bits, steps_done, bad_count, accepted_flips).  Stops early at
@@ -611,8 +581,8 @@ def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
         return bits, 0, 0, 0
     turn, next_key, subs_of_tri = tab.turn, tab.next_key, tab.subs_of_tri
     accepted = 0
-    decay = (t_end / t_start) ** (1.0 / max(1, steps))
-    temp = t_start
+    decay = (_T_END / _T_START) ** (1.0 / max(1, steps))
+    temp = _T_START
     for step in range(1, steps + 1):
         temp *= decay
         p = draws.integers(tab.npairs)

@@ -103,13 +103,10 @@ class EdgeRule(Enum):
 class StepUpHypergraph:
     """Lazily evaluated 4-graph; edges are never materialized."""
 
-    def __init__(self, coloring: PairColoring, D: Optional[int] = None):
-        D = coloring.D if D is None else D
+    def __init__(self, coloring: PairColoring):
+        D = coloring.D
         if not 2 <= D <= 64:
             raise InvalidD(f"need 2 <= D <= 64, got {D}")
-        if coloring.D != D:
-            raise InvalidParams(
-                f"coloring is over [0,{coloring.D}) but D={D}")
         self.D = D
         self.coloring = coloring
 
@@ -423,7 +420,8 @@ def check_k5_free(
 ) -> Optional[FiveSetViolation]:
     """Exhaustively verify that no 5-set of {0,...,V-1} induces a K5(4).
 
-    V defaults to 2^D, clamped by vertex_cap.  Returns None (the theorem
+    V defaults to 2^D, clamped by vertex_cap (a negative cap raises
+    InvalidParams).  Returns None (the theorem
     says always) or the lexicographically first violating 5-set, which
     signals an implementation bug and is reported verbatim.  The budget
     gate counts binom(V, 5) five-sets, though the check never touches a
@@ -435,6 +433,8 @@ def check_k5_free(
     receives the engine name (delta-patterns) and the number of patterns
     checked.
     """
+    if vertex_cap is not None and vertex_cap < 0:
+        raise InvalidParams(f"need vertex_cap >= 0, got {vertex_cap}")
     V = H.vertex_count if vertex_cap is None else min(vertex_cap, H.vertex_count)
     if V < 5:
         if stats is not None:

@@ -112,6 +112,26 @@ def test_check_k5_reports_its_engine(capsys):
                                "patterns_checked": 0}
 
 
+def test_check_k5_all_colorings_honours_the_vertex_cap(capsys):
+    # binom(16, 5) = 4368 five-sets exceed the budget of 10; the cap of 6
+    # leaves 6 in every coloring's check
+    argv = ["check-k5", "--bits", "4", "--all-colorings", "--budget", "10"]
+    code, out, err = run_raw(capsys, argv)
+    assert code == 2 and "4368" in err
+    code, rep = run_json(capsys, argv + ["--vertex-cap", "6"])
+    assert code == 0 and rep["verdict"] == "NoViolation"
+    assert rep["counters"] == {"colorings": 64, "five_sets_each": 6,
+                               "five_sets_total": 384}
+
+
+@pytest.mark.parametrize("extra", [["--seed", "2"], ["--all-colorings"]])
+def test_check_k5_negative_vertex_cap_is_a_usage_error(capsys, extra):
+    code, out, err = run_raw(capsys, ["check-k5", "--bits", "5",
+                                      "--vertex-cap", "-3", *extra])
+    assert code == 2 and out == ""
+    assert "InvalidParams" in err and "vertex_cap" in err
+
+
 def test_verify_coloring_all_red_is_refuted(capsys, tmp_path):
     path = tmp_path / "red.bin"
     save_coloring(PairColoring(10, np.zeros(45, dtype=np.uint8)), path)

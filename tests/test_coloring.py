@@ -712,36 +712,39 @@ def test_steiner_below_the_turan_floor_is_a_typed_error(monkeypatch):
         greedy_steiner(10, 1)
 
 
+def _colex_ranks_by_triple(D, n):
+    # per triple, sort each subset through it and sum C(v_i, i + 1): the
+    # colex ranks of the subsets through the triple, one row per triple
+    rest = list(combinations(range(D - 3), n - 3))
+    return np.array([
+        [sum(math.comb(v, i + 1) for i, v in enumerate(sorted(
+            (*t, *(others[j] for j in pick)))))
+         for pick in rest]
+        for t in combinations(range(D), 3)
+        for others in [[v for v in range(D) if v not in t]]])
+
+
 def test_repair_member_table_is_shared_by_every_pair():
     # the per-pair table it replaced: for each subset through the pair, the
     # indices (into the pair's triples) of the triples it contains
     for D, n in ((8, 4), (12, 5), (10, 6), (9, 3)):
         tab = _repair_tables(D, n)
+        want = _colex_ranks_by_triple(D, n)
         shared = np.stack(tab.sub_tris, axis=1)
         for p in range(tab.npairs):
-            flat = tab.tri_to_subs[tab.pair_tris[p]].ravel()
+            flat = want[tab.pair_tris[p]].ravel()
             uniq, pos = np.unique(flat, return_inverse=True)
             members = (np.argsort(pos, kind="stable")
-                       // tab.subs_per_triple).reshape(len(uniq), n - 2)
+                       // want.shape[1]).reshape(len(uniq), n - 2)
             assert np.array_equal(uniq, tab.pair_sub_uniq[p])
             assert np.array_equal(members, shared), (D, n, p)
 
 
 def test_repair_tables_by_colex_rank_match_the_sorted_construction():
-    # the construction the closed form replaced: per triple, sort each
-    # subset through it and sum C(v_i, i + 1); per pair, np.unique over the
-    # subsets of its triples
+    # per pair, np.unique over the colex ranks of the subsets of its triples
     for D, n in ((8, 4), (12, 5), (16, 5), (9, 3), (10, 6)):
         tab = _repair_tables(D, n)
-        rest = list(combinations(range(D - 3), n - 3))
-        want = np.array([
-            [sum(math.comb(v, i + 1) for i, v in enumerate(sorted(
-                (*t, *(others[j] for j in pick)))))
-             for pick in rest]
-            for t in combinations(range(D), 3)
-            for others in [[v for v in range(D) if v not in t]]])
-        assert tab.tri_to_subs.dtype == np.int32
-        assert np.array_equal(tab.tri_to_subs, want), (D, n)
+        want = _colex_ranks_by_triple(D, n)
         for p, (a, b) in enumerate(combinations(range(D), 2)):
             tris = [t for t, tri in enumerate(combinations(range(D), 3))
                     if a in tri and b in tri]
@@ -752,6 +755,22 @@ def test_repair_tables_by_colex_rank_match_the_sorted_construction():
             assert tab.pair_slot[p].tolist() == [3 * t + s
                                                  for t, s in zip(tris, slots)]
             assert tab.pair_bit[p].tolist() == [1 << s for s in slots]
-            uniq = np.unique(tab.tri_to_subs[tris])
+            uniq = np.unique(want[tris])
             assert tab.pair_sub_uniq[p].dtype == np.int64
             assert np.array_equal(tab.pair_sub_uniq[p], uniq), (D, n, p)
+
+
+def test_initial_keys_hold_the_good_count_of_each_colex_subset():
+    # the keys decode to the good-triple count of the subset of that colex
+    # rank, counted here triple by triple
+    for D, n in ((5, 3), (9, 3), (6, 6), (7, 7), (8, 4), (10, 6), (12, 5)):
+        tab = _repair_tables(D, n)
+        subsets = sorted(combinations(range(D), n), key=lambda s: s[::-1])
+        for seed in range(3):
+            phi = sample_coloring(D, seed)
+            want = [sum(phi.color(a, b) == phi.color(b, c) != phi.color(a, c)
+                        for a, b, c in combinations(sub, 3))
+                    for sub in subsets]
+            _, _, keys, _ = tab.initial_state(phi.bits)
+            assert np.array_equal(keys % tab.width, np.full(len(keys), tab.bias))
+            assert (keys // tab.width).tolist() == want, (D, n, seed)

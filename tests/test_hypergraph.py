@@ -21,6 +21,7 @@ from stepup.delta import delta_sequence
 from stepup.errors import (
     BudgetExceeded,
     EngineDisagreement,
+    InvalidParams,
     MalformedTuple,
     NoNonEdge,
     SetTooSmall,
@@ -269,6 +270,8 @@ def test_k5_budget_and_vertex_cap():
     assert exc.value.required == math.comb(256, 5)
     assert check_k5_free(H8, vertex_cap=40) is None
     assert check_k5_free(H8, vertex_cap=4) is None  # fewer than 5 vertices
+    with pytest.raises(InvalidParams, match="vertex_cap"):
+        check_k5_free(H8, vertex_cap=-3)
     H3 = graph(3, 0)
     with pytest.raises(BudgetExceeded):
         check_k5_free(H3, budget=10)
