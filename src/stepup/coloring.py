@@ -470,9 +470,8 @@ class _RepairTables:
         dsub = np.zeros((self.npairs, self.subs_per_pair), dtype=np.int8)
         for col in self.sub_tris:
             dsub += dtri[:, col]
-        # a triple's flip deltas sum to -3 if it is good, else to +1 (a bad
-        # code is one flip from one of the antipodal good codes 3 and 4), so
-        # a subset's dsub summed over its pairs is C(n, 3) - 4 * its good count
+        # a good triple's flip deltas sum to -3, any other's to +1 (it is one
+        # flip from one good code), so a subset's dsub summed is C(n, 3) - 4 gc
         total = np.bincount(self.pair_subs.ravel(), weights=dsub.ravel(),
                             minlength=self.nsubsets)
         gc = (math.comb(self.n, 3) - total.astype(np.intp)) // 4
