@@ -372,6 +372,7 @@ def _code_good(code: int) -> int:
 # change in a triple's goodness when the pair in slot s flips, by code
 _FLIP_DELTA = np.array([[_code_good(c ^ (1 << s)) - _code_good(c) for s in range(3)]
                         for c in range(8)], dtype=np.int8)
+_SUM_BLOCK = 1 << 20  # dsub entries summed per add.at call in initial_state
 
 
 class _RepairTables:
@@ -471,10 +472,16 @@ class _RepairTables:
         for col in self.sub_tris:
             dsub += dtri[:, col]
         # a good triple's flip deltas sum to -3, any other's to +1 (it is one
-        # flip from one good code), so a subset's dsub summed is C(n, 3) - 4 gc
-        total = np.bincount(self.pair_subs.ravel(), weights=dsub.ravel(),
-                            minlength=self.nsubsets)
-        gc = (math.comb(self.n, 3) - total.astype(np.intp)) // 4
+        # flip from one good code), so a subset's dsub summed is C(n, 3) - 4 gc.
+        # The sums are taken in the narrowest integer that holds them; dsub
+        # is widened a block of rows at a time where that is not int8
+        c3 = math.comb(self.n, 3)
+        total = np.zeros(self.nsubsets, dtype=np.min_scalar_type(-3 * c3))
+        rows = max(1, _SUM_BLOCK // self.subs_per_pair)
+        for r in range(0, self.npairs, rows):
+            np.add.at(total, self.pair_subs[r:r + rows].ravel(),
+                      dsub[r:r + rows].ravel().astype(total.dtype, copy=False))
+        gc = (c3 - total.astype(np.intp)) // 4
         return code, delta, gc * self.width + self.bias, dsub
 
 

@@ -573,151 +573,188 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     order of checks; its position, for an undominated interior, is the
     first largest delta between the pair.
 
-    The stack must have the shape build_layers makes (see _nesting), and
-    any other raises InvalidParams.  Layer t is checked from the deltas
-    of layer t-1 at the indices of layer t and at their two neighbors
-    (see the note above), in slices of _STAR_CHUNK elements, keeping the
-    first failure of every kind.  This is an induction on t: a failure in
-    layer t-1 is reported before layer t is read.  Counting the peaks of
-    layer t-1 inside layer t stands in for the interior check.  A
-    build_layers stack has every peak in the layer above, since its
-    layers hold every strict local maximum and a peak that is not strict
-    has an equal neighbor, which the equal-deltas check of layer t-1
-    rules out (in layer 0, delta(x, y) != delta(y, z) for x < y < z).
-    When the count falls short, the first failing pair, if any, is found
-    by a maximum over d between consecutive indices.
+    The stack must have the shape build_layers makes (see _layer_rows
+    and _check_layer), and any other raises InvalidParams naming the
+    first layer out of shape, whatever failure a lower layer holds.
+    Layer t is checked from the deltas of layer t-1 (see the note above),
+    window by window (see _check_layer), so that nothing the check holds
+    grows with |Q|.  This is an induction on t: a failure in layer t-1 is
+    the one reported, and the layers above it are then only checked for
+    shape.  Counting the peaks of layer t-1 inside layer t stands in for
+    the interior check.  A build_layers stack has every peak in the layer
+    above, since its layers hold every strict local maximum and a peak
+    that is not strict has an equal neighbor, which the equal-deltas
+    check of layer t-1 rules out (in layer 0, delta(x, y) != delta(y, z)
+    for x < y < z).  When the count falls short, the first failing pair,
+    if any, is found by a maximum over d between consecutive indices.
     """
-    locs = _nesting(stack)
-    deltas, layers = stack.deltas, stack.layers
+    if stack.layers[0] is not None:
+        raise InvalidParams(
+            "layer 0 must be left implicit (None), as build_layers leaves it")
     checks = {"star_pairs": 0, "drop_dominance": 0}
+    failure = None
+    for t in range(1, len(stack.layers)):
+        found = _check_layer(stack, t, checks, star=failure is None)
+        failure = failure or found
+    return PropertyReport(ok=failure is None, checks=checks,
+                          counterexample=failure)
 
-    def fail(info):
-        return PropertyReport(ok=False, checks=checks, counterexample=info)
 
-    d = deltas  # layer 0 is every position: its deltas are all of them
-    for t in range(1, len(layers)):
-        P, below, loc = layers[t], layers[t - 1], locs[t]
-        kept = locs[t + 1] if t + 1 < len(layers) else loc[:0]
-        dP = np.empty(P.size, dtype=deltas.dtype)
-        peaks = 0
-        equal = flank = -1
-        for j0 in range(0, P.size, _STAR_CHUNK):
-            j1 = min(j0 + _STAR_CHUNK, P.size)
-            lj = loc[j0:j1].astype(np.intp)
-            dj = dP[j0:j1]
-            np.take(d, lj, out=dj)
-            if equal < 0:
-                # from the element before the slice, so pairs across
-                # slice boundaries are compared too
-                run = dP[max(j0 - 1, 0):j1]
-                k = _first(run[:-1] == run[1:])
-                equal = max(j0 - 1, 0) + k if k >= 0 else -1
-            # clipping only touches end elements: they are no peaks, and
-            # are either kept or caught by the boundary check first
-            left = np.take(d, lj - 1, mode="clip")
-            right = np.take(d, lj + 1, mode="clip")
-            peak = (dj >= left) & (dj >= right)
-            # loc strictly increases, so only the layer's first and last
-            # element can sit at an end of layer t-1
-            peak[0] &= lj[0] > 0
-            peak[-1] &= lj[-1] < d.size - 1
-            peaks += int(np.count_nonzero(peak))
-            weak = (dj <= left) | (dj <= right)
-            if flank < 0 and weak.any():
-                lo, hi = np.searchsorted(kept, (j0, j1))
-                weak[kept[lo:hi] - j0] = False
-                k = _first(weak)
-                flank = j0 + k if k >= 0 else -1
-        if P.size >= 2:
-            checks["star_pairs"] += int(P.size - 1)
-        if equal >= 0:
-            return fail({"check": "star", "layer": t,
-                         "left": int(P[equal]), "right": int(P[equal + 1]),
-                         "reason": "equal deltas"})
-        if peaks != _peak_count(d):
-            k = _first_undominated_pair(d, loc)
-            if k >= 0:
-                lo, hi = int(P[k]), int(P[k + 1])
-                x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
-                return fail({"check": "star", "layer": t, "left": lo,
-                             "right": hi, "position": x,
-                             "reason": "interior delta not dominated"})
-        n_drop = P.size - kept.size
-        if n_drop:
-            # only the ends can lack a neighbor below
-            if loc[0] == 0 and not (kept.size and kept[0] == 0):
-                return fail(_boundary_failure(t, int(P[0])))
-            if loc[-1] == d.size - 1 and not (kept.size
-                                              and kept[-1] == P.size - 1):
-                return fail(_boundary_failure(t, int(P[-1])))
-            checks["drop_dominance"] += n_drop
-            if flank >= 0:
-                k = int(loc[flank])
-                # an implicit layer 0 is indexed by position
-                left, right = ((k - 1, k + 1) if below is None
-                               else (int(below[k - 1]), int(below[k + 1])))
-                return fail({"check": "drop_dominance", "layer": t,
-                             "position": int(P[flank]), "left": left,
-                             "right": right,
-                             "reason": "neighborhood not dominated"})
-        d = dP
-    return PropertyReport(ok=True, checks=checks, counterexample=None)
+_STAR_CHUNK = 1 << 14  # layer elements per slice of the star check
+_STAR_SPAN = 16        # chunks of the layer below that one window spans at most
+
+
+def _layer_rows(stack: LayerStack, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Layer t and the index of each of its positions in layer t-1.
+
+    Layer-1 positions are their own indices in the implicit layer 0; from
+    layer 2 on the index is the recorded parents row.  InvalidParams
+    unless both are one-dimensional integer arrays of one length.
+    """
+    P = stack.layers[t]
+    if not (isinstance(P, np.ndarray) and P.dtype.kind in "iu"
+            and P.ndim == 1):
+        raise InvalidParams(f"layer {t} is not an integer position array")
+    loc = P
+    if t > 1:
+        parents = stack.parents
+        loc = parents[t] if parents and t < len(parents) else None
+    if not (isinstance(loc, np.ndarray) and loc.dtype.kind in "iu"
+            and loc.shape == P.shape):
+        raise InvalidParams(
+            f"layer {t} has no integer parents row of its own length")
+    return P, loc
+
+
+def _check_layer(stack: LayerStack, t: int, checks: dict,
+                 star: bool) -> Optional[dict]:
+    """Layer t's first failure of the star property, or None.
+
+    Layer t-1 is read in windows of consecutive indices c..e-1, with one
+    more index on each side.  A window ends before the next _STAR_CHUNK
+    indices of layer t are done, and after at most _STAR_SPAN times as
+    many indices of layer t-1.  Its deltas, read once through layer
+    t-1's positions, serve the neighbor reads of the layer-t indices in
+    it and the count of layer t-1's peaks at c..e-1; the next window
+    starts at e.  Slice by slice, layer t must strictly increase inside
+    layer t-1, its parents row picking it out, or InvalidParams names
+    it.  With star false, only that is checked.  The parents row of layer
+    t+1, which says which elements layer t drops, is checked when layer
+    t+1 is reached, so one out of shape only leads here to a failure
+    that is never reported.
+    """
+    deltas, below = stack.deltas, stack.layers[t - 1]
+    P, loc = _layer_rows(stack, t)
+    try:
+        kept = (_layer_rows(stack, t + 1)[1] if t + 1 < len(stack.layers)
+                else loc[:0])
+    except InvalidParams:
+        kept = loc[:0]
+    bound = deltas.size if below is None else below.size
+    peaks = taken = 0
+    equal = flank = -1
+    last = None
+    c = j0 = 0
+    while c < bound:
+        e = min(c + _STAR_SPAN * _STAR_CHUNK, bound)
+        if j0 + _STAR_CHUNK < loc.size:
+            e = min(e, max(int(loc[j0 + _STAR_CHUNK]), c + 1))
+        base, end = max(c - 1, 0), min(e + 1, bound)
+        rel = loc[j0:j0 + _STAR_CHUNK].astype(np.intp)
+        rel -= base
+        rel = rel[:int(np.searchsorted(rel, e - base))]
+        j1 = j0 + rel.size
+        # the slice strictly increases inside c..e-1, the index after it
+        # is at or past e, and from layer 2 on it picks layer t out
+        inside = rel.size == 0 or (rel[0] >= c - base and rel[-1] < e - base
+                                   and bool((rel[1:] > rel[:-1]).all()))
+        if not (inside and (j1 == loc.size or (e < bound and loc[j1] >= e))
+                and (below is None
+                     or (below[base:end].take(rel) == P[j0:j1]).all())):
+            raise _unnested(t)
+        if star:
+            win = (deltas[base:end] if below is None
+                   else deltas.take(below[base:end]))
+            up = win[1:] > win[:-1]
+            down = win[1:] < win[:-1]
+            # window index i is a peak unless win[i] falls from i-1 or
+            # rises to i+1; the window's ends hold no index of its own
+            no_peak = down[:-1] | up[1:]
+            peaks += no_peak.size - int(np.count_nonzero(no_peak))
+            strict = np.zeros(win.size, dtype=bool)
+            np.logical_and(up[:-1], down[1:], out=strict[1:-1])
+            top = strict.take(rel)
+            if top.all():
+                taken += rel.size   # as in a build_layers stack
+            else:
+                # an end of layer t-1 is no peak; dropped, it fails the
+                # boundary check, which comes first
+                peak = np.zeros(win.size, dtype=bool)
+                np.logical_not(no_peak, out=peak[1:-1])
+                taken += int(np.count_nonzero(peak.take(rel)))
+                if flank < 0:
+                    weak = ~top & (rel > 0) & (rel < win.size - 1)
+                    lo, hi = np.searchsorted(kept, (j0, j1))
+                    np.put(weak, kept[lo:hi].astype(np.intp) - j0, False,
+                           mode="clip")
+                    k = _first(weak)
+                    flank = j0 + k if k >= 0 else -1
+            if equal < 0 and rel.size:
+                dj = win.take(rel)
+                if last is not None and dj[0] == last:
+                    equal = j0 - 1
+                else:
+                    k = _first(dj[1:] == dj[:-1])
+                    equal = j0 + k if k >= 0 else -1
+                last = dj[-1]
+        c, j0 = e, j1
+    if j0 < loc.size:
+        raise _unnested(t)  # an empty layer t-1 holds no index
+    if not star:
+        return None
+    if P.size >= 2:
+        checks["star_pairs"] += int(P.size - 1)
+    if equal >= 0:
+        return {"check": "star", "layer": t, "left": int(P[equal]),
+                "right": int(P[equal + 1]), "reason": "equal deltas"}
+    if taken != peaks:
+        # the failure-locating read is the one of all layer t-1's deltas
+        k = _first_undominated_pair(
+            deltas if below is None else deltas[below], loc)
+        if k >= 0:
+            lo, hi = int(P[k]), int(P[k + 1])
+            x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
+            return {"check": "star", "layer": t, "left": lo, "right": hi,
+                    "position": x, "reason": "interior delta not dominated"}
+    n_drop = P.size - kept.size
+    if n_drop > 0:   # a longer kept row is refused with layer t+1
+        # only the ends can lack a neighbor below
+        if loc[0] == 0 and not (kept.size and kept[0] == 0):
+            return _boundary_failure(t, int(P[0]))
+        if loc[-1] == bound - 1 and not (kept.size
+                                         and kept[-1] == P.size - 1):
+            return _boundary_failure(t, int(P[-1]))
+        checks["drop_dominance"] += n_drop
+        if flank >= 0:
+            k = int(loc[flank])
+            # an implicit layer 0 is indexed by position
+            left, right = ((k - 1, k + 1) if below is None
+                           else (int(below[k - 1]), int(below[k + 1])))
+            return {"check": "drop_dominance", "layer": t,
+                    "position": int(P[flank]), "left": left, "right": right,
+                    "reason": "neighborhood not dominated"}
+    return None
+
+
+def _unnested(t: int) -> InvalidParams:
+    return InvalidParams(
+        f"layer {t} does not strictly increase inside layer {t - 1}"
+        + ("" if t == 1 else " at its parents row's indices"))
 
 
 def _boundary_failure(t: int, pos: int) -> dict:
     return {"check": "drop_dominance", "layer": t, "position": pos,
             "reason": "element not interior to layer below"}
-
-
-def _nesting(stack: LayerStack) -> list:
-    """Index of every layer's positions inside the layer below.
-
-    Only build_layers' shape is accepted: an implicit layer 0 (None), so
-    that layer-1 positions are their own indices; a layer 1 of integer
-    positions that strictly increases inside [0, deltas.size); and for
-    every t >= 2 a recorded integer parents[t] that strictly increases
-    inside layer t-1 and picks layer t out of it.  Any other stack raises
-    InvalidParams naming the first layer out of shape.
-    """
-    layers, parents, deltas = stack.layers, stack.parents, stack.deltas
-    if layers[0] is not None:
-        raise InvalidParams(
-            "layer 0 must be left implicit (None), as build_layers leaves it")
-    locs = [None]
-    for t in range(1, len(layers)):
-        P, loc, bound = layers[t], layers[t], deltas.size
-        if t > 1:
-            loc = parents[t] if parents and t < len(parents) else None
-            bound = layers[t - 1].size
-        if not (isinstance(P, np.ndarray) and P.dtype.kind in "iu"
-                and P.ndim == 1):
-            raise InvalidParams(f"layer {t} is not an integer position array")
-        if not (isinstance(loc, np.ndarray) and loc.dtype.kind in "iu"
-                and loc.shape == P.shape):
-            raise InvalidParams(
-                f"layer {t} has no integer parents row of its own length")
-        if loc.size and not (loc[0] >= 0 and loc[-1] < bound
-                             and (loc[1:] > loc[:-1]).all()
-                             and (t == 1 or (layers[t - 1][loc] == P).all())):
-            raise InvalidParams(
-                f"layer {t} does not strictly increase inside layer {t - 1}"
-                + ("" if t == 1 else " at its parents row's indices"))
-        locs.append(loc)
-    return locs
-
-
-_STAR_CHUNK = 1 << 14  # sublayer elements per slice of the star check
-
-
-def _peak_count(d: np.ndarray) -> int:
-    """Interior indices k with d[k] >= d[k-1] and d[k] >= d[k+1]."""
-    count = 0
-    for s in range(1, d.size - 1, _SCAN_CHUNK):
-        e = min(s + _SCAN_CHUNK, d.size - 1)
-        mid = d[s:e]
-        count += int(np.count_nonzero((mid >= d[s - 1:e - 1])
-                                      & (mid >= d[s + 1:e + 1])))
-    return count
 
 
 def _first_undominated_pair(d: np.ndarray, loc: np.ndarray) -> int:

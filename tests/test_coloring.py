@@ -774,3 +774,36 @@ def test_initial_keys_hold_the_good_count_of_each_colex_subset():
             _, _, keys, _ = tab.initial_state(phi.bits)
             assert (keys % tab.width == tab.bias).all()
             assert (keys // tab.width).tolist() == want, (D, n, seed)
+
+
+def test_initial_keys_are_summed_in_integers(monkeypatch):
+    """Subset sums of dsub are taken in integers, a few rows at a time.
+
+    From n = 8 the sums need int16, so dsub is widened block by block;
+    blocks of one or two rows give the keys of the triple-by-triple
+    count there too.  One call at (26, 6) traces under 2.5 times its
+    int8 dsub: a float64 copy of dsub alone was eight times it.
+    """
+    import tracemalloc
+
+    for D, n in ((9, 8), (10, 9), (11, 8), (12, 5)):
+        subsets = sorted(combinations(range(D), n), key=lambda s: s[::-1])
+        tab = coloring._RepairTables(D, n)
+        for block in (1 << 20, tab.subs_per_pair, 2 * tab.subs_per_pair - 1):
+            monkeypatch.setattr(coloring, "_SUM_BLOCK", block)
+            phi = sample_coloring(D, block % 5)
+            want = [sum(phi.color(a, b) == phi.color(b, c) != phi.color(a, c)
+                        for a, b, c in combinations(sub, 3))
+                    for sub in subsets]
+            _, _, keys, _ = tab.initial_state(phi.bits)
+            assert (keys == np.array(want) * tab.width + tab.bias).all()
+    monkeypatch.undo()
+    tab = _repair_tables(26, 6)
+    bits = sample_coloring(26, 0).bits
+    tracemalloc.start()
+    try:
+        dsub = tab.initial_state(bits)[3]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * dsub.nbytes

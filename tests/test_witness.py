@@ -395,7 +395,9 @@ def test_guarantee_scale_trial_at_n7():
     """One trial under the guarantee at n = 7: |Q| = 14^7 + 1 of 2^27.
 
     The Paley tournament on GF(27) has no transitive 7-subtournament, so
-    extraction must succeed (about 8 s and 1.6 GB on a 2-core machine).
+    extraction must succeed (about 3-4 s on a 2-core machine, with a peak
+    RSS of 1.37 GB, set by the stack builds; 1.46 GB while the star check
+    copied whole layers).
     """
     phi = paley_coloring(27, 27)
     assert certify_good_property(phi, 7).certified
@@ -719,6 +721,44 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
     assert compared > 350 and failing > 200 and refused > 300
 
 
+@pytest.mark.parametrize("chunk", [2, 1 << 14])
+def test_stale_layer_is_refused_before_a_lower_failure(monkeypatch, chunk):
+    """A layer out of shape is refused whatever a lower layer fails.
+
+    Each stack has a delta raised inside a layer-1 gap, so that layer 1
+    fails the interior check, and the parents row of a higher layer
+    reversed, or stale: each index moved to its neighbor, as if an
+    element of the layer below had been removed.  The check raises
+    InvalidParams naming the stale layer, not the failure of layer 1.
+    """
+    monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
+    rng = np.random.default_rng(31)
+    stacks = 0
+    while stacks < 30:
+        q = random_subset(12, int(rng.integers(1000, 4000)),
+                          int(rng.integers(1 << 30)))
+        stack = build_layers(q, 7)
+        if not isinstance(stack, LayerStack):
+            continue
+        stacks += 1
+        P = stack.layers[1]
+        k = int(np.argmax(P[1:] - P[:-1] >= 2))
+        deltas = stack.deltas.copy()
+        deltas[P[k] + 1] = 100              # above every delta
+        low = replace(stack, deltas=deltas)
+        reference = _star_reference(low)
+        assert reference.counterexample["layer"] == 1
+        assert _report_of(verify_star_property(low)) == _report_of(reference)
+        t = int(rng.integers(3, len(stack.layers)))
+        parents = list(stack.parents)
+        if rng.integers(2) and parents[t].size > 1:
+            parents[t] = parents[t][::-1].copy()
+        else:
+            parents[t] = parents[t] + 1
+        with pytest.raises(InvalidParams, match=f"layer {t} "):
+            verify_star_property(replace(low, parents=parents))
+
+
 def test_layer_stack_memory_stays_lean():
     """Traced peaks of the stack build and the star check, against |Q|.
 
@@ -741,6 +781,34 @@ def test_layer_stack_memory_stays_lean():
     assert report.ok
     assert build_peak <= 1.25 * q.nbytes
     assert star_peak - held <= 0.4 * q.nbytes
+
+
+def test_star_check_allocates_nothing_that_grows_with_q():
+    """The star check's traced peak, above what the stack holds, is under
+    2 MB on 2^23 random vertices of 2^24 and on the interval Q of 2^21.
+
+    Each layer is read in windows of the layer below, so no array of a
+    whole layer is made (a copy of layer 1's deltas alone is 3.3 MB on
+    the random Q).  A window is cut short where the layer above is
+    sparse: a layer 1 of only the largest delta, which passes, spans all
+    of the interval Q (its flags alone would be 8 MB).
+    """
+    stacks = [build_layers(random_subset(24, 1 << 23, seed=0), 6),
+              build_layers(np.arange(1 << 21, dtype=np.uint64), 6)]
+    for stack in stacks:
+        assert isinstance(stack, LayerStack) and len(stack.layers) == 8
+    top = np.array([np.argmax(stack.deltas)], dtype=np.int32)
+    stacks.append(replace(stack, layers=[None, top], parents=[None, None]))
+    for stack in stacks:
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            report = verify_star_property(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak - held < 2 * 1024 * 1024
 
 
 def _explicit_base(stack):
