@@ -16,7 +16,9 @@ meaningful for any position p.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -75,6 +77,7 @@ STREAM_MIN_BITS = 20
 _MARK_CHUNK = 1 << 20
 
 _Q_HEADER_RE = re.compile(rb"^STEPUP-Q v1 count=(\d+) bits=(\d+)\n")
+_Q_HEADER_MAX = 256  # bytes of the first line a Q file header is read from
 
 
 def guarantee_threshold(n: int) -> int:
@@ -111,12 +114,9 @@ class LayerStack:
     (m-1)/(2n)^t as diagnostics only: the all-maxima policy makes each
     layer a superset of the first-beta_t prefix the counting argument
     reasons about, and observed sizes are recorded, not asserted.
-    parents holds for t >= 2 the index of each position of layers[t]
-    within layers[t-1], as build_layers records them (layer-1 positions
-    are their own indices in an implicit layer 0).  verify_star_property
-    checks them before relying on them, and raises InvalidParams on a
-    stack with an explicit layer 0, with a missing or stale parents row,
-    or with a layer that does not strictly increase inside the one below.
+    verify_star_property raises InvalidParams on a stack with an explicit
+    layer 0 or with a layer that does not strictly increase inside the
+    one below.
     """
 
     q: np.ndarray
@@ -124,7 +124,6 @@ class LayerStack:
     layers: list[np.ndarray]
     n: int
     beta: tuple[float, ...]
-    parents: Optional[list] = None
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -223,19 +222,16 @@ def _all_of_next(flags: np.ndarray, length: int) -> np.ndarray:
 _SCAN_CHUNK = 1 << 16  # layers are scanned in cache-sized slices
 
 
-def _scan_layer(layer: Optional[np.ndarray], vals: np.ndarray, n: int,
-                with_index: bool = True):
+def _scan_layer(layer: Optional[np.ndarray], vals: np.ndarray, n: int):
     """One layer's leftmost monotone n-run, or its strict local maxima.
 
     vals holds the deltas at the layer's positions; a layer of None is
     every position, so its positions are their own indices.  Returns
-    ("run", start, direction, None) for the leftmost window of n
-    strictly monotone values, else ("maxima", positions, values, indices)
-    for the interior strict local maxima, indices being their places in
-    the layer (None unless with_index).  Each slice of values is read
-    with the n-1 that follow it and the one before it, so runs and maxima
-    that straddle a slice boundary are still seen, and earlier slices are
-    done first.
+    ("run", start, direction) for the leftmost window of n strictly
+    monotone values, else ("maxima", positions, values) for the interior
+    strict local maxima.  Each slice of values is read with the n-1 that
+    follow it and the one before it, so runs and maxima that straddle a
+    slice boundary are still seen, and earlier slices are done first.
     """
     size = vals.size
     # Interior strict maxima are never adjacent, so at most (size - 1) // 2
@@ -245,7 +241,6 @@ def _scan_layer(layer: Optional[np.ndarray], vals: np.ndarray, n: int,
     bound = max((size - 1) // 2, 0)
     kept_pos = np.empty(bound, np.int32 if layer is None else layer.dtype)
     kept_vals = np.empty(bound, vals.dtype)
-    kept_idx = np.empty(bound if with_index else 0, np.int32)
     kept = 0
     for s in range(0, size, _SCAN_CHUNK):
         e = min(s + _SCAN_CHUNK, size)
@@ -255,7 +250,7 @@ def _scan_layer(layer: Optional[np.ndarray], vals: np.ndarray, n: int,
         down = v[1:] < v[:-1]
         hit = _find_run(up[s - lo:], down[s - lo:], n)
         if hit is not None:
-            return "run", s + hit[0], hit[1], None
+            return "run", s + hit[0], hit[1]
         # strict local maxima at s..e-1, interior ones only: a rise into
         # the value v[j+1] and a fall out of it
         j_end = max(min(e - lo - 1, up.size - 1), 0)
@@ -268,13 +263,11 @@ def _scan_layer(layer: Optional[np.ndarray], vals: np.ndarray, n: int,
             kept_pos[kept:end] = peak
         else:
             np.take(layer, peak, out=kept_pos[kept:end])
-        if with_index:
-            kept_idx[kept:end] = peak
         kept = end
-    for buf in (kept_pos, kept_vals, kept_idx):
+    for buf in (kept_pos, kept_vals):
         # no views of the buffers remain, so none can see the memory go
-        buf.resize(min(kept, buf.size), refcheck=False)
-    return ("maxima", kept_pos, kept_vals, kept_idx if with_index else None)
+        buf.resize(kept, refcheck=False)
+    return "maxima", kept_pos, kept_vals
 
 
 def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
@@ -295,14 +288,11 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     deltas = consecutive_deltas(q)
     m = int(q.size)
     beta = tuple((m - 1) / (2 * n) ** t for t in range(LAYER_DEPTH + 1))
-    # layer 0 is every position, left implicit; indices into it are the
-    # positions themselves, so there are no parents there either
-    layers = [None]
-    parents = [None]
+    layers = [None]  # layer 0 is every position, left implicit
     vals = deltas  # deltas at the positions of the newest layer
     for t in range(1, LAYER_DEPTH + 1):
         prev = layers[-1]
-        kind, found, extra, index = _scan_layer(prev, vals, n, t > 1)
+        kind, found, extra = _scan_layer(prev, vals, n)
         if kind == "run":
             pos = (np.arange(found, found + n) if prev is None
                    else prev[found:found + n])
@@ -318,10 +308,8 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
                 f"{LAYER_DEPTH} and has no monotone run of length {n}",
                 trace={"layer": t, "sizes": _sizes(layers, deltas.size)})
         layers.append(found)
-        parents.append(index)
         vals = extra
-    return LayerStack(q=q, deltas=deltas, layers=layers, n=n, beta=beta,
-                      parents=parents)
+    return LayerStack(q=q, deltas=deltas, layers=layers, n=n, beta=beta)
 
 
 def edge_from_monotone_run(H: StepUpHypergraph, Q,
@@ -573,9 +561,10 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     order of checks; its position, for an undominated interior, is the
     first largest delta between the pair.
 
-    The stack must have the shape build_layers makes (see _layer_rows
-    and _check_layer), and any other raises InvalidParams naming the
-    first layer out of shape, whatever failure a lower layer holds.
+    The stack must have the shape build_layers makes: layer 0 implicit
+    and each layer an integer array that strictly increases inside the
+    one below.  Any other raises InvalidParams naming the first layer out
+    of shape, whatever failure a lower layer holds.
     Layer t is checked from the deltas of layer t-1 (see the note above),
     window by window (see _check_layer), so that nothing the check holds
     grows with |Q|.  This is an induction on t: a failure in layer t-1 is
@@ -600,115 +589,125 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
                           counterexample=failure)
 
 
-_STAR_CHUNK = 1 << 14  # layer elements per slice of the star check
-_STAR_SPAN = 16        # chunks of the layer below that one window spans at most
+_STAR_CHUNK = 1 << 16  # indices of the layer below per window of the star check
 
 
-def _layer_rows(stack: LayerStack, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Layer t and the index of each of its positions in layer t-1.
-
-    Layer-1 positions are their own indices in the implicit layer 0; from
-    layer 2 on the index is the recorded parents row.  InvalidParams
-    unless both are one-dimensional integer arrays of one length.
-    """
+def _positions(stack: LayerStack, t: int) -> np.ndarray:
+    """Layer t, or InvalidParams unless it is a one-dimensional integer
+    array."""
     P = stack.layers[t]
     if not (isinstance(P, np.ndarray) and P.dtype.kind in "iu"
             and P.ndim == 1):
         raise InvalidParams(f"layer {t} is not an integer position array")
-    loc = P
-    if t > 1:
-        parents = stack.parents
-        loc = parents[t] if parents and t < len(parents) else None
-    if not (isinstance(loc, np.ndarray) and loc.dtype.kind in "iu"
-            and loc.shape == P.shape):
-        raise InvalidParams(
-            f"layer {t} has no integer parents row of its own length")
-    return P, loc
+    return P
+
+
+def _rank(P: np.ndarray, key: int) -> int:
+    """How many elements of the sorted integer array P are below key.
+
+    One scalar searchsorted, with the key in P's own dtype, so that numpy
+    does not convert P; a key outside that dtype's range is below or
+    above every element.
+    """
+    try:
+        key = P.dtype.type(key)
+    except OverflowError:
+        return 0 if key < 0 else int(P.size)
+    return int(P.searchsorted(key))
 
 
 def _check_layer(stack: LayerStack, t: int, checks: dict,
                  star: bool) -> Optional[dict]:
     """Layer t's first failure of the star property, or None.
 
-    Layer t-1 is read in windows of consecutive indices c..e-1, with one
-    more index on each side.  A window ends before the next _STAR_CHUNK
-    indices of layer t are done, and after at most _STAR_SPAN times as
-    many indices of layer t-1.  Its deltas, read once through layer
-    t-1's positions, serve the neighbor reads of the layer-t indices in
-    it and the count of layer t-1's peaks at c..e-1; the next window
-    starts at e.  Slice by slice, layer t must strictly increase inside
-    layer t-1, its parents row picking it out, or InvalidParams names
-    it.  With star false, only that is checked.  The parents row of layer
-    t+1, which says which elements layer t drops, is checked when layer
-    t+1 is reached, so one out of shape only leads here to a failure
-    that is never reported.
+    Layer t-1 is read in windows of _STAR_CHUNK consecutive indices
+    c..e-1, with one more index on each side; the next window starts at
+    e.  A window's deltas, read once through layer t-1's positions, give
+    the count of layer t-1's peaks at c..e-1 and its strict peaks there.
+    The layer-t positions in the window are those below the position of
+    index e, found by one scalar searchsorted.  On a stack as built they
+    are exactly the positions of the strict peaks, which give their
+    indices once layer t-1's positions there are seen to equal them.
+    Otherwise (in layer 1, whose positions are its indices in layer 0,
+    or on a corrupted stack) the indices are read off or looked up in
+    the window, and layer t must strictly increase inside c..e-1, or
+    InvalidParams names it.  With star false, only that is checked.
+    Layer t+1, which says which elements layer t drops, is checked when
+    it is reached, so one out of shape only leads here to a failure that
+    is never reported.
     """
     deltas, below = stack.deltas, stack.layers[t - 1]
-    P, loc = _layer_rows(stack, t)
-    try:
-        kept = (_layer_rows(stack, t + 1)[1] if t + 1 < len(stack.layers)
-                else loc[:0])
-    except InvalidParams:
-        kept = loc[:0]
+    P = _positions(stack, t)
+    nxt = P[:0]
+    if t + 1 < len(stack.layers):
+        try:
+            nxt = _positions(stack, t + 1)
+        except InvalidParams:
+            pass
     bound = deltas.size if below is None else below.size
     peaks = taken = 0
-    equal = flank = -1
+    equal = flank = flank_at = -1
     last = None
     c = j0 = 0
     while c < bound:
-        e = min(c + _STAR_SPAN * _STAR_CHUNK, bound)
-        if j0 + _STAR_CHUNK < loc.size:
-            e = min(e, max(int(loc[j0 + _STAR_CHUNK]), c + 1))
+        e = min(c + _STAR_CHUNK, bound)
         base, end = max(c - 1, 0), min(e + 1, bound)
-        rel = loc[j0:j0 + _STAR_CHUNK].astype(np.intp)
-        rel -= base
-        rel = rel[:int(np.searchsorted(rel, e - base))]
-        j1 = j0 + rel.size
-        # the slice strictly increases inside c..e-1, the index after it
-        # is at or past e, and from layer 2 on it picks layer t out
-        inside = rel.size == 0 or (rel[0] >= c - base and rel[-1] < e - base
-                                   and bool((rel[1:] > rel[:-1]).all()))
-        if not (inside and (j1 == loc.size or (e < bound and loc[j1] >= e))
-                and (below is None
-                     or (below[base:end].take(rel) == P[j0:j1]).all())):
+        # an implicit layer 0 is indexed by position
+        rows = None if below is None else below[base:end]
+        j1 = P.size if e == bound else _rank(
+            P, e if rows is None else int(rows[e - base]))
+        if j1 < j0:
             raise _unnested(t)
-        if star:
-            win = (deltas[base:end] if below is None
-                   else deltas.take(below[base:end]))
-            up = win[1:] > win[:-1]
-            down = win[1:] < win[:-1]
-            # window index i is a peak unless win[i] falls from i-1 or
-            # rises to i+1; the window's ends hold no index of its own
-            no_peak = down[:-1] | up[1:]
-            peaks += no_peak.size - int(np.count_nonzero(no_peak))
-            strict = np.zeros(win.size, dtype=bool)
-            np.logical_and(up[:-1], down[1:], out=strict[1:-1])
+        Pj = P[j0:j1]
+        if not star:
+            _located(Pj, rows, base, c, e, t)
+            c, j0 = e, j1
+            continue
+        win = deltas[base:end] if rows is None else deltas.take(rows)
+        up = win[1:] > win[:-1]
+        down = win[1:] < win[:-1]
+        # window index i is a peak unless win[i] falls from i-1 or rises
+        # to i+1; the window's ends hold no index of its own
+        no_peak = down[:-1] | up[1:]
+        peaks += no_peak.size - int(np.count_nonzero(no_peak))
+        strict = np.zeros(win.size, dtype=bool)
+        np.logical_and(up[:-1], down[1:], out=strict[1:-1])
+        matched = False
+        if rows is not None:
+            rel = strict[c - base:e - base].nonzero()[0]
+            rel += c - base
+            matched = (rel.size == Pj.size
+                       and bool((rows.take(rel) == Pj).all()))
+        if not matched:
+            rel = _located(Pj, rows, base, c, e, t)
             top = strict.take(rel)
-            if top.all():
-                taken += rel.size   # as in a build_layers stack
+            matched = bool(top.all())
+        if matched:
+            taken += rel.size   # as in a build_layers stack
+        else:
+            # an end of layer t-1 is no peak; dropped, it fails the
+            # boundary check, which comes first
+            peak = np.zeros(win.size, dtype=bool)
+            np.logical_not(no_peak, out=peak[1:-1])
+            taken += int(np.count_nonzero(peak.take(rel)))
+            if flank < 0:
+                weak = ~top & (rel > 0) & (rel < win.size - 1)
+                lo = _rank(nxt, int(Pj[0]))
+                hi = _rank(nxt, int(Pj[-1]) + 1)
+                weak &= ~np.isin(Pj, nxt[lo:hi])
+                k = _first(weak)
+                if k >= 0:
+                    flank, flank_at = j0 + k, base + int(rel[k])
+        if equal < 0 and rel.size:
+            dj = win.take(rel)
+            if last is not None and dj[0] == last:
+                equal = j0 - 1
             else:
-                # an end of layer t-1 is no peak; dropped, it fails the
-                # boundary check, which comes first
-                peak = np.zeros(win.size, dtype=bool)
-                np.logical_not(no_peak, out=peak[1:-1])
-                taken += int(np.count_nonzero(peak.take(rel)))
-                if flank < 0:
-                    weak = ~top & (rel > 0) & (rel < win.size - 1)
-                    lo, hi = np.searchsorted(kept, (j0, j1))
-                    np.put(weak, kept[lo:hi].astype(np.intp) - j0, False,
-                           mode="clip")
-                    k = _first(weak)
-                    flank = j0 + k if k >= 0 else -1
-            if equal < 0 and rel.size:
-                dj = win.take(rel)
-                if last is not None and dj[0] == last:
-                    equal = j0 - 1
-                else:
-                    k = _first(dj[1:] == dj[:-1])
-                    equal = j0 + k if k >= 0 else -1
-                last = dj[-1]
+                k = _first(dj[1:] == dj[:-1])
+                equal = j0 + k if k >= 0 else -1
+            last = dj[-1]
         c, j0 = e, j1
-    if j0 < loc.size:
+    if j0 < P.size:
         raise _unnested(t)  # an empty layer t-1 holds no index
     if not star:
         return None
@@ -719,37 +718,55 @@ def _check_layer(stack: LayerStack, t: int, checks: dict,
                 "right": int(P[equal + 1]), "reason": "equal deltas"}
     if taken != peaks:
         # the failure-locating read is the one of all layer t-1's deltas
-        k = _first_undominated_pair(
-            deltas if below is None else deltas[below], loc)
+        k = (_first_undominated_pair(deltas, P) if below is None else
+             _first_undominated_pair(deltas[below],
+                                     np.searchsorted(below, P)))
         if k >= 0:
             lo, hi = int(P[k]), int(P[k + 1])
             x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
             return {"check": "star", "layer": t, "left": lo, "right": hi,
                     "position": x, "reason": "interior delta not dominated"}
-    n_drop = P.size - kept.size
-    if n_drop > 0:   # a longer kept row is refused with layer t+1
+    n_drop = P.size - nxt.size
+    if n_drop > 0:   # a longer layer t+1 is refused with it
         # only the ends can lack a neighbor below
-        if loc[0] == 0 and not (kept.size and kept[0] == 0):
+        first, final = (0, bound - 1) if below is None else (below[0],
+                                                            below[-1])
+        if P[0] == first and not (nxt.size and nxt[0] == P[0]):
             return _boundary_failure(t, int(P[0]))
-        if loc[-1] == bound - 1 and not (kept.size
-                                         and kept[-1] == P.size - 1):
+        if P[-1] == final and not (nxt.size and nxt[-1] == P[-1]):
             return _boundary_failure(t, int(P[-1]))
         checks["drop_dominance"] += n_drop
         if flank >= 0:
-            k = int(loc[flank])
-            # an implicit layer 0 is indexed by position
-            left, right = ((k - 1, k + 1) if below is None
-                           else (int(below[k - 1]), int(below[k + 1])))
+            left, right = ((flank_at - 1, flank_at + 1) if below is None
+                           else (int(below[flank_at - 1]),
+                                 int(below[flank_at + 1])))
             return {"check": "drop_dominance", "layer": t,
                     "position": int(P[flank]), "left": left, "right": right,
                     "reason": "neighborhood not dominated"}
     return None
 
 
+def _located(Pj: np.ndarray, rows: Optional[np.ndarray], base: int, c: int,
+             e: int, t: int) -> np.ndarray:
+    """The window indices of layer-t positions Pj, looked up in the
+    window's rows of layer t-1 (None: an implicit layer 0, whose window
+    starts at position base); InvalidParams unless they strictly increase
+    inside c..e-1."""
+    if rows is None:
+        rel = Pj.astype(np.intp)
+        rel -= base
+    else:
+        rel = rows.searchsorted(Pj)
+    if rel.size and not (rel[0] >= c - base and rel[-1] < e - base
+                         and bool((rel[1:] > rel[:-1]).all())
+                         and (rows is None or (rows.take(rel) == Pj).all())):
+        raise _unnested(t)
+    return rel
+
+
 def _unnested(t: int) -> InvalidParams:
     return InvalidParams(
-        f"layer {t} does not strictly increase inside layer {t - 1}"
-        + ("" if t == 1 else " at its parents row's indices"))
+        f"layer {t} does not strictly increase inside layer {t - 1}")
 
 
 def _boundary_failure(t: int, pos: int) -> dict:
@@ -869,31 +886,45 @@ def _dense_subset(rng: np.random.Generator, D: int, m: int) -> np.ndarray:
 
 
 def save_q(q: np.ndarray, D: int, path) -> None:
-    q = _as_vertex_array(q)
+    """Write Q as a STEPUP-Q v1 file, straight from the vertex array."""
+    # no copy on a little-endian machine
+    q = np.asarray(_as_vertex_array(q), dtype="<u8")
     header = f"STEPUP-Q v1 count={q.size} bits={D}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(q.astype("<u8").tobytes())
+        q.tofile(fh)
 
 
 def load_q(path) -> tuple[np.ndarray, int]:
+    """Read a STEPUP-Q v1 file into one array, checked as loaded.
+
+    The header line is read first, and the file's size must match its
+    count before the vertices are read straight into their array, so
+    that neither a false count nor trailing bytes make the load hold
+    more than Q.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    m = _Q_HEADER_RE.match(blob)
-    if not m:
-        raise IoError(f"{path}: not a STEPUP-Q v1 file")
-    count, D = int(m.group(1)), int(m.group(2))
-    if not 2 <= D <= 64:
-        raise IoError(f"{path}: bad bits={D}")
-    body = blob[m.end():]
-    if len(body) != 8 * count:
-        raise IoError(
-            f"{path}: expected {8 * count} vertex bytes, got {len(body)}")
-    q = np.frombuffer(body, dtype="<u8").astype(np.uint64)
+        m = _Q_HEADER_RE.match(fh.readline(_Q_HEADER_MAX))
+        if not m:
+            raise IoError(f"{path}: not a STEPUP-Q v1 file")
+        count, D = int(m.group(1)), int(m.group(2))
+        if not 2 <= D <= 64:
+            raise IoError(f"{path}: bad bits={D}")
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise IoError(f"{path}: not a regular file")
+        size = st.st_size - fh.tell()
+        if size != 8 * count:
+            raise IoError(
+                f"{path}: expected {8 * count} vertex bytes, got {size}")
+        q = np.fromfile(fh, dtype="<u8", count=count)
+    q = q.astype(np.uint64, copy=False)
     if count == 0:
         raise IoError(f"{path}: empty vertex list")
-    if not (q[:-1] < q[1:]).all():
-        raise IoError(f"{path}: vertices not strictly increasing")
+    for s in range(0, count - 1, _SCAN_CHUNK):
+        e = min(s + _SCAN_CHUNK, count - 1)
+        if not (q[s:e] < q[s + 1:e + 1]).all():
+            raise IoError(f"{path}: vertices not strictly increasing")
     if int(q[-1]) >= (1 << D):
         raise IoError(f"{path}: vertex {int(q[-1])} outside [0, 2^{D})")
     return q, D

@@ -362,11 +362,9 @@ def test_extraction_hands_back_what_it_built(certified12):
             continue
         assert np.array_equal(built.q, q) and np.array_equal(built.deltas,
                                                               fresh.deltas)
-        assert built.layers[0] is None and built.parents[:2] == [None, None]
+        assert built.layers[0] is None
         for t in range(1, len(fresh.layers)):
             assert np.array_equal(built.layers[t], fresh.layers[t])
-        for t in range(2, len(fresh.parents)):
-            assert np.array_equal(built.parents[t], fresh.parents[t])
         assert verify_star_property(built) == verify_star_property(fresh)
         assert wit.trace["stack"] == built.as_dict()
 
@@ -396,8 +394,9 @@ def test_guarantee_scale_trial_at_n7():
 
     The Paley tournament on GF(27) has no transitive 7-subtournament, so
     extraction must succeed (about 3-4 s on a 2-core machine, with a peak
-    RSS of 1.37 GB, set by the stack builds; 1.46 GB while the star check
-    copied whole layers).
+    RSS of 1.26 GB, set by the stack builds; 1.37 GB while the stack kept
+    index rows into the layer below, 1.46 GB while the star check copied
+    whole layers).
     """
     phi = paley_coloring(27, 27)
     assert certify_good_property(phi, 7).certified
@@ -569,10 +568,10 @@ def _local_maxima_stack(q):
     """All seven local-maxima layers, built without the run shortcut.
 
     The stack has the shape build_layers gives it: layer 0 implicit and
-    parents recorded from layer 2 on.
+    int32 positions in every other layer.
     """
     d = w.consecutive_deltas(q)
-    layers, parents = [None], [None]
+    layers = [None]
     prev = np.arange(d.size, dtype=np.int32)
     for t in range(1, 8):
         v = d[prev]
@@ -581,20 +580,18 @@ def _local_maxima_stack(q):
             break
         prev = prev[idx]
         layers.append(prev)
-        parents.append(idx.astype(np.int32) if t > 1 else None)
-    return LayerStack(q=q, deltas=d, layers=layers, n=5, beta=(),
-                      parents=parents)
+    return LayerStack(q=q, deltas=d, layers=layers, n=5, beta=())
 
 
 def _with_element_added(stack, rng):
     """The stack with one more element of some layer t-1 put into layer t.
 
-    The element is an end of layer t-1 half the time it can be; parents
-    are renumbered, so the stack keeps build_layers' shape.
+    The element is an end of layer t-1 half the time it can be; the
+    stack keeps build_layers' shape.
     """
     t = int(rng.integers(1, len(stack.layers)))
     below = _layer(stack, t - 1)
-    own = stack.layers[t] if t == 1 else stack.parents[t]
+    own = np.searchsorted(below, stack.layers[t])
     free = np.setdiff1d(np.arange(below.size), own)
     ends = np.intersect1d(free, [0, below.size - 1])
     pool = ends if ends.size and rng.integers(2) else free
@@ -602,31 +599,21 @@ def _with_element_added(stack, rng):
         return stack
     i = int(rng.choice(pool))
     k = int(np.searchsorted(own, i))
-    layers, parents = list(stack.layers), list(stack.parents)
+    layers = list(stack.layers)
     layers[t] = np.insert(layers[t], k, below[i]).astype(np.int32)
-    if t > 1:
-        parents[t] = np.insert(parents[t], k, i).astype(np.int32)
-    if t + 1 < len(layers):
-        up = parents[t + 1]
-        parents[t + 1] = (up + (up >= k)).astype(np.int32)
-    return replace(stack, layers=layers, parents=parents)
+    return replace(stack, layers=layers)
 
 
 def _with_element_removed(stack, rng):
-    """The stack with one element of some layer t taken out, parents
-    renumbered; the stack is no longer nested when layer t+1 held it."""
+    """The stack with one element of some layer t taken out; the stack
+    is no longer nested when layer t+1 held it."""
     t = int(rng.integers(1, len(stack.layers)))
     if stack.layers[t].size < 2:
         return stack
     k = int(rng.integers(stack.layers[t].size))
-    layers, parents = list(stack.layers), list(stack.parents)
+    layers = list(stack.layers)
     layers[t] = np.delete(layers[t], k)
-    if t > 1:
-        parents[t] = np.delete(parents[t], k)
-    if t + 1 < len(layers):
-        up = parents[t + 1]
-        parents[t + 1] = (up - (up > k)).astype(np.int32)
-    return replace(stack, layers=layers, parents=parents)
+    return replace(stack, layers=layers)
 
 
 def _first_unnested(stack):
@@ -637,21 +624,21 @@ def _first_unnested(stack):
     return None
 
 
-@pytest.mark.parametrize("chunk", [2, 1 << 14])
+@pytest.mark.parametrize("chunk", [2, None])
 def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
     """The layer-on-layer star check reports exactly what a direct scan does.
 
     Stacks of build_layers' shape are compared with the reference scan as
     built, with corrupted deltas, and with an element added to or removed
-    from a layer, parents renumbered.  A removal that leaves a layer
-    outside the one below is refused, and the scan reports a failure on
-    every such stack, so no passing stack is refused.  An explicit layer
-    0, missing or stale parents, and a layer out of order or off the
-    layer below are refused, naming the layer.  Slices of 2 put slice
-    boundaries inside every gap and run; 1 << 14 is the default.
+    from a layer.  A removal that leaves a layer outside the one below is
+    refused, and the scan reports a failure on every such stack, so no
+    passing stack is refused.  An explicit layer 0, and a layer out of
+    order, with a repeated element or off the layer below are refused,
+    naming the layer.  Windows of 2 put window boundaries inside every
+    gap and run; chunk None keeps the default windows.
     """
-    assert w._STAR_CHUNK == 1 << 14
-    monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
+    if chunk is not None:
+        monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
     rng = np.random.default_rng(17)
     compared = failing = refused = 0
     for _ in range(800):
@@ -659,7 +646,7 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
         m = int(rng.integers(40, min(1 << D, 1000)))
         q = random_subset(D, m, int(rng.integers(1 << 30)))
         try:
-            stack = build_layers(q, 7)      # records parents
+            stack = build_layers(q, 7)
         except InsufficientLayers:
             stack = None
         if not isinstance(stack, LayerStack):
@@ -682,15 +669,17 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
             stack.layers = [base] + list(stack.layers[1:])
             bad_layer = 0
         elif kind == 4 and len(stack.layers) > 2:
-            # parents missing, or one row reversed: stale rows are not trusted
+            # a higher layer reversed, or with one element repeated: its
+            # positions are all in the layer below, but out of order
             rows = [t for t in range(2, len(stack.layers))
-                    if stack.parents[t].size > 1]
-            if rows and rng.integers(2):
+                    if stack.layers[t].size > 1]
+            if rows:
                 bad_layer = rows[int(rng.integers(len(rows)))]
-                stack.parents = list(stack.parents)
-                stack.parents[bad_layer] = stack.parents[bad_layer][::-1].copy()
-            else:
-                stack.parents, bad_layer = None, 2
+                stack.layers = list(stack.layers)
+                P = stack.layers[bad_layer]
+                k = int(rng.integers(P.size))
+                stack.layers[bad_layer] = (P[::-1].copy() if rng.integers(2)
+                                           else np.insert(P, k, P[k]))
         elif kind == 5 and len(stack.layers) > 2:
             stack = _with_element_added(stack, rng)
         elif kind == 6 and len(stack.layers) > 1:
@@ -721,17 +710,18 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
     assert compared > 350 and failing > 200 and refused > 300
 
 
-@pytest.mark.parametrize("chunk", [2, 1 << 14])
+@pytest.mark.parametrize("chunk", [2, None])
 def test_stale_layer_is_refused_before_a_lower_failure(monkeypatch, chunk):
     """A layer out of shape is refused whatever a lower layer fails.
 
     Each stack has a delta raised inside a layer-1 gap, so that layer 1
-    fails the interior check, and the parents row of a higher layer
-    reversed, or stale: each index moved to its neighbor, as if an
-    element of the layer below had been removed.  The check raises
-    InvalidParams naming the stale layer, not the failure of layer 1.
+    fails the interior check, and a higher layer reversed, or with one
+    element moved off the layer below: maxima are never adjacent, so
+    p + 1 is no position there.  The check raises InvalidParams naming
+    that layer, not the failure of layer 1.
     """
-    monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
+    if chunk is not None:
+        monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
     rng = np.random.default_rng(31)
     stacks = 0
     while stacks < 30:
@@ -750,13 +740,14 @@ def test_stale_layer_is_refused_before_a_lower_failure(monkeypatch, chunk):
         assert reference.counterexample["layer"] == 1
         assert _report_of(verify_star_property(low)) == _report_of(reference)
         t = int(rng.integers(3, len(stack.layers)))
-        parents = list(stack.parents)
-        if rng.integers(2) and parents[t].size > 1:
-            parents[t] = parents[t][::-1].copy()
+        layers = list(stack.layers)
+        P = layers[t]
+        if rng.integers(2) and P.size > 1:
+            layers[t] = P[::-1].copy()
         else:
-            parents[t] = parents[t] + 1
+            layers[t] = P + (np.arange(P.size) == int(rng.integers(P.size)))
         with pytest.raises(InvalidParams, match=f"layer {t} "):
-            verify_star_property(replace(low, parents=parents))
+            verify_star_property(replace(low, layers=layers))
 
 
 def test_layer_stack_memory_stays_lean():
@@ -783,22 +774,72 @@ def test_layer_stack_memory_stays_lean():
     assert star_peak - held <= 0.4 * q.nbytes
 
 
+def test_build_layers_holds_positions_and_values_only():
+    """build_layers' traced peak is what its scan is built to hold.
+
+    While layer t is scanned, the build holds the deltas, the positions
+    of layers 1..t-1, the deltas at layer t-1's positions (layer 0's are
+    the deltas themselves) and layer t's two buffers, positions and
+    values, each sized for the (|layer t-1| - 1) // 2 strict maxima it
+    can have.  A scanned slice adds its flags and peak indices, under 16
+    bytes per value of a slice.  Nothing else is kept: an index row per
+    layer into the one below would not fit.
+    """
+    q = random_subset(24, 1 << 23, seed=0)
+    tracemalloc.start()
+    try:
+        stack = build_layers(q, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(stack, LayerStack) and len(stack.layers) == 8
+    assert not hasattr(stack, "parents")
+    sizes = stack.layer_sizes
+    pos = [stack.layers[t].nbytes for t in range(1, 8)]
+    entry = stack.layers[1].itemsize + stack.deltas.itemsize
+    scans = [sum(pos[:t - 1]) + (t > 1) * sizes[t - 1] * stack.deltas.itemsize
+             + (sizes[t - 1] - 1) // 2 * entry for t in range(1, 8)]
+    assert peak <= stack.deltas.nbytes + max(scans) + 16 * w._SCAN_CHUNK
+
+
+def test_q_file_io_holds_one_copy(tmp_path):
+    """save_q writes from the vertex array and load_q reads into one, so
+    neither holds a second copy of Q (the file's bytes, a body slice, a
+    converted array)."""
+    q = np.arange(1 << 22, dtype=np.uint64) * np.uint64(3)
+    path = tmp_path / "q.bin"
+    tracemalloc.start()
+    try:
+        save_q(q, 24, path)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        q2, D = load_q(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert D == 24 and q2.dtype == np.uint64 and np.array_equal(q2, q)
+    assert save_peak <= 1.05 * q.nbytes
+    assert q.nbytes <= load_peak - held <= 1.05 * q.nbytes
+
+
 def test_star_check_allocates_nothing_that_grows_with_q():
     """The star check's traced peak, above what the stack holds, is under
     2 MB on 2^23 random vertices of 2^24 and on the interval Q of 2^21.
 
     Each layer is read in windows of the layer below, so no array of a
     whole layer is made (a copy of layer 1's deltas alone is 3.3 MB on
-    the random Q).  A window is cut short where the layer above is
-    sparse: a layer 1 of only the largest delta, which passes, spans all
-    of the interval Q (its flags alone would be 8 MB).
+    the random Q).  A window holds a fixed count of indices of the layer
+    below, so a sparse layer above does not make it grow: a layer 1 of
+    only the largest delta, which passes, spans all of the interval Q
+    (its flags alone would be 8 MB).
     """
     stacks = [build_layers(random_subset(24, 1 << 23, seed=0), 6),
               build_layers(np.arange(1 << 21, dtype=np.uint64), 6)]
     for stack in stacks:
         assert isinstance(stack, LayerStack) and len(stack.layers) == 8
     top = np.array([np.argmax(stack.deltas)], dtype=np.int32)
-    stacks.append(replace(stack, layers=[None, top], parents=[None, None]))
+    stacks.append(replace(stack, layers=[None, top]))
     for stack in stacks:
         tracemalloc.start()
         try:
@@ -815,7 +856,7 @@ def _explicit_base(stack):
     """The same stack with layer 0 stored as an array of every position."""
     return LayerStack(q=stack.q, deltas=stack.deltas,
                       layers=[_layer(stack, 0)] + list(stack.layers[1:]),
-                      n=stack.n, beta=stack.beta, parents=stack.parents)
+                      n=stack.n, beta=stack.beta)
 
 
 def _report_of(rep):
@@ -870,9 +911,7 @@ def test_layer_end_does_not_stand_in_for_a_left_out_peak():
     deltas = stack.deltas.copy()
     deltas[0] = deltas[2] + 1       # above d[1], unequal to d[2]
     deltas[i + 2] = 20
-    parents = list(stack.parents)
-    parents[2] = parents[2] + 1
-    s = replace(stack, deltas=deltas, parents=parents,
+    s = replace(stack, deltas=deltas,
                 layers=[None, np.insert(P, 0, 0)] + stack.layers[2:])
     report = verify_star_property(s)
     assert _report_of(report) == _report_of(_star_reference(s))
@@ -924,7 +963,7 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
         corrupt[int(rng.integers(corrupt.size))] = int(rng.integers(D + 2))
         for deltas in (stack.deltas, corrupt):
             s1 = LayerStack(q=q, deltas=deltas, layers=stack.layers, n=n,
-                            beta=stack.beta, parents=stack.parents)
+                            beta=stack.beta)
             first, *rest = [_report_of(r) for r in (
                 verify_star_property(s1), _star_reference(s1),
                 _star_reference(_explicit_base(s1)))]
@@ -1072,6 +1111,9 @@ def test_q_file_rejects_malformed_input(tmp_path):
         "unordered": blob[:nl] + q[::-1].astype("<u8").tobytes(),
         "out_of_range": blob[:nl] + np.arange(1 << 24, (1 << 24) + 100,
                                               dtype="<u8").tobytes(),
+        "trailing": blob + b"\0",
+        "bits": blob.replace(b"bits=24", b"bits=65", 1),
+        "empty": b"STEPUP-Q v1 count=0 bits=24\n",
     }
     for name, payload in bad_cases.items():
         path = tmp_path / name
