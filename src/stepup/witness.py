@@ -717,7 +717,8 @@ def _check_layer(stack: LayerStack, t: int, checks: dict,
         return {"check": "star", "layer": t, "left": int(P[equal]),
                 "right": int(P[equal + 1]), "reason": "equal deltas"}
     if taken != peaks:
-        # the failure-locating read is the one of all layer t-1's deltas
+        # the failure-locating read is the one of all layer t-1's deltas,
+        # with every index of layer t in it
         k = (_first_undominated_pair(deltas, P) if below is None else
              _first_undominated_pair(deltas[below],
                                      np.searchsorted(below, P)))
