@@ -480,8 +480,11 @@ def _first_edge(H: StepUpHypergraph, vs: list[int]
     once and never by the delta-triple table, and only at the b that occur
     in some right[k]; the union of the rows over left[j] is kept per
     (left[j], x).  That decides the set in O(|vs|^2) pair steps.  If it
-    spans an edge, the first one is found by walking (i, j, k) in order
-    with the same rows, O(|vs|^3) steps at worst.
+    spans an edge, the first one is found by walking (i, j) in order
+    against the deltas a that start an edge at each second vertex j,
+    marked once per j from the runs of k that share a middle delta (at
+    most D runs of at most D rows each), and then the first k and m of
+    the first such pair: O(|vs|^2 + |vs| D^2) steps.
     """
     n = len(vs)
     C = H._color_rows
@@ -532,10 +535,34 @@ def _first_edge(H: StepUpHypergraph, vs: list[int]
 
     if not spans_edge():
         return None
+    def starts_at(j: int) -> int:
+        # the a in left[j] whose row meets right[k] for some k > j, read
+        # per middle delta x from the union of right[k] over its run of k
+        runs: dict[int, int] = {}
+        x = -1
+        for k in range(j + 1, n - 1):
+            if gap[k - 1] > x:
+                x = gap[k - 1]
+            runs[x] = runs.get(x, 0) | right[k]
+        marks, rest = 0, left[j]
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            if any(row(a, x) & bits for x, bits in runs.items()):
+                marks |= low
+            rest ^= low
+        return marks
+
+    starts = [-1] * n   # starts_at(j), once read
     for i in range(n - 3):
         a = -1
         for j in range(i + 1, n - 2):
-            a = max(a, gap[j - 1])
+            if gap[j - 1] > a:
+                a = gap[j - 1]
+            if starts[j] < 0:
+                starts[j] = starts_at(j)
+            if not starts[j] >> a & 1:
+                continue
             x = -1
             for k in range(j + 1, n - 1):
                 if gap[k - 1] > x:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import re
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -109,8 +109,12 @@ class LayerStack:
 
     layers[0] is every position; layers[t] holds the positions of delta
     values that are strict local maxima with respect to layers[t-1].
-    build_layers leaves layers[0] as None, meaning every position in
-    [0, deltas.size) without storing them.  beta keeps the targets
+    build_layers leaves layers[0] and layers[1] as None: layer 0 means
+    every position in [0, deltas.size), and layer 1 the interior strict
+    local maxima of the deltas, which its readers find in windows of the
+    deltas (_layer1) without storing them.  build_layers records layer
+    1's size; a stack built by hand with layers[1] None has it counted
+    from its deltas.  beta keeps the targets
     (m-1)/(2n)^t as diagnostics only: the all-maxima policy makes each
     layer a superset of the first-beta_t prefix the counting argument
     reasons about, and observed sizes are recorded, not asserted.
@@ -121,13 +125,26 @@ class LayerStack:
 
     q: np.ndarray
     deltas: np.ndarray
-    layers: list[np.ndarray]
+    layers: list[Optional[np.ndarray]]
     n: int
     beta: tuple[float, ...]
+    # layer 1's size as built; not copied by dataclasses.replace
+    _layer1_size: Optional[int] = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def layer_sizes(self) -> list[int]:
-        return _sizes(self.layers, self.deltas.size)
+        sizes = [self.deltas.size]
+        for layer in self.layers[1:]:
+            if layer is not None:
+                sizes.append(int(layer.size))
+            elif self._layer1_size is not None:
+                sizes.append(self._layer1_size)
+            else:
+                sizes.append(sum(
+                    _layer1(self.deltas, s, s + _STAR_CHUNK).size
+                    for s in range(0, self.deltas.size, _STAR_CHUNK)))
+        return sizes
 
     def beta_report(self) -> list[dict]:
         out = []
@@ -176,12 +193,6 @@ class Anchors:
         }
 
 
-def _sizes(layers: list, positions: int) -> list[int]:
-    # an implicit layer 0 (None) holds every position
-    return [positions if layer is None else int(layer.size)
-            for layer in layers]
-
-
 def _as_vertex_array(Q) -> np.ndarray:
     q = np.asarray(Q, dtype=np.uint64)
     if q.ndim != 1:
@@ -222,50 +233,139 @@ def _all_of_next(flags: np.ndarray, length: int) -> np.ndarray:
 _SCAN_CHUNK = 1 << 16  # layers are scanned in cache-sized slices
 
 
-def _scan_layer(layer: Optional[np.ndarray], vals: np.ndarray, n: int):
-    """One layer's leftmost monotone n-run, or its strict local maxima.
+def _layer1(deltas: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Layer 1's positions in [lo, hi): the interior strict local maxima
+    of the deltas there, read with one delta on each side.
 
-    vals holds the deltas at the layer's positions; a layer of None is
-    every position, so its positions are their own indices.  Returns
-    ("run", start, direction) for the leftmost window of n strictly
-    monotone values, else ("maxima", positions, values) for the interior
-    strict local maxima.  Each slice of values is read with the n-1 that
-    follow it and the one before it, so runs and maxima that straddle a
-    slice boundary are still seen, and earlier slices are done first.
+    Every reader of an implicit layer 1 gets it from here, window by
+    window; only the star check's failure-locating path asks for all of
+    it at once.
+    """
+    a, b = max(lo - 1, 0), min(hi + 1, deltas.size)
+    v = deltas[a:b]
+    p = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))
+    p += a + 1
+    return p
+
+
+def _scan_slice(vals: np.ndarray, s: int, n: int):
+    """The slice of vals from s, _SCAN_CHUNK long, read with the value
+    before it and the n-1 after it: (hit, lo, v, peak).  hit is the
+    leftmost window of n strictly monotone values that starts in the
+    slice, as (start, direction), or None.  v is vals[lo:...], and peak,
+    unless there is a hit, the indices into v of the slice's interior
+    strict local maxima."""
+    size = vals.size
+    e = min(s + _SCAN_CHUNK, size)
+    lo = max(s - 1, 0)
+    v = vals[lo:min(e + n - 1, size)]
+    up = v[1:] > v[:-1]
+    down = v[1:] < v[:-1]
+    hit = _find_run(up[s - lo:], down[s - lo:], n)
+    if hit is not None:
+        return (s + hit[0], hit[1]), lo, v, None
+    # a rise into the value v[j+1] and a fall out of it, for j + 1 in
+    # s..e-1 and below the last value
+    j_end = max(min(e - lo - 1, up.size - 1), 0)
+    peak = np.flatnonzero(up[:j_end] & down[1:j_end + 1])
+    peak += 1
+    return None, lo, v, peak
+
+
+def _monotone_run(layer: int, pos, direction: str,
+                  deltas: np.ndarray) -> MonotoneRun:
+    return MonotoneRun(layer=layer, positions=tuple(int(p) for p in pos),
+                       direction=direction,
+                       values=tuple(int(v) for v in deltas[pos]))
+
+
+def _scan_base(deltas: np.ndarray, n: int):
+    """Layers 0 and 1 in one scan of the deltas, slice by slice.
+
+    Returns (run, size1, positions, values).  run is the leftmost n-run
+    of layer 0 or, if layer 0 has none, of layer 1, else None; size1 is
+    layer 1's size; positions and values are layer 2, the interior strict
+    maxima of layer 1.  The deltas are read slice by slice (_scan_slice),
+    as _scan_layer reads a layer.  The layer-1 elements a slice finds are
+    scanned behind the n - 1 before them, for runs that end at one of
+    them and maxima just left of one, so that runs and maxima across
+    slices are seen and layer 1 is never held whole.  A layer-1 run waits
+    for the deltas to be read to their end, since a run in layer 0
+    anywhere comes first.
+    """
+    size = deltas.size
+    # Layer 2 has at most (|layer 1| - 1) // 2 elements and layer 1 at
+    # most (size - 1) // 2; np.empty commits no pages that are never
+    # written, and the buffers are cut to length in place at the end.
+    bound = max(((size - 1) // 2 - 1) // 2, 0)
+    kept_pos = np.empty(bound, np.int32)
+    kept_vals = np.empty(bound, deltas.dtype)
+    kept = size1 = 0
+    run = None
+    tail_pos, tail_vals = np.empty(0, np.int32), deltas[:0]
+    for s in range(0, size, _SCAN_CHUNK):
+        hit, lo, v, peak = _scan_slice(deltas, s, n)
+        if hit is not None:
+            pos = np.arange(hit[0], hit[0] + n)
+            return _monotone_run(0, pos, hit[1], deltas), 0, None, None
+        size1 += peak.size
+        if run is not None or peak.size == 0:
+            continue
+        vals = np.concatenate((tail_vals, v.take(peak)))
+        peak += lo
+        pos = np.concatenate((tail_pos, peak), dtype=np.int32)
+        up = vals[1:] > vals[:-1]
+        down = vals[1:] < vals[:-1]
+        hit = _find_run(up, down, n)
+        if hit is not None:
+            run = _monotone_run(1, pos[hit[0]:hit[0] + n], hit[1], deltas)
+            continue
+        # maxima whose right neighbor is new; layer 1's first is none
+        first = max(tail_pos.size - 1, 1)
+        top = np.flatnonzero(up[first - 1:-1] & down[first:])
+        top += first
+        end = kept + top.size
+        np.take(vals, top, out=kept_vals[kept:end])
+        np.take(pos, top, out=kept_pos[kept:end])
+        kept = end
+        tail_pos, tail_vals = pos[1 - n:], vals[1 - n:]
+    if run is not None:
+        return run, size1, None, None
+    for buf in (kept_pos, kept_vals):
+        # no views of the buffers remain, so none can see the memory go
+        buf.resize(kept, refcheck=False)
+    return None, size1, kept_pos, kept_vals
+
+
+def _scan_layer(layer: np.ndarray, vals: np.ndarray, n: int):
+    """One stored layer's leftmost monotone n-run, or its strict maxima.
+
+    vals holds the deltas at the layer's positions.  Returns ("run",
+    start, direction) for the leftmost window of n strictly monotone
+    values, else ("maxima", positions, values) for the interior strict
+    local maxima.  Each slice of values is read with the n-1 that follow
+    it and the one before it, so runs and maxima that straddle a slice
+    boundary are still seen, and earlier slices are done first.
     """
     size = vals.size
     # Interior strict maxima are never adjacent, so at most (size - 1) // 2
     # of them fill buffers that are cut to length in place at the end:
     # collecting slices and concatenating them would hold every maximum
-    # twice.  np.empty commits no pages that are never written.
+    # twice.
     bound = max((size - 1) // 2, 0)
-    kept_pos = np.empty(bound, np.int32 if layer is None else layer.dtype)
+    kept_pos = np.empty(bound, layer.dtype)
     kept_vals = np.empty(bound, vals.dtype)
     kept = 0
     for s in range(0, size, _SCAN_CHUNK):
-        e = min(s + _SCAN_CHUNK, size)
-        lo = max(s - 1, 0)
-        v = vals[lo:min(e + n - 1, size)]
-        up = v[1:] > v[:-1]
-        down = v[1:] < v[:-1]
-        hit = _find_run(up[s - lo:], down[s - lo:], n)
+        hit, lo, v, peak = _scan_slice(vals, s, n)
         if hit is not None:
-            return "run", s + hit[0], hit[1]
-        # strict local maxima at s..e-1, interior ones only: a rise into
-        # the value v[j+1] and a fall out of it
-        j_end = max(min(e - lo - 1, up.size - 1), 0)
-        peak = np.flatnonzero(up[:j_end] & down[1:j_end + 1])
-        peak += 1
+            return "run", hit[0], hit[1]
         end = kept + peak.size
         np.take(v, peak, out=kept_vals[kept:end])
         peak += lo
-        if layer is None:
-            kept_pos[kept:end] = peak
-        else:
-            np.take(layer, peak, out=kept_pos[kept:end])
+        np.take(layer, peak, out=kept_pos[kept:end])
         kept = end
     for buf in (kept_pos, kept_vals):
-        # no views of the buffers remain, so none can see the memory go
         buf.resize(kept, refcheck=False)
     return "maxima", kept_pos, kept_vals
 
@@ -278,7 +378,8 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     construction, since it already carries an edge.  Layers collect ALL
     interior strict local maxima of the previous layer, a superset of the
     prefix the counting argument needs, which keeps the builder total for
-    small Q as well.
+    small Q as well.  Layers 0 and 1 are read in one scan of the deltas
+    and left implicit; layers 2 to 7 are stored.
     """
     if n < 3:
         raise InvalidN(f"run-length parameter must be >= 3, got {n}")
@@ -288,28 +389,28 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     deltas = consecutive_deltas(q)
     m = int(q.size)
     beta = tuple((m - 1) / (2 * n) ** t for t in range(LAYER_DEPTH + 1))
-    layers = [None]  # layer 0 is every position, left implicit
-    vals = deltas  # deltas at the positions of the newest layer
+    run, size1, found, vals = _scan_base(deltas, n)
+    if run is not None:
+        return run
+    layers, sizes = [None], [deltas.size]
     for t in range(1, LAYER_DEPTH + 1):
-        prev = layers[-1]
-        kind, found, extra = _scan_layer(prev, vals, n)
-        if kind == "run":
-            pos = (np.arange(found, found + n) if prev is None
-                   else prev[found:found + n])
-            return MonotoneRun(
-                layer=t - 1,
-                positions=tuple(int(p) for p in pos),
-                direction=extra,
-                values=tuple(int(v) for v in deltas[pos]),
-            )
-        if found.size == 0:
+        if t > 2:
+            kind, found, extra = _scan_layer(layers[-1], vals, n)
+            if kind == "run":
+                pos = layers[-1][found:found + n]
+                return _monotone_run(t - 1, pos, extra, deltas)
+            vals = extra
+        size = size1 if t == 1 else int(found.size)
+        if size == 0:
             raise InsufficientLayers(
                 f"layer {t} came out empty: |Q| = {m} cannot sustain depth "
                 f"{LAYER_DEPTH} and has no monotone run of length {n}",
-                trace={"layer": t, "sizes": _sizes(layers, deltas.size)})
-        layers.append(found)
-        vals = extra
-    return LayerStack(q=q, deltas=deltas, layers=layers, n=n, beta=beta)
+                trace={"layer": t, "sizes": sizes})
+        sizes.append(size)
+        layers.append(None if t == 1 else found)
+    stack = LayerStack(q=q, deltas=deltas, layers=layers, n=n, beta=beta)
+    stack._layer1_size = size1
+    return stack
 
 
 def edge_from_monotone_run(H: StepUpHypergraph, Q,
@@ -350,20 +451,38 @@ def edge_from_monotone_run(H: StepUpHypergraph, Q,
 
 def _neighbor_in(stack: LayerStack, pos: int, level: int, side: str) -> int:
     """The nearest position of layer `level` on `side` ("left" or "right")
-    of pos; an implicit layer 0 holds every position."""
+    of pos.  An implicit layer 0 holds every position; an implicit layer
+    1 is read outward from pos in windows that double in length."""
     layer = stack.layers[level]
-    if layer is None:
-        size = stack.deltas.size
-        i = min(pos + (side == "right"), size)
-    else:
+    size = stack.deltas.size
+    if layer is not None:
         # a key of the layer's own dtype keeps numpy from converting it
         i = int(np.searchsorted(layer, layer.dtype.type(pos), side=side))
-        size = layer.size
-    i -= side == "left"
-    if not 0 <= i < size:
-        raise InsufficientLayers(
-            f"position {pos} has no {side} neighbor in layer {level}")
-    return i if layer is None else int(layer[i])
+        i -= side == "left"
+        if 0 <= i < layer.size:
+            return int(layer[i])
+    elif level == 0:
+        i = pos + 1 if side == "right" else pos - 1
+        if 0 <= i < size:
+            return i
+    elif side == "left":
+        hi, span = pos, 64
+        while hi > 0:
+            lo = max(hi - span, 0)
+            found = _layer1(stack.deltas, lo, hi)
+            if found.size:
+                return int(found[-1])
+            hi, span = lo, 2 * span
+    else:
+        lo, span = pos + 1, 64
+        while lo < size:
+            hi = min(lo + span, size)
+            found = _layer1(stack.deltas, lo, hi)
+            if found.size:
+                return int(found[0])
+            lo, span = hi, 2 * span
+    raise InsufficientLayers(
+        f"position {pos} has no {side} neighbor in layer {level}")
 
 
 def _require_order(ok: bool, chain: str, dl: np.ndarray, **at: int) -> None:
@@ -561,10 +680,11 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     order of checks; its position, for an undominated interior, is the
     first largest delta between the pair.
 
-    The stack must have the shape build_layers makes: layer 0 implicit
-    and each layer an integer array that strictly increases inside the
-    one below.  Any other raises InvalidParams naming the first layer out
-    of shape, whatever failure a lower layer holds.
+    The stack must have the shape build_layers makes: layer 0 implicit,
+    layer 1 implicit or an array, and each layer an integer array that
+    strictly increases inside the one below.  Any other raises
+    InvalidParams naming the first layer out of shape, whatever failure a
+    lower layer holds.
     Layer t is checked from the deltas of layer t-1 (see the note above),
     window by window (see _check_layer), so that nothing the check holds
     grows with |Q|.  This is an induction on t: a failure in layer t-1 is
@@ -576,14 +696,34 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     check of layer t-1 rules out (in layer 0, delta(x, y) != delta(y, z)
     for x < y < z).  When the count falls short, the first failing pair,
     if any, is found by a maximum over d between consecutive indices.
+    An implicit layer 1 and layer 2 are checked in one walk over the
+    deltas (_Layer1Walk).
     """
     if stack.layers[0] is not None:
         raise InvalidParams(
             "layer 0 must be left implicit (None), as build_layers leaves it")
     checks = {"star_pairs": 0, "drop_dominance": 0}
     failure = None
-    for t in range(1, len(stack.layers)):
-        found = _check_layer(stack, t, checks, star=failure is None)
+    start = 1
+    if len(stack.layers) > 1 and stack.layers[1] is None:
+        walk = _Layer1Walk(stack.deltas)
+        above = dict(checks)
+        found = None
+        if len(stack.layers) > 2:
+            found = _check_layer(stack, 2, above, True, walk.windows())
+        else:
+            for _ in walk.windows():
+                pass
+        failure = walk.failure(stack, checks)
+        if failure is None:
+            # a failure in layer 1 leaves layer 2 checked for shape only
+            failure = found
+            for key, count in above.items():
+                checks[key] += count
+        start = 3
+    for t in range(start, len(stack.layers)):
+        found = _check_layer(stack, t, checks, failure is None,
+                             _windows(stack.deltas, stack.layers[t - 1]))
         failure = failure or found
     return PropertyReport(ok=failure is None, checks=checks,
                           counterexample=failure)
@@ -616,27 +756,115 @@ def _rank(P: np.ndarray, key: int) -> int:
     return int(P.searchsorted(key))
 
 
-def _check_layer(stack: LayerStack, t: int, checks: dict,
-                 star: bool) -> Optional[dict]:
+def _windows(deltas: np.ndarray, below: Optional[np.ndarray]):
+    """A stored layer, or an implicit layer 0 (None), in windows of
+    _STAR_CHUNK consecutive indices c..e-1, with one more index on each
+    side: (c, e, base, rows, win, at_end).  rows holds the layer's
+    positions at indices base..base + win.size - 1, or is None for layer
+    0, whose indices are its positions; win holds the deltas there."""
+    bound = deltas.size if below is None else below.size
+    for c in range(0, bound, _STAR_CHUNK):
+        e = min(c + _STAR_CHUNK, bound)
+        base, end = max(c - 1, 0), min(e + 1, bound)
+        if below is None:
+            yield c, e, base, None, deltas[base:end], e == bound
+        else:
+            rows = below[base:end]
+            yield c, e, base, rows, deltas.take(rows), e == bound
+
+
+class _Layer1Walk:
+    """An implicit layer 1, read from the deltas in windows of _STAR_CHUNK
+    positions, checked on the way, and handed on in windows of its own
+    indices for the check of layer 2.
+
+    Its elements are the strict peaks of layer 0, so the only failures
+    it can hold are equal deltas at consecutive elements and, where some
+    delta equals a neighbor, a peak of layer 0 left out of it; its ends
+    are interior to layer 0 and every element it drops is a strict peak,
+    so no drop fails.
+    """
+
+    def __init__(self, deltas: np.ndarray):
+        self.deltas = deltas
+        self.size = 0
+        self.equal = None     # the first consecutive positions with equal deltas
+        self.plateau = False  # some window holds a peak that is not strict
+
+    def windows(self):
+        """Layer 1 in windows as _windows gives them.  A window ends at
+        the element before the newest, whose right neighbor is not read
+        yet, except the last, which ends at layer 1's end."""
+        d = self.deltas
+        held_pos, held_val = np.empty(0, np.intp), d[:0]
+        for s in range(0, d.size, _STAR_CHUNK):
+            e = min(s + _STAR_CHUNK, d.size)
+            pos = _layer1(d, s, e)
+            if not self.plateau:
+                v = d[max(s - 1, 0):e + 1]
+                self.plateau = bool((v[1:] == v[:-1]).any()) and bool(
+                    pos.size < np.count_nonzero(
+                        (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])))
+            at_end = e == d.size
+            if pos.size == 0 and not at_end:
+                continue
+            val = d.take(pos)
+            if self.equal is None and pos.size:
+                if held_val.size and held_val[-1] == val[0]:
+                    self.equal = int(held_pos[-1]), int(pos[0])
+                else:
+                    k = _first(val[1:] == val[:-1])
+                    if k >= 0:
+                        self.equal = int(pos[k]), int(pos[k + 1])
+            rows = np.concatenate((held_pos, pos))
+            win = np.concatenate((held_val, val))
+            c, base = max(self.size - 1, 0), max(self.size - 2, 0)
+            self.size += pos.size
+            stop = self.size if at_end else self.size - 1
+            if stop > c:
+                yield c, stop, base, rows, win, at_end
+            held_pos, held_val = rows[-2:], win[-2:]
+
+    def failure(self, stack: LayerStack, checks: dict) -> Optional[dict]:
+        """Layer 1's first failure, once windows() has been read through;
+        checks are counted as _check_layer counts them."""
+        if self.size >= 2:
+            checks["star_pairs"] += self.size - 1
+        if self.equal is not None:
+            return {"check": "star", "layer": 1, "left": self.equal[0],
+                    "right": self.equal[1], "reason": "equal deltas"}
+        if self.plateau:
+            # the failure-locating path, the one read of all of layer 1
+            P = _layer1(self.deltas, 0, self.deltas.size)
+            k = _first_undominated_pair(self.deltas, P)
+            if k >= 0:
+                return _undominated(self.deltas, 1, int(P[k]), int(P[k + 1]))
+        nxt = stack.layers[2].size if len(stack.layers) > 2 else 0
+        if self.size > nxt:
+            checks["drop_dominance"] += self.size - nxt
+        return None
+
+
+def _check_layer(stack: LayerStack, t: int, checks: dict, star: bool,
+                 windows) -> Optional[dict]:
     """Layer t's first failure of the star property, or None.
 
-    Layer t-1 is read in windows of _STAR_CHUNK consecutive indices
-    c..e-1, with one more index on each side; the next window starts at
-    e.  A window's deltas, read once through layer t-1's positions, give
-    the count of layer t-1's peaks at c..e-1 and its strict peaks there.
-    The layer-t positions in the window are those below the position of
-    index e, found by one scalar searchsorted.  On a stack as built they
-    are exactly the positions of the strict peaks, which give their
-    indices once layer t-1's positions there are seen to equal them.
-    Otherwise (in layer 1, whose positions are its indices in layer 0,
-    or on a corrupted stack) the indices are read off or looked up in
-    the window, and layer t must strictly increase inside c..e-1, or
-    InvalidParams names it.  With star false, only that is checked.
+    Layer t-1 is read in the windows given (see _windows), of indices
+    c..e-1 with one more index on each side; the next window starts at
+    e.  A window's deltas give the count of layer t-1's peaks at c..e-1
+    and its strict peaks there.  The layer-t positions in the window are
+    those below the position of index e, found by one scalar
+    searchsorted.  On a stack as built they are exactly the positions of
+    the strict peaks, which give their indices once layer t-1's positions
+    there are seen to equal them.  Otherwise (in layer 1 over an implicit
+    layer 0, or on a corrupted stack) the indices are read off or looked
+    up in the window, and layer t must strictly increase inside c..e-1,
+    or InvalidParams names it.  With star false, only that is checked.
     Layer t+1, which says which elements layer t drops, is checked when
     it is reached, so one out of shape only leads here to a failure that
     is never reported.
     """
-    deltas, below = stack.deltas, stack.layers[t - 1]
+    deltas = stack.deltas
     P = _positions(stack, t)
     nxt = P[:0]
     if t + 1 < len(stack.layers):
@@ -644,26 +872,25 @@ def _check_layer(stack: LayerStack, t: int, checks: dict,
             nxt = _positions(stack, t + 1)
         except InvalidParams:
             pass
-    bound = deltas.size if below is None else below.size
     peaks = taken = 0
-    equal = flank = flank_at = -1
+    equal = flank = -1
+    flank_at = first = final = None   # positions in layer t-1
     last = None
-    c = j0 = 0
-    while c < bound:
-        e = min(c + _STAR_CHUNK, bound)
-        base, end = max(c - 1, 0), min(e + 1, bound)
-        # an implicit layer 0 is indexed by position
-        rows = None if below is None else below[base:end]
-        j1 = P.size if e == bound else _rank(
+    j0 = 0
+    for c, e, base, rows, win, at_end in windows:
+        if c == 0:
+            first = base if rows is None else int(rows[0])
+        if at_end:
+            final = base + win.size - 1 if rows is None else int(rows[-1])
+        j1 = P.size if at_end else _rank(
             P, e if rows is None else int(rows[e - base]))
         if j1 < j0:
             raise _unnested(t)
         Pj = P[j0:j1]
         if not star:
             _located(Pj, rows, base, c, e, t)
-            c, j0 = e, j1
+            j0 = j1
             continue
-        win = deltas[base:end] if rows is None else deltas.take(rows)
         up = win[1:] > win[:-1]
         down = win[1:] < win[:-1]
         # window index i is a peak unless win[i] falls from i-1 or rises
@@ -697,7 +924,10 @@ def _check_layer(stack: LayerStack, t: int, checks: dict,
                 weak &= ~np.isin(Pj, nxt[lo:hi])
                 k = _first(weak)
                 if k >= 0:
-                    flank, flank_at = j0 + k, base + int(rel[k])
+                    r = int(rel[k])
+                    flank = j0 + k
+                    flank_at = ((base + r - 1, base + r + 1) if rows is None
+                                else (int(rows[r - 1]), int(rows[r + 1])))
         if equal < 0 and rel.size:
             dj = win.take(rel)
             if last is not None and dj[0] == last:
@@ -706,7 +936,7 @@ def _check_layer(stack: LayerStack, t: int, checks: dict,
                 k = _first(dj[1:] == dj[:-1])
                 equal = j0 + k if k >= 0 else -1
             last = dj[-1]
-        c, j0 = e, j1
+        j0 = j1
     if j0 < P.size:
         raise _unnested(t)  # an empty layer t-1 holds no index
     if not star:
@@ -719,32 +949,36 @@ def _check_layer(stack: LayerStack, t: int, checks: dict,
     if taken != peaks:
         # the failure-locating read is the one of all layer t-1's deltas,
         # with every index of layer t in it
+        below = stack.layers[t - 1]
+        if below is None and t == 2:
+            below = _layer1(deltas, 0, deltas.size)
         k = (_first_undominated_pair(deltas, P) if below is None else
              _first_undominated_pair(deltas[below],
                                      np.searchsorted(below, P)))
         if k >= 0:
-            lo, hi = int(P[k]), int(P[k + 1])
-            x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
-            return {"check": "star", "layer": t, "left": lo, "right": hi,
-                    "position": x, "reason": "interior delta not dominated"}
+            return _undominated(deltas, t, int(P[k]), int(P[k + 1]))
     n_drop = P.size - nxt.size
     if n_drop > 0:   # a longer layer t+1 is refused with it
         # only the ends can lack a neighbor below
-        first, final = (0, bound - 1) if below is None else (below[0],
-                                                            below[-1])
         if P[0] == first and not (nxt.size and nxt[0] == P[0]):
             return _boundary_failure(t, int(P[0]))
         if P[-1] == final and not (nxt.size and nxt[-1] == P[-1]):
             return _boundary_failure(t, int(P[-1]))
         checks["drop_dominance"] += n_drop
         if flank >= 0:
-            left, right = ((flank_at - 1, flank_at + 1) if below is None
-                           else (int(below[flank_at - 1]),
-                                 int(below[flank_at + 1])))
             return {"check": "drop_dominance", "layer": t,
-                    "position": int(P[flank]), "left": left, "right": right,
+                    "position": int(P[flank]), "left": flank_at[0],
+                    "right": flank_at[1],
                     "reason": "neighborhood not dominated"}
     return None
+
+
+def _undominated(deltas: np.ndarray, t: int, lo: int, hi: int) -> dict:
+    """The interior failure of layer t's pair lo < hi, at the first
+    largest delta between them."""
+    x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
+    return {"check": "star", "layer": t, "left": lo, "right": hi,
+            "position": x, "reason": "interior delta not dominated"}
 
 
 def _located(Pj: np.ndarray, rows: Optional[np.ndarray], base: int, c: int,

@@ -939,6 +939,29 @@ def test_edge_engine_matches_the_scalar_scan_up_to_40_vertices():
     assert found[True] > 100 and found[False] > 100
 
 
+def test_first_edge_walk_matches_the_scalar_scan_where_edges_start_late():
+    """The locate walk finds the scan's first edge when the early vertex
+    pairs start none: exact-alpha witnesses with one or two vertices
+    added, in reverse order, at D = 5 to 8."""
+    rng = np.random.default_rng(47)
+    late = 0
+    for D in (5, 6, 7, 8):
+        for seed in range(4):
+            H = graph(D, seed)
+            w = exact_alpha(H).witness
+            rest = sorted(set(range(1 << D)) - set(w))
+            for extra in (1, 2) * 4:
+                q = [*w, *(int(v) for v in rng.choice(rest, size=extra,
+                                                      replace=False))]
+                want = scalar_first_edge(H, q)
+                got = is_independent(H, q[::-1])
+                assert (None if got is None else got.vertices) == (
+                    None if want is None else want[0])
+                # pairs (0, 1) to (0, 3) start no edge
+                late += want is not None and sorted(q).index(want[0][1]) > 3
+    assert late > 40
+
+
 def test_exact_alpha_checks_witnesses_above_222_vertices():
     # binom(232, 4) = 117M 4-subsets: over the independence budget, which
     # gates is_independent but not the witness check

@@ -1,6 +1,10 @@
 """Tests for layered witness extraction."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -69,10 +73,26 @@ def constant_graph(D, color=0):
 
 
 def _layer(stack, t):
-    """Layer t as a position array, materialising an implicit layer 0."""
+    """Layer t as a position array, materialising an implicit layer 0 (every
+    position) or layer 1 (the interior strict maxima of the stack's own
+    deltas)."""
     layer = stack.layers[t]
-    return np.arange(stack.deltas.size, dtype=np.int32) if layer is None \
-        else layer
+    if layer is not None:
+        return layer
+    if t == 0:
+        return np.arange(stack.deltas.size, dtype=np.int32)
+    return _strict_maxima(stack.deltas)
+
+
+def _strict_maxima(d):
+    """The positions of the interior strict local maxima of d, as int32."""
+    peak = (d[1:-1] > d[:-2]) & (d[1:-1] > d[2:])
+    return (np.flatnonzero(peak) + 1).astype(np.int32)
+
+
+def _with_layer1(stack):
+    """The same stack with layer 1 stored, read from its own deltas."""
+    return replace(stack, layers=[None, _layer(stack, 1)] + stack.layers[2:])
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +158,124 @@ def test_run_scan_prefers_leftmost_window():
     assert run.direction == "Decreasing"
     assert run.positions == (0, 1, 2, 3, 4)
     assert run.values == (11, 9, 7, 5, 2)
+
+
+def _realize(deltas):
+    """The smallest increasing vertices from 0 whose consecutive deltas
+    are the given ones (each step sets its bit and clears those below)."""
+    vs = [0]
+    for d in deltas:
+        assert not vs[-1] >> d & 1, "delta sequence is not realizable"
+        vs.append((vs[-1] | 1 << d) >> d << d)
+    return np.array(vs, dtype=np.uint64)
+
+
+def _leftmost_run(v, n):
+    """(start, direction) of the leftmost n strictly monotone values."""
+    for i in range(len(v) - n + 1):
+        win = v[i:i + n]
+        if all(x < y for x, y in zip(win, win[1:])):
+            return i, "Increasing"
+        if all(x > y for x, y in zip(win, win[1:])):
+            return i, "Decreasing"
+    return None
+
+
+def _reference_build(q, n):
+    """build_layers' outcome from stored layers: the leftmost n-run of
+    layer 0, 1, ... in that order, as (layer, positions, direction), or
+    the layer sizes; a layer that comes out empty gives its number."""
+    d = w.consecutive_deltas(q)
+    layer = np.arange(d.size)
+    sizes = []
+    for t in range(8):
+        v = d[layer].tolist()
+        sizes.append(len(v))
+        hit = _leftmost_run(v, n)
+        if hit is not None:
+            return t, tuple(layer[hit[0]:hit[0] + n].tolist()), hit[1]
+        if t == 7:
+            return sizes
+        layer = layer[[i for i in range(1, len(v) - 1)
+                       if v[i - 1] < v[i] > v[i + 1]]]
+        if layer.size == 0:
+            return t + 1
+
+
+def _spiky_q(rng, length, D):
+    """Vertices whose deltas alternate 0 and a random higher delta, with
+    one random delta in ten: layer 1 holds the higher ones, and layer 0
+    has a run only where the random deltas make one."""
+    vs = [0]
+    for i in range(length):
+        free = [b for b in range(D) if not vs[-1] >> b & 1]
+        if i % 2 == 0 and rng.random() > 0.1:
+            free = free[:1]
+        elif len(free) > 1 and rng.random() > 0.1:
+            free = free[1:]
+        if not free:
+            break
+        b = free[int(rng.integers(len(free)))]
+        vs.append((vs[-1] | 1 << b) >> b << b)
+    return np.array(vs, dtype=np.uint64)
+
+
+def _built(q, n):
+    try:
+        built = build_layers(q, n)
+    except InsufficientLayers as exc:
+        return exc.trace["layer"]
+    if isinstance(built, MonotoneRun):
+        return built.layer, built.positions, built.direction
+    assert built.layers[:2] == [None, None]
+    return built.layer_sizes
+
+
+@pytest.mark.parametrize("chunk", [2, 7, None])
+def test_layer1_runs_are_found_in_the_scan_of_layer0(monkeypatch, chunk):
+    """A run in layer 1 is found without storing layer 1, and a run in
+    layer 0 anywhere, even right of it, comes first.
+
+    Slices of 2 and 7 deltas put slice boundaries inside every run; chunk
+    None keeps the default slices.  Random Q at n = 3 and 4 (about half
+    of them end in a layer-1 run) must give the outcome of stored layers.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
+    # layer 1 is 5, 6, 7 at positions 1, 3, 5; layer 0 has no 3-run
+    run = build_layers(_realize([0, 5, 0, 6, 0, 7, 0]), 3)
+    assert run == MonotoneRun(layer=1, positions=(1, 3, 5),
+                              direction="Increasing", values=(5, 6, 7))
+    # the same behind a layer-1 prefix that is no run: 9, 4, 8, 5, 6, 7
+    run = build_layers(_realize([0, 9, 0, 4, 0, 8, 0, 5, 0, 6, 0, 7, 0]), 3)
+    assert run == MonotoneRun(layer=1, positions=(7, 9, 11),
+                              direction="Increasing", values=(5, 6, 7))
+    # a layer-0 run (3, 2, 1) right of the layer-1 run (5, 6, 7)
+    run = build_layers(_realize([0, 5, 0, 6, 0, 7, 0, 4, 0, 3, 2, 1]), 3)
+    assert run == MonotoneRun(layer=0, positions=(9, 10, 11),
+                              direction="Decreasing", values=(3, 2, 1))
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        D = int(rng.integers(6, 11))
+        q = random_subset(D, int(rng.integers(8, min(1 << D, 400))),
+                          int(rng.integers(1 << 30)))
+        n = int(rng.integers(3, 6))
+        assert _built(q, n) == _reference_build(q, n)
+    layer1_runs = shadowed = 0
+    for _ in range(200):
+        q = _spiky_q(rng, int(rng.integers(10, 150)), 24)
+        n = int(rng.integers(3, 5))
+        want = _reference_build(q, n)
+        assert _built(q, n) == want
+        if isinstance(want, tuple) and want[0] == 1:
+            layer1_runs += 1
+        elif isinstance(want, tuple) and want[0] == 0:
+            # a layer-1 run left of the layer-0 run that is returned
+            d = w.consecutive_deltas(q)
+            P = _strict_maxima(d)
+            hit = _leftmost_run(d[P].tolist(), n)
+            shadowed += hit is not None and P[hit[0]] < want[1][0]
+    assert layer1_runs > 30 and shadowed > 40
 
 
 # --- monotone-run mapping -----------------------------------------------------
@@ -248,6 +386,54 @@ def test_select_anchors_traps_an_out_of_order_chain():
     assert exc.value.trace["deltas"] == {
         k: int(stack.deltas[p]) for k, p in positions.items()}
     assert exc.value.trace["deltas"]["a"] == 0
+
+
+def test_layer1_neighbors_match_the_stored_layer(monkeypatch):
+    """_neighbor_in reads an implicit layer 1 as searchsorted reads it
+    stored: at every layer-1 lookup the anchor selection makes (each
+    selection makes one, for e or f), and at random positions, where
+    those off an end must raise InsufficientLayers."""
+    lookups = []
+    real = w._neighbor_in
+
+    def spy(stack, pos, level, side):
+        got = real(stack, pos, level, side)
+        if level == 1:
+            lookups.append((stack, pos, side, got))
+        return got
+
+    monkeypatch.setattr(w, "_neighbor_in", spy)
+    rng = np.random.default_rng(43)
+    stacks = []
+    for _ in range(60):
+        q = random_subset(12, int(rng.integers(1000, 4000)),
+                          int(rng.integers(1 << 30)))
+        try:
+            stack = build_layers(q, 7)
+        except InsufficientLayers:
+            continue
+        if isinstance(stack, LayerStack):
+            stacks.append(stack)
+            select_anchors(stack, sample_coloring(12, int(rng.integers(50))))
+    assert len(lookups) == len(stacks) > 50
+    for stack in stacks[:10]:
+        for side in ("left", "right"):
+            for pos in rng.integers(stack.deltas.size, size=20):
+                lookups.append((stack, int(pos), side, None))
+            lookups.append((stack, 0 if side == "left" else
+                            stack.deltas.size - 1, side, None))
+    ends = 0
+    for stack, pos, side, got in lookups:
+        P = _layer(stack, 1)
+        i = int(np.searchsorted(P, pos, side=side)) - (side == "left")
+        if not 0 <= i < P.size:
+            ends += 1
+            with pytest.raises(InsufficientLayers, match="layer 1"):
+                real(stack, pos, 1, side)
+            continue
+        assert real(stack, pos, 1, side) == P[i]
+        assert got is None or got == P[i]
+    assert ends >= 20
 
 
 # --- extract_edge -------------------------------------------------------------
@@ -362,8 +548,9 @@ def test_extraction_hands_back_what_it_built(certified12):
             continue
         assert np.array_equal(built.q, q) and np.array_equal(built.deltas,
                                                               fresh.deltas)
-        assert built.layers[0] is None
-        for t in range(1, len(fresh.layers)):
+        assert built.layers[:2] == [None, None]
+        assert built.layer_sizes == fresh.layer_sizes
+        for t in range(2, len(fresh.layers)):
             assert np.array_equal(built.layers[t], fresh.layers[t])
         assert verify_star_property(built) == verify_star_property(fresh)
         assert wit.trace["stack"] == built.as_dict()
@@ -389,27 +576,65 @@ def test_interval_q_full_scale_anchor_chain():
     assert report.checks == {"star_pairs": 9_921_860, "drop_dominance": 4_999_999}
 
 
+_N7_TRIAL = """
+import json, resource
+import numpy as np
+from stepup.coloring import certify_good_property, paley_coloring
+from stepup.hypergraph import StepUpHypergraph
+from stepup.witness import (LayerStack, build_layers, extract_edge,
+                            guarantee_threshold, random_subset,
+                            verify_star_property)
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+phi = paley_coloring(27, 27)
+out = {"certified": certify_good_property(phi, 7).certified}
+H = StepUpHypergraph(phi)
+out["baseline"] = peak()
+q = random_subset(27, guarantee_threshold(7), seed=0)
+out["q_size"], out["q_bytes"] = int(q.size), int(q.nbytes)
+wit = extract_edge(H, q, 7)
+vs = np.array(wit.vertices, dtype=np.uint64)
+out["valid"] = bool(wit.validate(H) and (q[np.searchsorted(q, vs)] == vs).all())
+built = build_layers(q, 7)
+if isinstance(built, LayerStack):
+    out["star_ok"] = bool(verify_star_property(built).ok)
+    out["sizes"] = built.layer_sizes
+    out["layer1_held"] = built.layers[1] is not None
+out["peak"] = peak()
+print(json.dumps(out))
+"""
+
+
 def test_guarantee_scale_trial_at_n7():
     """One trial under the guarantee at n = 7: |Q| = 14^7 + 1 of 2^27.
 
     The Paley tournament on GF(27) has no transitive 7-subtournament, so
-    extraction must succeed (about 3-4 s on a 2-core machine, with a peak
-    RSS of 1.26 GB, set by the stack builds; 1.37 GB while the stack kept
-    index rows into the layer below, 1.46 GB while the star check copied
-    whole layers).
+    extraction must succeed (about 3-4 s on a 2-core machine).  The trial
+    runs in a fresh interpreter, whose peak RSS must stay within the
+    larger of its two phases, on top of what the interpreter held before
+    Q was drawn: the sampler's, Q and its byte map of the 2^27 vertices,
+    and the stack's, Q, the int8 deltas and layers 2-7 at five bytes per
+    element (int32 positions, and the values a scan reads and writes).
+    It peaks at 1.07 GiB, most of it the stack as built; 1.26 GiB while
+    layer 1 was stored, 1.37 GiB with index rows into the layer below,
+    1.46 GiB while the star check copied whole layers.
     """
-    phi = paley_coloring(27, 27)
-    assert certify_good_property(phi, 7).certified
-    H = StepUpHypergraph(phi)
-    q = random_subset(27, guarantee_threshold(7), seed=0)
-    assert q.size == 105_413_505
-    wit = extract_edge(H, q, 7)
-    assert wit.validate(H)
-    vs = np.array(wit.vertices, dtype=np.uint64)
-    assert (q[np.searchsorted(q, vs)] == vs).all()
-    built = build_layers(q, 7)
-    if isinstance(built, LayerStack):
-        assert verify_star_property(built).ok
+    src = os.path.dirname(os.path.dirname(w.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _N7_TRIAL], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["certified"] and out["valid"]
+    assert out["q_size"] == 105_413_505
+    sampler = out["q_bytes"] + (1 << 27)
+    stack = out["q_bytes"]
+    if "sizes" in out:
+        assert out["star_ok"] and not out["layer1_held"]
+        stack += out["sizes"][0] + 5 * sum(out["sizes"][2:])
+    assert out["peak"] - out["baseline"] <= max(sampler, stack)
 
 
 def test_extraction_guarantee_trips_gap_trap_not_retry(monkeypatch):
@@ -455,7 +680,7 @@ def _star_reference(stack):
         return PropertyReport(ok=False, checks=checks, counterexample=info)
 
     for t in range(1, len(stack.layers)):
-        P = stack.layers[t]
+        P = _layer(stack, t)
         if P.size >= 2:
             a, b = P[:-1].astype(np.int64), P[1:].astype(np.int64)
             checks["star_pairs"] += int(a.size)
@@ -479,7 +704,7 @@ def _star_reference(stack):
                 return fail({"check": "star", "layer": t, "left": lo,
                              "right": hi, "position": x,
                              "reason": "interior delta not dominated"})
-        nxt = stack.layers[t + 1] if t + 1 < len(stack.layers) else P[:0]
+        nxt = _layer(stack, t + 1) if t + 1 < len(stack.layers) else P[:0]
         drop = np.setdiff1d(P, nxt, assume_unique=True).astype(np.int64)
         if drop.size == 0:
             continue
@@ -567,8 +792,8 @@ def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
 def _local_maxima_stack(q):
     """All seven local-maxima layers, built without the run shortcut.
 
-    The stack has the shape build_layers gives it: layer 0 implicit and
-    int32 positions in every other layer.
+    The stack has the shape build_layers gives it: layers 0 and 1
+    implicit and int32 positions in every other layer.
     """
     d = w.consecutive_deltas(q)
     layers = [None]
@@ -579,7 +804,7 @@ def _local_maxima_stack(q):
         if idx.size == 0:
             break
         prev = prev[idx]
-        layers.append(prev)
+        layers.append(None if t == 1 else prev)
     return LayerStack(q=q, deltas=d, layers=layers, n=5, beta=())
 
 
@@ -591,7 +816,7 @@ def _with_element_added(stack, rng):
     """
     t = int(rng.integers(1, len(stack.layers)))
     below = _layer(stack, t - 1)
-    own = np.searchsorted(below, stack.layers[t])
+    own = np.searchsorted(below, _layer(stack, t))
     free = np.setdiff1d(np.arange(below.size), own)
     ends = np.intersect1d(free, [0, below.size - 1])
     pool = ends if ends.size and rng.integers(2) else free
@@ -600,7 +825,7 @@ def _with_element_added(stack, rng):
     i = int(rng.choice(pool))
     k = int(np.searchsorted(own, i))
     layers = list(stack.layers)
-    layers[t] = np.insert(layers[t], k, below[i]).astype(np.int32)
+    layers[t] = np.insert(_layer(stack, t), k, below[i]).astype(np.int32)
     return replace(stack, layers=layers)
 
 
@@ -608,20 +833,44 @@ def _with_element_removed(stack, rng):
     """The stack with one element of some layer t taken out; the stack
     is no longer nested when layer t+1 held it."""
     t = int(rng.integers(1, len(stack.layers)))
-    if stack.layers[t].size < 2:
+    P = _layer(stack, t)
+    if P.size < 2:
         return stack
-    k = int(rng.integers(stack.layers[t].size))
+    k = int(rng.integers(P.size))
     layers = list(stack.layers)
-    layers[t] = np.delete(layers[t], k)
+    layers[t] = np.delete(P, k)
     return replace(stack, layers=layers)
 
 
 def _first_unnested(stack):
     """The first layer with a position outside the layer below, or None."""
     for t in range(1, len(stack.layers)):
-        if not np.isin(stack.layers[t], _layer(stack, t - 1)).all():
+        if not np.isin(_layer(stack, t), _layer(stack, t - 1)).all():
             return t
     return None
+
+
+def _random_stack(rng):
+    """A seeded random Q's stack of build_layers' shape: as built, or all
+    seven local-maxima layers where build_layers finds a run or fails."""
+    D = int(rng.integers(6, 12))
+    m = int(rng.integers(40, min(1 << D, 1000)))
+    q = random_subset(D, m, int(rng.integers(1 << 30)))
+    try:
+        stack = build_layers(q, 7)
+    except InsufficientLayers:
+        stack = None
+    if not isinstance(stack, LayerStack):
+        stack = _local_maxima_stack(q)
+    return D, stack
+
+
+def _with_corrupted_deltas(stack, D, rng):
+    """The stack with one to three deltas set to random values."""
+    deltas = stack.deltas.copy()
+    idx = rng.integers(deltas.size, size=int(rng.integers(1, 4)))
+    deltas[idx] = rng.integers(0, D + 2, size=idx.size)
+    return replace(stack, deltas=deltas)
 
 
 @pytest.mark.parametrize("chunk", [2, None])
@@ -642,28 +891,19 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
     rng = np.random.default_rng(17)
     compared = failing = refused = 0
     for _ in range(800):
-        D = int(rng.integers(6, 12))
-        m = int(rng.integers(40, min(1 << D, 1000)))
-        q = random_subset(D, m, int(rng.integers(1 << 30)))
-        try:
-            stack = build_layers(q, 7)
-        except InsufficientLayers:
-            stack = None
-        if not isinstance(stack, LayerStack):
-            stack = _local_maxima_stack(q)
+        D, stack = _random_stack(rng)
         kind = int(rng.integers(7))
         bad_layer = None
         if kind == 1:
-            stack.deltas = stack.deltas.copy()
-            idx = rng.integers(stack.deltas.size, size=int(rng.integers(1, 4)))
-            stack.deltas[idx] = rng.integers(0, D + 2, size=idx.size)
+            # layer 1 stored, so that it stays what it was built as
+            stack = _with_corrupted_deltas(_with_layer1(stack), D, rng)
         elif kind == 2 and len(stack.layers) > 1:
             stack = _with_element_removed(stack, rng)
         elif kind == 3 and len(stack.layers) > 1:
             # an explicit layer 0, whole or with holes the upper layers avoid
             base = _layer(stack, 0)
             if rng.integers(2):
-                free = np.setdiff1d(base, stack.layers[1])
+                free = np.setdiff1d(base, _layer(stack, 1))
                 holes = rng.choice(free, size=min(3, free.size), replace=False)
                 base = np.setdiff1d(base, holes)
             stack.layers = [base] + list(stack.layers[1:])
@@ -687,7 +927,7 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
             # below: maxima are never adjacent, so p + 1 is no position there
             bad_layer = int(rng.integers(1, len(stack.layers)))
             stack.layers = list(stack.layers)
-            P = stack.layers[bad_layer]
+            P = _layer(stack, bad_layer)
             if bad_layer == 1 and P.size > 1:
                 stack.layers[1] = P[::-1].copy()
             elif bad_layer > 1:
@@ -708,6 +948,44 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
         compared += 1
         failing += not reference.ok
     assert compared > 350 and failing > 200 and refused > 300
+
+
+def _outcome(stack):
+    """verify_star_property's report, or the message of its InvalidParams."""
+    try:
+        return _report_of(verify_star_property(stack))
+    except InvalidParams as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chunk", [2, None])
+def test_implicit_layer1_matches_its_stored_form(monkeypatch, chunk):
+    """An implicit layer 1 is checked as the same layer stored.
+
+    The stacks are drawn as in test_nested_star_check_agrees_with_direct_scan,
+    as built and with corrupted deltas, which move an implicit layer 1
+    with them.  On each, the report (or refusal) is the one for the stack
+    with layer 1 stored from its own deltas, and a report is the
+    reference scan's.  Windows of 2 put a window boundary at every delta.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    reports = failing = refused = 0
+    for _ in range(300):
+        D, built = _random_stack(rng)
+        for stack in (built, _with_corrupted_deltas(built, D, rng)):
+            assert stack.layers[1] is None
+            got = _outcome(stack)
+            assert got == _outcome(_with_layer1(stack))
+            if isinstance(got, str):
+                assert "layer 2 " in got
+                refused += 1
+                continue
+            assert got == _report_of(_star_reference(stack))
+            reports += 1
+            failing += not got[0]
+    assert reports > 400 and failing > 100 and refused > 60
 
 
 @pytest.mark.parametrize("chunk", [2, None])
@@ -731,16 +1009,18 @@ def test_stale_layer_is_refused_before_a_lower_failure(monkeypatch, chunk):
         if not isinstance(stack, LayerStack):
             continue
         stacks += 1
-        P = stack.layers[1]
+        P = _layer(stack, 1)
         k = int(np.argmax(P[1:] - P[:-1] >= 2))
         deltas = stack.deltas.copy()
         deltas[P[k] + 1] = 100              # above every delta
-        low = replace(stack, deltas=deltas)
+        # layer 1 stored, so that it stays what it was built as
+        low = replace(stack, deltas=deltas,
+                      layers=[None, P] + stack.layers[2:])
         reference = _star_reference(low)
         assert reference.counterexample["layer"] == 1
         assert _report_of(verify_star_property(low)) == _report_of(reference)
         t = int(rng.integers(3, len(stack.layers)))
-        layers = list(stack.layers)
+        layers = list(low.layers)
         P = layers[t]
         if rng.integers(2) and P.size > 1:
             layers[t] = P[::-1].copy()
@@ -775,15 +1055,18 @@ def test_layer_stack_memory_stays_lean():
 
 
 def test_build_layers_holds_positions_and_values_only():
-    """build_layers' traced peak is what its scan is built to hold.
+    """build_layers' traced peak is what its scans are built to hold.
 
-    While layer t is scanned, the build holds the deltas, the positions
-    of layers 1..t-1, the deltas at layer t-1's positions (layer 0's are
-    the deltas themselves) and layer t's two buffers, positions and
-    values, each sized for the (|layer t-1| - 1) // 2 strict maxima it
-    can have.  A scanned slice adds its flags and peak indices, under 16
-    bytes per value of a slice.  Nothing else is kept: an index row per
-    layer into the one below would not fit.
+    Layers 0 and 1 are read in one scan of the deltas, which holds them
+    and layer 2's two buffers, positions and values, each sized for the
+    ((|layer 0| - 1) // 2 - 1) // 2 strict maxima that a layer 1 of at
+    most (|layer 0| - 1) // 2 elements can have.  While a layer t >= 3
+    is scanned, the build holds the deltas, the positions of layers
+    2..t-1, the deltas at layer t-1's positions and layer t's buffers,
+    sized for (|layer t-1| - 1) // 2.  A scanned slice adds its flags,
+    indices and the layer-1 elements it finds, under 16 bytes per delta
+    of a slice.  No term holds layer 1: its positions alone would not
+    fit.
     """
     q = random_subset(24, 1 << 23, seed=0)
     tracemalloc.start()
@@ -794,11 +1077,13 @@ def test_build_layers_holds_positions_and_values_only():
         tracemalloc.stop()
     assert isinstance(stack, LayerStack) and len(stack.layers) == 8
     assert not hasattr(stack, "parents")
+    assert stack.layers[0] is None and stack.layers[1] is None
     sizes = stack.layer_sizes
-    pos = [stack.layers[t].nbytes for t in range(1, 8)]
-    entry = stack.layers[1].itemsize + stack.deltas.itemsize
-    scans = [sum(pos[:t - 1]) + (t > 1) * sizes[t - 1] * stack.deltas.itemsize
-             + (sizes[t - 1] - 1) // 2 * entry for t in range(1, 8)]
+    entry = stack.layers[2].itemsize + stack.deltas.itemsize
+    scans = [((sizes[0] - 1) // 2 - 1) // 2 * entry] + [
+        sum(stack.layers[s].nbytes for s in range(2, t))
+        + sizes[t - 1] * stack.deltas.itemsize + (sizes[t - 1] - 1) // 2 * entry
+        for t in range(3, 8)]
     assert peak <= stack.deltas.nbytes + max(scans) + 16 * w._SCAN_CHUNK
 
 
@@ -879,17 +1164,21 @@ def test_plateau_peak_outside_layer1_is_located():
     interior failure is found by a maximum over the gap, not from them.
     """
     stack = build_layers(random_subset(12, 2000, seed=2), 5)
-    P = stack.layers[1]
+    P = _layer(stack, 1)
     k = int(np.argmax(P[1:] - P[:-1] >= 5))
     i, j = int(P[k]), int(P[k + 1])
     assert j - i >= 5
     stack.deltas = stack.deltas.copy()
     stack.deltas[i + 2] = stack.deltas[i + 3] = 20   # above every delta
-    # the neighbors of i and j stay below them
+    # the neighbors of i and j stay below them, and layer 1, left
+    # implicit, is what it was built as
     assert max(stack.deltas[i + 1], stack.deltas[j - 1]) < \
         max(stack.deltas[i], stack.deltas[j])
+    assert stack.layers[1] is None and np.array_equal(_layer(stack, 1), P)
     report = verify_star_property(stack)
     assert _report_of(report) == _report_of(_star_reference(stack))
+    assert _report_of(verify_star_property(_with_layer1(stack))) == \
+        _report_of(report)
     assert report.counterexample == {
         "check": "star", "layer": 1, "left": i, "right": j,
         "position": i + 2, "reason": "interior delta not dominated"}
@@ -904,7 +1193,7 @@ def test_layer_end_does_not_stand_in_for_a_left_out_peak():
     pair's interior failure; the reference scan reports it first.
     """
     stack = build_layers(random_subset(12, 2000, seed=7), 5)
-    P = stack.layers[1]
+    P = _layer(stack, 1)
     k = int(np.argmax(P[1:] - P[:-1] >= 5))
     i, j = int(P[k]), int(P[k + 1])
     assert P[0] == 2 and j - i >= 5
@@ -962,7 +1251,10 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
         corrupt = stack.deltas.copy()
         corrupt[int(rng.integers(corrupt.size))] = int(rng.integers(D + 2))
         for deltas in (stack.deltas, corrupt):
-            s1 = LayerStack(q=q, deltas=deltas, layers=stack.layers, n=n,
+            # corrupted deltas keep layer 1 as built, stored
+            layers = (stack.layers if deltas is stack.deltas else
+                      _with_layer1(stack).layers)
+            s1 = LayerStack(q=q, deltas=deltas, layers=layers, n=n,
                             beta=stack.beta)
             first, *rest = [_report_of(r) for r in (
                 verify_star_property(s1), _star_reference(s1),
@@ -990,7 +1282,8 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
 
 
 def test_corrupted_interior_delta_is_caught():
-    stack = build_layers(RULER, 5)
+    # layer 1 stored, so that it stays what it was built as
+    stack = _with_layer1(build_layers(RULER, 5))
     stack.deltas = stack.deltas.copy()
     stack.deltas[2] = 9
     report = verify_star_property(stack)
@@ -1001,7 +1294,7 @@ def test_corrupted_interior_delta_is_caught():
 
 
 def test_corrupted_neighborhood_is_caught_by_observation_check():
-    stack = build_layers(RULER, 5)
+    stack = _with_layer1(build_layers(RULER, 5))
     stack.deltas = stack.deltas.copy()
     stack.deltas[0] = 5
     report = verify_star_property(stack)
