@@ -237,8 +237,9 @@ def test_layer1_runs_are_found_in_the_scan_of_layer0(monkeypatch, chunk):
     layer 0 anywhere, even right of it, comes first.
 
     Slices of 2 and 7 deltas put slice boundaries inside every run; chunk
-    None keeps the default slices.  Random Q at n = 3 and 4 (about half
-    of them end in a layer-1 run) must give the outcome of stored layers.
+    None keeps the default slices.  Random Qs at n = 3 to 5, and spiky
+    ones at n = 3 and 4, many of which end in a layer-1 run or in a
+    layer-0 run right of one, must give the outcome of stored layers.
     """
     if chunk is not None:
         monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
@@ -747,22 +748,12 @@ def test_star_property_holds_on_built_stacks(certified12):
 
 def test_find_run_matches_brute_force():
     rng = np.random.default_rng(3)
-
-    def reference(vals, n):
-        for i in range(len(vals) - n + 1):
-            win = vals[i:i + n]
-            if all(x < y for x, y in zip(win, win[1:])):
-                return i, "Increasing"
-            if all(x > y for x, y in zip(win, win[1:])):
-                return i, "Decreasing"
-        return None
-
     for _ in range(3000):
         n = int(rng.integers(3, 9))
         vals = rng.integers(0, int(rng.integers(1, 8)),
                             size=int(rng.integers(0, 30)))
         up, down = vals[1:] > vals[:-1], vals[1:] < vals[:-1]
-        assert w._find_run(up, down, n) == reference(vals.tolist(), n)
+        assert w._find_run(up, down, n) == _leftmost_run(vals.tolist(), n)
 
 
 def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
@@ -972,7 +963,7 @@ def test_implicit_layer1_matches_its_stored_form(monkeypatch, chunk):
         monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
     rng = np.random.default_rng(17)
     reports = failing = refused = 0
-    for _ in range(300):
+    for _ in range(200):
         D, built = _random_stack(rng)
         for stack in (built, _with_corrupted_deltas(built, D, rng)):
             assert stack.layers[1] is None
@@ -985,7 +976,7 @@ def test_implicit_layer1_matches_its_stored_form(monkeypatch, chunk):
             assert got == _report_of(_star_reference(stack))
             reports += 1
             failing += not got[0]
-    assert reports > 400 and failing > 100 and refused > 60
+    assert reports > 250 and failing > 60 and refused > 40
 
 
 @pytest.mark.parametrize("chunk", [2, None])
