@@ -66,6 +66,8 @@ RED = 0
 BLUE = 1
 
 EXACT_CAP_DEFAULT = 10 ** 7
+# bytes that building the annealer's tables may take (_repair_table_bytes)
+REPAIR_TABLES_BUDGET = 1 << 30
 
 _HEADER_RE = re.compile(rb"^STEPUP-PHI v1 D=(\d+) seed=(-?\d+)\n")
 
@@ -375,8 +377,27 @@ _FLIP_DELTA = np.array([[_code_good(c ^ (1 << s)) - _code_good(c) for s in range
 _SUM_BLOCK = 1 << 20  # dsub entries summed per add.at call in initial_state
 
 
+def _repair_table_bytes(D: int, n: int) -> int:
+    """Estimated traced peak of _RepairTables(D, n) and its initial_state:
+    10 bytes per subset through each pair (pair_subs, the stable sort that
+    builds it, dsub), 16 per member of each n-subset (the colex enumeration
+    and its sorted copy) and 100 per triple through each pair (the per-pair
+    update tables).  tracemalloc read 0.78 to 0.97 times it at (20, 6),
+    (26, 6), (30, 6), (24, 7), (22, 8), (40, 4), (60, 4) and (60, 3) to
+    (140, 3); below about 1 MB a fixed part dominates."""
+    subsets = math.comb(D, n)
+    return (10 * math.comb(n, 2) * subsets + 16 * n * subsets
+            + 300 * math.comb(D, 3))
+
+
 class _RepairTables:
     def __init__(self, D: int, n: int):
+        required = _repair_table_bytes(D, n)
+        if required > REPAIR_TABLES_BUDGET:
+            raise BudgetExceeded(
+                f"the annealer's tables at D={D}, n={n} need about "
+                f"{required} bytes, above the budget {REPAIR_TABLES_BUDGET}",
+                required=required, budget=REPAIR_TABLES_BUDGET)
         self.D = D
         self.n = n
         self.npairs = D * (D - 1) // 2
@@ -758,12 +779,20 @@ def search_certified_coloring(
     with the fewest bad subsets, with its own exact Refuted certificate,
     and success=False.  `strategy` names where the coloring came from:
     seeded, annealed or paley-<q>.
+
+    From D = tt_forcing_order(n) on, every coloring is refuted, so each
+    draw is certified but neither annealed nor followed by the Paley
+    fallback: the result is the draw with the fewest bad subsets (the
+    annealer's starting count), with its own refutation, strategy seeded.
     """
     if not 3 <= n <= D:
         raise InvalidN(f"need 3 <= n <= D={D}, got n={n}")
     if attempts < 1:
         raise InvalidParams(f"need attempts >= 1, got {attempts}")
-    best: Optional[tuple[int, np.ndarray, int, int]] = None
+    forced = tt_forcing_order(n)
+    hopeless = forced is not None and D >= forced
+    # (bad count, bits, steps, accepted flips, the draw, its certificate)
+    best: Optional[tuple] = None
     for k in range(attempts):
         seed = base_seed + k
         phi = sample_coloring(D, seed)
@@ -772,7 +801,7 @@ def search_certified_coloring(
             return SearchResult(True, phi, res, k + 1, False, 0, 0, "seeded")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         new_bits, steps_used, nbad, accepted = _anneal_repair(
-            phi.bits, D, n, rng, repair_steps)
+            phi.bits, D, n, rng, 0 if hopeless else repair_steps)
         if nbad == 0:
             repaired = PairColoring(D, new_bits, seed=-1)
             res2 = certify_good_property(repaired, n, "exact", cap=cap)
@@ -784,7 +813,10 @@ def search_certified_coloring(
             return SearchResult(True, repaired, res2, k + 1, True, steps_used,
                                 0, "annealed", accepted)
         if best is None or nbad < best[0]:
-            best = (nbad, new_bits, steps_used, accepted)
+            best = (nbad, new_bits, steps_used, accepted, phi, res)
+    if hopeless:
+        nbad, _, _, _, phi, res = best
+        return SearchResult(False, phi, res, attempts, False, 0, nbad, "seeded")
     # Beyond q = 2D the first D elements are a small slice of the tournament;
     # the bound keeps a failing fallback to a handful of exact scans.
     for q in filter(_is_paley_order, range(D, 2 * D + 1)):
@@ -793,7 +825,7 @@ def search_certified_coloring(
         if res.certified:
             return SearchResult(True, paley, res, attempts, False, 0, 0,
                                 f"paley-{q}")
-    nbad, bits, steps_used, accepted = best
+    nbad, bits, steps_used, accepted, _, _ = best
     annealed = PairColoring(D, bits, seed=-1)
     res = certify_good_property(annealed, n, "exact", cap=cap)
     if res.certified:

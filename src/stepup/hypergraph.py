@@ -29,9 +29,8 @@ ends, are tabled once per (D, L) and cached, so a check only gathers and
 ANDs.  Because edge3 depends only on the order type of its inputs and
 the colors among them, the 64 colorings at D = 4 cover every phi at
 every D.  The tests keep a plain lexicographic scan of 5-sets as the
-reference engine.  The rules exist twice only: as the scalar core
-_classify_deltas and as the D^3 delta-triple table _edge3_table, which
-agree on every triple that a 4-tuple has.
+reference engine.  The rules exist once, as _classify_deltas, which
+_edge3_table reads at one triple per order type and pair coloring.
 
 exact_alpha splits [0, 2^D) into halves L = [0, h) and R = [h, 2h),
 h = 2^(D-1).  Vertices in different halves have the largest delta D-1,
@@ -263,17 +262,26 @@ def _edge_witness_for(H: StepUpHypergraph, vs: tuple[int, int, int, int],
 
 def _edge3_table(phi: PairColoring) -> np.ndarray:
     """Flattened D^3 lookup: is (d1,d2,d3) an edge-making delta triple;
-    False where no 4-tuple has it (d1 = d2, d2 = d3, valley d1 = d3)."""
+    False where no 4-tuple has it (d1 = d2, d2 = d3, valley d1 = d3).
+    _classify_deltas depends only on how d1, d2, d3 compare and on the
+    colors of their pairs, so each triple is keyed by the order (<, =, >)
+    and color of (d1, d2), (d2, d3) and (d1, d3), and the rules are read at
+    one triple per key of a genuine order type: at most 7 x 8 calls."""
     D = phi.D
-    pm = phi.as_matrix().astype(np.int16)
-    a, b, c = np.ix_(*[np.arange(D)] * 3)
-    pab, pbc, pac = pm[a, b], pm[b, c], pm[a, c]
-    mono = ((a < b) & (b < c)) | ((a > b) & (b > c))
-    e_mono = mono & (pab == pbc) & (pab != pac)
-    valley = (a > b) & (b < c)
-    e_rule2 = valley & (a > c) & (pab == pac) & (pab != pbc)
-    e_rule3 = valley & (a < c) & (pab == pac) & (pac == pbc)
-    return (e_mono | e_rule2 | e_rule3).reshape(-1)
+    pm = phi.as_matrix()
+    v = np.arange(D)
+    # per pair: 2 * (order 0, 1, 2 for <, =, >) + color, below 6
+    pair = ((np.sign(v[:, None] - v) + 1) * 2 + pm).astype(np.uint8)
+    key = pair[:, :, None] * 36 + pair[None, :, :] * 6 + pair[:, None, :]
+    some = np.full(216, -1, dtype=np.intp)
+    some[key.ravel()] = np.arange(D ** 3)
+    verdict = np.zeros(216, dtype=bool)
+    C = pm.tolist()
+    for k in np.flatnonzero(some >= 0):
+        d1, d2, d3 = (int(d) for d in np.unravel_index(some[k], (D, D, D)))
+        if d1 != d2 and d2 != d3 and not (d1 > d2 < d3 and d1 == d3):
+            verdict[k] = _classify_deltas(d1, d2, d3, C)[1]
+    return verdict[key].reshape(-1)
 
 
 def delta_patterns(D: int):

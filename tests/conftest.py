@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-from itertools import product
 
 import numpy as np
 import pytest
@@ -85,26 +84,16 @@ def flipped_rule2_deltas(d1, d2, d3, C):
     return EdgeRule.RULE_I, False
 
 
-def flipped_rule2_table(phi):
-    """flipped_rule2_deltas over all D^3 delta triples, flattened as
-    stepup.hypergraph._edge3_table lays its table out."""
-    C = phi.as_matrix().tolist()
-    return np.array([flipped_rule2_deltas(a, b, c, C)[1]
-                     for a, b, c in product(range(phi.D), repeat=3)],
-                    dtype=bool)
-
-
 @contextlib.contextmanager
 def flipped_rule2():
-    """Install the corrupted rule (ii) as both copies of the edge rules.
+    """Install the corrupted rule (ii) as the scalar core of the edge rules.
 
-    Inside the context the scalar core and the delta-triple table are the
-    mutant, so classify_4tuple, is_edge, the K5 check and the reference
-    scan all read it.  A graph caches its table on first use, so build the
-    graphs that should see the mutant inside the context, and do not reuse
-    them outside it.
+    Inside the context _classify_deltas is the mutant, and the delta-triple
+    table is derived from it, so classify_4tuple, is_edge, the K5 check,
+    the alpha recursion and the reference scan all read it.  A graph caches
+    its table on first use, so build the graphs that should see the mutant
+    inside the context, and do not reuse them outside it.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hg, "_classify_deltas", flipped_rule2_deltas)
-        patch.setattr(hg, "_edge3_table", flipped_rule2_table)
         yield

@@ -290,14 +290,16 @@ def test_criterion_6_extractor_end_to_end_at_guarantee_scale():
         diagnostics.append("(24,5) exact scan: 200 seeds all Refuted")
 
     if phi is None:
-        # bounded repair search on the bad-subset count
+        # the search: D >= tt_forcing_order(5) = 14, so it certifies each
+        # draw and takes no anneal step
         repair = search_certified_coloring(24, 5, attempts=3,
                                            repair_steps=60_000)
         if repair.success:
             phi, scale = repair.coloring, (24, 5)
         diagnostics.append(
-            f"(24,5) anneal repair x3: best bad-subset count "
-            f"{repair.best_bad_count} of {math.comb(24, 5):,} (never 0)")
+            f"(24,5) search x3, {repair.anneal_steps} anneal steps: fewest "
+            f"bad subsets {repair.best_bad_count} of {math.comb(24, 5):,} "
+            "(never 0)")
         if phi is None:
             sampled = certify_good_property(repair.coloring, 5, "sampled",
                                             trials=10 ** 6, seed=0)
@@ -328,8 +330,8 @@ def test_criterion_6_extractor_end_to_end_at_guarantee_scale():
         detail = (
             "no certified coloring found at either scale; tried: "
             + "; ".join(diagnostics)
-            + " (each search also certifies the Paley colorings of orders "
-            "D..2D). A guarantee-sized Q needs "
+            + " (the (26,6) search also certifies the Paley colorings of "
+            "orders 26..52). A guarantee-sized Q needs "
             f"|Q| = (2n)^7+1 = {guarantee_threshold(5):,} <= 2^D, forcing "
             "D >= 24 at n = 5, and (24,5) is impossible: read as a "
             "tournament, a good-triple-free 5-subset is a transitive "

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -23,7 +22,6 @@ from stepup.coloring import (
     load_coloring,
     sample_coloring,
     save_coloring,
-    search_certified_coloring,
 )
 from stepup.errors import EngineDisagreement, InsufficientLayers, ProofGapTrap
 from stepup.hypergraph import AlphaResult, StepUpHypergraph, exact_alpha, is_edge
@@ -462,15 +460,14 @@ def test_bench_verdict_change_with_threads_is_a_typed_error(capsys,
 
 
 def test_gen_coloring_search_says_when_no_certified_coloring_exists(
-        capsys, tmp_path, monkeypatch):
-    # the anneal is shortened; the search still fails, as it must at D >= 14
-    monkeypatch.setattr(cli, "search_certified_coloring", functools.partial(
-        search_certified_coloring, repair_steps=300))
+        capsys, tmp_path):
+    # the search fails, as it must at D >= 14, without annealing
     code, rep = run_json(capsys, ["gen-coloring", "--bits", "14", "--seed", "0",
                                   "--search", "--n", "5", "--attempts", "1",
                                   "--out", str(tmp_path / "phi.bin")])
     assert code == 1 and rep["verdict"] == "Refuted"
     assert rep["search"]["certifiable"] is False
+    assert rep["search"]["anneal_steps"] == 0
     assert "every tournament on 14 vertices" in rep["note"]
 
 

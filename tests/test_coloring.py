@@ -276,13 +276,15 @@ def test_search_failure_path_returns_best_effort():
 
 def test_search_failure_returns_the_annealed_coloring():
     # The failure result is the best annealed coloring, not the raw draw:
-    # its own bad-subset count is best_bad_count.
-    sr = search_certified_coloring(16, 5, attempts=2, repair_steps=15_000,
+    # its own bad-subset count is best_bad_count.  At D = 13 < 14 a
+    # certified coloring exists, so the search anneals; 15,000 steps fall
+    # short of it.
+    sr = search_certified_coloring(13, 5, attempts=2, repair_steps=15_000,
                                    base_seed=0)
     assert not sr.success and sr.strategy == "annealed" and sr.repaired
     assert sr.coloring.seed == -1
-    assert sr.anneal_accepted == 243    # of the attempt returned, seed 1
-    bad = [s for s in combinations(range(16), 5)
+    assert sr.anneal_accepted == 322    # of the attempt returned, seed 0
+    bad = [s for s in combinations(range(13), 5)
            if find_good_triple(sr.coloring, s) is None]
     assert len(bad) == sr.best_bad_count
     assert sr.certification.counterexample == bad[0]
@@ -394,13 +396,15 @@ def test_search_panel_trajectory_is_pinned(base_seed):
 
 
 def test_search_failure_at_16_5_is_pinned():
+    # D = 16 >= tt_forcing_order(5): the draw of seed 1 has the fewer bad
+    # subsets of the two and is returned as drawn
     sr = search_certified_coloring(16, 5, attempts=2, repair_steps=15_000,
                                    base_seed=0)
-    assert (sr.best_bad_count, sr.anneal_steps) == (98, 15_000)
+    assert (sr.best_bad_count, sr.anneal_steps) == (476, 0)
     assert _bits_sha(sr.coloring) == (
-        "07ebe5bbaa87307ed19adfe0db895a7132840bbefc42f26eefae7f30eea0c9e8")
-    assert sr.certification.counterexample == (0, 1, 3, 5, 11)
-    assert sr.certification.subsets_checked == 95
+        "59acc09cb865f500291a2cc3dee00b7c86395ebca804b6dcc9699253e4c1b76f")
+    assert sr.certification.counterexample == (0, 1, 2, 5, 8)
+    assert sr.certification.subsets_checked == 26
 
 
 def _anneal_reference(bits, D, n, rng, steps, t_start=2.0, t_end=0.01):
@@ -523,6 +527,73 @@ def test_search_result_says_when_certification_is_impossible():
     assert certifiable(paley_coloring(11, 11), 5) is True
     # beyond n = 6 nothing is claimed
     assert certifiable(paley_coloring(19, 19), 7) is None
+
+
+@pytest.mark.parametrize("D, attempts", [(14, 4), (24, 3)])
+def test_search_takes_no_anneal_step_where_the_theorem_refutes(
+        D, attempts, monkeypatch):
+    # from D = tt_forcing_order(5) = 14 on every draw is refuted: each is
+    # certified exactly and counted by the annealer without a step, and the
+    # draw with the fewest bad subsets comes back with its own refutation
+    steps = []
+
+    def counted(bits, D, n, rng, k):
+        steps.append(k)
+        return anneal(bits, D, n, rng, k)
+
+    anneal = coloring._anneal_repair
+    monkeypatch.setattr(coloring, "_anneal_repair", counted)
+    monkeypatch.setattr(coloring, "paley_coloring", None)   # never reached
+    sr = search_certified_coloring(D, 5, attempts=attempts,
+                                   repair_steps=60_000, base_seed=0)
+    assert steps == [0] * attempts
+    assert not sr.success and sr.certifiable is False
+    assert (sr.anneal_steps, sr.anneal_accepted, sr.repaired,
+            sr.strategy, sr.attempts) == (0, 0, False, "seeded", attempts)
+    assert sr.certification == certify_good_property(sr.coloring, 5)
+    assert sr.certification.verdict == "Refuted"
+    counts = []
+    subsets = np.array(list(combinations(range(D), 5)))
+    for seed in range(attempts):
+        pm = sample_coloring(D, seed).as_matrix()
+        counts.append(int(np.count_nonzero(~coloring._good_any(pm, subsets))))
+    assert sr.best_bad_count == min(counts)
+    assert sr.coloring == sample_coloring(D, counts.index(min(counts)))
+    assert sr.coloring.seed == counts.index(min(counts))
+
+
+def test_repair_table_estimate_bounds_the_traced_peak():
+    import tracemalloc
+
+    for D, n in ((20, 6), (26, 6), (40, 4), (60, 3)):
+        bits = sample_coloring(D, 0).bits
+        tracemalloc.start()
+        try:
+            coloring._RepairTables(D, n).initial_state(bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.7 * coloring._repair_table_bytes(D, n) <= peak, (D, n)
+        assert peak <= coloring._repair_table_bytes(D, n), (D, n)
+
+
+def test_search_refuses_repair_tables_above_the_budget():
+    # (36, 7) passes the exact cap, C(36, 7) = 8,347,680, but its pairs hold
+    # 175,301,280 subsets, about 1.4 GB of pair_subs alone
+    import tracemalloc
+
+    budget = coloring.REPAIR_TABLES_BUDGET
+    assert coloring._repair_table_bytes(26, 6) < budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="D=36, n=7") as exc:
+            search_certified_coloring(36, 7, attempts=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == coloring._repair_table_bytes(36, 7) > budget
+    assert exc.value.budget == budget == 1 << 30
+    assert peak < 1 << 20
 
 
 def test_search_at_n_3():

@@ -8,7 +8,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from conftest import flipped_rule2, tuple_from_distinct_deltas
+from conftest import (
+    flipped_rule2,
+    flipped_rule2_deltas,
+    tuple_from_distinct_deltas,
+)
 
 import stepup.hypergraph as hg
 from stepup.coloring import (
@@ -573,6 +577,7 @@ def test_edge_table_is_the_scalar_rules_on_every_genuine_triple():
     colorings = [coloring_from_mask(4, mask) for mask in range(64)]
     colorings += [sample_coloring(D, seed)
                   for D in range(5, 9) for seed in range(4)]
+    colorings += [sample_coloring(26, 0)]
     for phi in colorings:
         D, C = phi.D, phi.as_matrix().tolist()
         E3 = _edge3_table(phi).reshape(D, D, D)
@@ -584,6 +589,48 @@ def test_edge_table_is_the_scalar_rules_on_every_genuine_triple():
             else:
                 assert not E3[a, b, c]
         assert genuine == D * (D - 1) ** 2 - D * (D - 1) // 2
+
+
+def test_edge_table_reads_the_scalar_rules_once_per_class():
+    # the table is derived from _classify_deltas: one call per genuine
+    # order type and color triple, never on a triple that no 4-tuple has
+    for phi in (sample_coloring(26, 0), constant_coloring(9),
+                paley_coloring(27, 26)):
+        classes = []
+
+        def counted(d1, d2, d3, C):
+            assert d1 != d2 and d2 != d3 and not (d1 > d2 < d3 and d1 == d3)
+            classes.append(((d1 > d2) - (d1 < d2), (d2 > d3) - (d2 < d3),
+                            (d1 > d3) - (d1 < d3),
+                            C[d1][d2], C[d2][d3], C[d1][d3]))
+            return _classify_deltas(d1, d2, d3, C)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hg, "_classify_deltas", counted)
+            table = _edge3_table(phi)
+        assert 0 < len(classes) == len(set(classes)) <= 7 * 8
+        assert np.array_equal(table, _edge3_table(phi))
+
+
+def test_mutant_reaches_the_table_through_the_scalar_rules():
+    # flipped_rule2 patches _classify_deltas alone; a graph built inside
+    # the context tables the mutant on every genuine triple
+    colorings = [coloring_from_mask(4, mask) for mask in range(64)]
+    colorings += [sample_coloring(D, seed)
+                  for D in range(5, 9) for seed in range(2)]
+    colorings += [constant_coloring(7), sample_coloring(26, 0)]
+    changed = 0
+    for phi in colorings:
+        D, C = phi.D, phi.as_matrix().tolist()
+        with flipped_rule2():
+            E3 = StepUpHypergraph(phi)._edge3.reshape(D, D, D)
+        changed += not np.array_equal(E3.ravel(), _edge3_table(phi))
+        for a, b, c in np.ndindex(D, D, D):
+            if a != b and b != c and not (a > b < c and a == c):
+                assert E3[a, b, c] == flipped_rule2_deltas(a, b, c, C)[1]
+            else:
+                assert not E3[a, b, c]
+    assert changed == len(colorings)
 
 
 # --- non-edge extraction from 5-sets ------------------------------------------
