@@ -353,10 +353,10 @@ def _cmd_bench(args) -> tuple[int, dict]:
         v = check_k5_free(H, budget=args.budget, force=args.force,
                           threads=threads, stats=stats)
         dt = time.perf_counter() - t0
-        items = stats.get("patterns_checked", 0)
+        items = stats.get("classes_checked", 0)
         verdict = "NoViolation" if v is None else "Violation"
         verdicts.add(verdict)
-        rows.append(["k5-sweep", args.bits, items, threads, round(dt, 4),
+        rows.append(["k5-check", args.bits, items, threads, round(dt, 4),
                      round(items / dt) if dt else 0, verdict])
     if len(verdicts) > 1:
         raise EngineDisagreement(

@@ -778,7 +778,9 @@ def search_certified_coloring(
     order.  Returns the first certified coloring, or the annealed coloring
     with the fewest bad subsets, with its own exact Refuted certificate,
     and success=False.  `strategy` names where the coloring came from:
-    seeded, annealed or paley-<q>.
+    seeded, annealed or paley-<q>.  A Paley result reports the steps,
+    accepted flips and bad-subset count of the annealed attempt that kept
+    the fewest bad subsets, as the failing result does.
 
     From D = tt_forcing_order(n) on, every coloring is refuted, so each
     draw is certified but neither annealed nor followed by the Paley
@@ -817,15 +819,15 @@ def search_certified_coloring(
     if hopeless:
         nbad, _, _, _, phi, res = best
         return SearchResult(False, phi, res, attempts, False, 0, nbad, "seeded")
+    nbad, bits, steps_used, accepted, _, _ = best
     # Beyond q = 2D the first D elements are a small slice of the tournament;
     # the bound keeps a failing fallback to a handful of exact scans.
     for q in filter(_is_paley_order, range(D, 2 * D + 1)):
         paley = paley_coloring(q, D)
         res = certify_good_property(paley, n, "exact", cap=cap)
         if res.certified:
-            return SearchResult(True, paley, res, attempts, False, 0, 0,
-                                f"paley-{q}")
-    nbad, bits, steps_used, accepted, _, _ = best
+            return SearchResult(True, paley, res, attempts, False, steps_used,
+                                nbad, f"paley-{q}", accepted)
     annealed = PairColoring(D, bits, seed=-1)
     res = certify_good_property(annealed, n, "exact", cap=cap)
     if res.certified:

@@ -74,9 +74,10 @@ class NoNonEdge(StepupError):
 class EngineDisagreement(StepupError):
     """Bug trap: two computations of one verdict disagree.
 
-    Raised when a K5(4) violation found by the delta-pattern engine or an
-    edge found by is_independent's engine does not hold under
-    classify_4tuple, when the K5 verdict changes with the thread count,
+    Raised when a K5(4) violation found by the K5 check or an edge found
+    by is_independent's engine does not hold under classify_4tuple, when
+    the K5 check's delta-triple table is not a function of the triple
+    classes, when the K5 verdict changes with the thread count,
     when an exact_alpha witness spans an edge, when a certification
     counterexample holds a good triple, when the annealer's bad-subset
     count and exact certification disagree, or when a greedy Steiner

@@ -13,24 +13,20 @@ In the valley slots d1 = d3 is impossible for genuine vertex tuples
 (Property III), so that case is asserted, never branched on.
 
 K5(4)-freeness of H holds for EVERY phi, and check_k5_free verifies it
-without enumerating vertices.  Whether a 4-tuple is an edge depends only
-on its delta triple, and the delta triples of the five 4-subsets of a
-5-set depend only on its consecutive deltas (d1, d2, d3, d4).  A pattern
-is realized by increasing vertices iff any two equal entries have a
-strictly larger entry between them, so over all 2^D vertices the check
-reads the edge table at each realizable pattern over [0, D) (1,190 at
-D = 7 in place of binom(128, 5) five-sets).  A firing pattern is turned
-back into the lexicographically first violating 5-set by a greedy
-realization.  A capped prefix [0, V) is decided the same way: only
-patterns over [0, L) with L = (V-1).bit_length() can fit, and a pattern
-fits iff its greedy realization, which is componentwise minimal, ends
-below V.  The patterns over [0, L), as E3 indices with their realization
-ends, are tabled once per (D, L) and cached, so a check only gathers and
-ANDs.  Because edge3 depends only on the order type of its inputs and
-the colors among them, the 64 colorings at D = 4 cover every phi at
-every D.  The tests keep a plain lexicographic scan of 5-sets as the
-reference engine.  The rules exist once, as _classify_deltas, which
-_edge3_table reads at one triple per order type and pair coloring.
+without enumerating vertices.  A 5-set spans a K5(4) iff the delta
+triples of its five 4-subsets, which depend only on its consecutive
+deltas (d1, d2, d3, d4), its pattern, are all edges.  A triple's verdict
+depends only on its class, the order (<, =, >) and color of each of its
+three pairs, so a pattern's depends only on its order type and the colors
+among its at most four values: the 34 order types under the 64 colorings
+of [0, 4) give 1,616 class tuples, the same at every D.  The check ANDs
+H's class verdicts over them; if none fires, no 5-set spans a K5(4).
+Otherwise the realizable patterns (two equal entries have a larger one
+between them) are scanned in lexicographic order for the first that
+fires and whose greedy realization, componentwise minimal and increasing
+in pattern order, fits below the vertex cap.  The tests keep a
+lexicographic scan of 5-sets as the reference.  The rules exist once, as
+_classify_deltas, which _edge3_table reads once per class.
 
 exact_alpha splits [0, 2^D) into halves L = [0, h) and R = [h, 2h),
 h = 2^(D-1).  Vertices in different halves have the largest delta D-1,
@@ -126,6 +122,13 @@ class StepUpHypergraph:
         table = _edge3_table(self.coloring)
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """Read-only class keys of the flat delta triples (_triple_keys)."""
+        keys = _triple_keys(self.coloring.as_matrix())
+        keys.setflags(write=False)
+        return keys
 
     def __repr__(self):
         return f"StepUpHypergraph(D={self.D}, phi_seed={self.coloring.seed})"
@@ -260,28 +263,33 @@ def _edge_witness_for(H: StepUpHypergraph, vs: tuple[int, int, int, int],
 
 # --- K5(4)-freeness ----------------------------------------------------------
 
-def _edge3_table(phi: PairColoring) -> np.ndarray:
-    """Flattened D^3 lookup: is (d1,d2,d3) an edge-making delta triple;
-    False where no 4-tuple has it (d1 = d2, d2 = d3, valley d1 = d3).
-    _classify_deltas depends only on how d1, d2, d3 compare and on the
-    colors of their pairs, so each triple is keyed by the order (<, =, >)
-    and color of (d1, d2), (d2, d3) and (d1, d3), and the rules are read at
-    one triple per key of a genuine order type: at most 7 x 8 calls."""
-    D = phi.D
-    pm = phi.as_matrix()
-    v = np.arange(D)
+def _triple_keys(pm: np.ndarray) -> np.ndarray:
+    """Class key, below 216, of each flat delta triple (d1, d2, d3) under
+    color matrix pm: the order and color of (d1, d2), (d2, d3), (d1, d3)."""
+    v = np.arange(len(pm))
     # per pair: 2 * (order 0, 1, 2 for <, =, >) + color, below 6
     pair = ((np.sign(v[:, None] - v) + 1) * 2 + pm).astype(np.uint8)
     key = pair[:, :, None] * 36 + pair[None, :, :] * 6 + pair[:, None, :]
+    return key.reshape(-1).astype(np.intp)
+
+
+def _edge3_table(phi: PairColoring) -> np.ndarray:
+    """Flattened D^3 lookup: is (d1,d2,d3) an edge-making delta triple;
+    False where no 4-tuple has it (d1 = d2, d2 = d3, valley d1 = d3).  The
+    rules are read at one triple per class (_triple_keys) of a genuine
+    order type, at most 7 x 8 calls, and spread over the grid."""
+    D = phi.D
+    pm = phi.as_matrix()
+    key = _triple_keys(pm)
     some = np.full(216, -1, dtype=np.intp)
-    some[key.ravel()] = np.arange(D ** 3)
+    some[key] = np.arange(D ** 3)
     verdict = np.zeros(216, dtype=bool)
     C = pm.tolist()
     for k in np.flatnonzero(some >= 0):
         d1, d2, d3 = (int(d) for d in np.unravel_index(some[k], (D, D, D)))
         if d1 != d2 and d2 != d3 and not (d1 > d2 < d3 and d1 == d3):
             verdict[k] = _classify_deltas(d1, d2, d3, C)[1]
-    return verdict[key].reshape(-1)
+    return verdict[key]
 
 
 def delta_patterns(D: int):
@@ -300,6 +308,16 @@ def delta_patterns(D: int):
         ok = (shape_ok & (b != a) & ((c != a) | (b > a))
               & ((d != a) | (np.maximum(b, c) > a)))
         yield a, b[ok], c[ok], d[ok]
+
+
+def _five_triples(D: int, a, b, c, d) -> np.ndarray:
+    """Flat indices of the delta triples of the five 4-subsets of a 5-set
+    with deltas (a, b, c, d): (a, b, c), (a, b, max(c, d)), (a, max(b, c),
+    d), (max(a, b), c, d) and (b, c, d), one row each."""
+    ab = (a * D + b) * D
+    return np.stack([ab + c, ab + np.maximum(c, d),
+                     (a * D + np.maximum(b, c)) * D + d,
+                     (np.maximum(a, b) * D + c) * D + d, (b * D + c) * D + d])
 
 
 def _realize(pattern) -> tuple:
@@ -321,82 +339,66 @@ def _realize(pattern) -> tuple:
     return tuple(vs)
 
 
-# patterns per slice of a K5 check: the slice's transient arrays stay
-# near 1 MB however many patterns the table holds
-_K5_SLICE = 1 << 16
+@functools.cache
+def _class_keys() -> np.ndarray:
+    """The (5, 1616) read-only table of pattern classes: per column, the
+    class keys of a pattern's five triples (_five_triples).  They depend
+    only on its order type and the colors among its values, so the 64
+    patterns over [0, 4) under the 64 colorings take every class."""
+    five = np.hstack([_five_triples(4, *p) for p in delta_patterns(4)])
+    keys = [_triple_keys(PairColoring(4, mask >> np.arange(6) & 1).as_matrix())
+            for mask in range(64)]
+    table = np.ascontiguousarray(np.unique(np.hstack([k[five] for k in keys]),
+                                           axis=1))
+    table.setflags(write=False)
+    return table
 
 
-@functools.lru_cache(maxsize=8)
-def _k5_pattern_table(D: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """The delta patterns over [0, L) as the K5 check reads them, for a
-    graph over [0, 2^D), L <= D; built once per (D, L) and read-only.
-
-    Row t of the (5, N) array `index` holds, per pattern in the
-    lexicographic order of delta_patterns(L), the flat E3 index
-    (x * D + y) * D + z of the delta triple of the t-th 4-subset: (d1, d2,
-    d3), (d1, d2, max(d3, d4)), (d1, max(d2, d3), d4), (max(d1, d2), d3,
-    d4) and (d2, d3, d4).  `ends` holds each pattern's greedy realization
-    end, which is below 2^L.  Both take the narrowest unsigned dtype that
-    fits, so a pattern costs 11 bytes at D = L = 7 (1,190 patterns,
-    13 KB), 14 at D = L = 26 (384,800 patterns, 5.4 MB) and 28 at
-    D = L = 64 (15,665,664 patterns, 439 MB).  The arrays are allocated at
-    their final size and filled one delta_patterns slice at a time.
-    """
-    count = sum(b.size for _, b, _, _ in delta_patterns(L))
-    index = np.empty((5, count), dtype=np.min_scalar_type(D ** 3 - 1))
-    ends = np.empty(count, dtype=np.min_scalar_type((1 << L) - 1))
-    at = 0
-    for a, *bcd in delta_patterns(L):
-        part = slice(at, at + bcd[0].size)
-        # every index and every vertex of a realization fits its dtype
-        b, c, d = (x.astype(index.dtype) for x in bcd)
-        ab = (a * D + b) * D
-        index[0, part] = ab + c
-        index[1, part] = ab + np.maximum(c, d)
-        index[2, part] = (a * D + np.maximum(b, c)) * D + d
-        index[3, part] = (np.maximum(a, b) * D + c) * D + d
-        index[4, part] = (b * D + c) * D + d
-        ends[part] = _realize((a, *(x.astype(ends.dtype) for x in bcd)))[-1]
-        at += b.size
-    index.setflags(write=False)
-    ends.setflags(write=False)
-    return index, ends
-
-
-def _check_k5_patterns(H: StepUpHypergraph, V: int
-                       ) -> tuple[Optional[FiveSetViolation], int]:
-    """K5 check over every 5-set of the vertex prefix [0, V), by delta pattern.
-
-    A pattern fires iff E3 holds at the delta triples of all five 4-subsets,
-    which _k5_pattern_table lists as flat E3 indices.  Every delta inside
-    [0, V) is below (V-1).bit_length(), which bounds the patterns read;
-    below 2^D a pattern is kept iff its realization ends below V.  The
-    table is in lexicographic pattern order and the realization is
-    increasing in it, so the realization of the first firing pattern is the
-    lexicographically first violating 5-set.  Returns it (or None) and the
-    number of patterns checked.
-    """
-    D = H.D
-    E3 = H._edge3
-    index, ends = _k5_pattern_table(D, min(D, (V - 1).bit_length()))
+def _first_firing_pattern(H: StepUpHypergraph, V: int
+                          ) -> tuple[Optional[FiveSetViolation], int]:
+    """The lexicographically first violating 5-set of [0, V), or None, and
+    the number of patterns checked.  Every delta in [0, V) is below
+    L = (V-1).bit_length(): the patterns over [0, L) are read one
+    delta_patterns slice at a time, those that end at or past V dropped.
+    The first that fires (E3 at all five triples) gives the answer, as the
+    realization is increasing in pattern order."""
+    D, E3 = H.D, H._edge3
     capped = V < H.vertex_count
     checked = 0
-    for start in range(0, ends.size, _K5_SLICE):
-        part = slice(start, start + _K5_SLICE)
-        fire = E3.take(index[0, part])
-        for row in index[1:, part]:
-            fire &= E3.take(row)
+    for a, b, c, d in delta_patterns(min(D, (V - 1).bit_length())):
+        fire = E3.take(_five_triples(D, a, b, c, d)).all(axis=0)
         if capped:
-            fits = ends[part] < V
+            wide = (x.astype(np.uint64) for x in (b, c, d))
+            fits = _realize((a, *wide))[-1] < V
             fire &= fits
         if fire.any():
             i = int(np.argmax(fire))
             checked += int(np.count_nonzero(fits[:i + 1])) if capped else i + 1
-            a, bc = divmod(int(index[0, start + i]), D * D)
-            pattern = (a, *divmod(bc, D), int(index[4, start + i]) % D)
+            pattern = (a, int(b[i]), int(c[i]), int(d[i]))
             return _violation_report(H, _realize(pattern)), checked
-        checked += int(np.count_nonzero(fits)) if capped else fire.size
+        checked += int(np.count_nonzero(fits)) if capped else b.size
     return None, checked
+
+
+def _check_k5_patterns(H: StepUpHypergraph, V: int
+                       ) -> tuple[Optional[FiveSetViolation], dict]:
+    """K5 check over the 5-sets of [0, V), V >= 5: the violation (or None)
+    and the counters classes_checked, classes_fired and patterns_checked.
+    The 216 class verdicts are read off H._edge3, which must be a function
+    of H._keys (else EngineDisagreement; a key that no triple of H has
+    holds no edge), and ANDed over the rows of _class_keys.  If no class
+    fires, no pattern can; else _first_firing_pattern locates the first."""
+    E3, keys, classes = H._edge3, H._keys, _class_keys()
+    verdict = np.zeros(216, dtype=bool)
+    verdict[keys[E3]] = True
+    if not np.array_equal(verdict.take(keys), E3):
+        raise EngineDisagreement(
+            "the delta-triple table is not a function of the triple classes; "
+            "the K5 check's class lemma does not apply")
+    fired = int(np.count_nonzero(verdict.take(classes).all(axis=0)))
+    violation, checked = _first_firing_pattern(H, V) if fired else (None, 0)
+    return violation, {"classes_checked": classes.shape[1],
+                       "classes_fired": fired, "patterns_checked": checked}
 
 
 def _violation_report(H: StepUpHypergraph, vs: tuple) -> FiveSetViolation:
@@ -429,34 +431,31 @@ def check_k5_free(
     """Exhaustively verify that no 5-set of {0,...,V-1} induces a K5(4).
 
     V defaults to 2^D, clamped by vertex_cap (a negative cap raises
-    InvalidParams).  Returns None (the theorem
-    says always) or the lexicographically first violating 5-set, which
-    signals an implementation bug and is reported verbatim.  The budget
-    gate counts binom(V, 5) five-sets, though the check never touches a
-    vertex: it runs over the delta patterns that occur in [0, V), read
-    from a table of their E3 indices and realization ends that is built
-    once per (D, L) and cached (_k5_pattern_table), so a call is five
-    gathers from H._edge3 and four ANDs per slice of 65,536 patterns.
-    `threads` is accepted and has no effect.  If given, `stats`
-    receives the engine name (delta-patterns) and the number of patterns
-    checked.
+    InvalidParams).  Returns None (the theorem says always) or the
+    lexicographically first violating 5-set, which signals an
+    implementation bug and is reported verbatim.  The budget gate counts
+    binom(V, 5) five-sets, though the check reads no vertex: it decides
+    from the 1,616 pattern classes and scans delta patterns only when a
+    class fires (_check_k5_patterns).  `threads` is accepted and has no
+    effect.  `stats`, if given, receives the engine name (order-types),
+    classes_checked, classes_fired and patterns_checked.
     """
     if vertex_cap is not None and vertex_cap < 0:
         raise InvalidParams(f"need vertex_cap >= 0, got {vertex_cap}")
     V = H.vertex_count if vertex_cap is None else min(vertex_cap, H.vertex_count)
     if V < 5:
         if stats is not None:
-            stats.update(engine="delta-patterns", patterns_checked=0)
+            stats.update(engine="order-types", classes_checked=0,
+                         classes_fired=0, patterns_checked=0)
         return None
     total = math.comb(V, 5)
     if total > budget and not force:
         raise BudgetExceeded(
             f"binom({V},5) = {total} five-sets exceed budget {budget}; "
             "pass force to run anyway", required=total, budget=budget)
-
-    violation, checked = _check_k5_patterns(H, V)
+    violation, counts = _check_k5_patterns(H, V)
     if stats is not None:
-        stats.update(engine="delta-patterns", patterns_checked=checked)
+        stats.update(engine="order-types", **counts)
     return violation
 
 
@@ -593,7 +592,7 @@ def is_independent(H: StepUpHypergraph, Q,
     The vertex set is validated once and gated by its binom(|Q|, 4)
     4-subsets against the budget; _first_edge then reads each delta
     triple that occurs in Q once, by the scalar rules, in O(|Q|^2) steps
-    for an independent set and O(|Q|^3) at worst for the first edge.
+    for an independent set and O(|Q|^2 + |Q| D^2) for the first edge.
     """
     vs = sorted(int(v) for v in Q)
     if len(set(vs)) != len(vs):

@@ -324,7 +324,8 @@ def test_criterion_6_extractor_end_to_end_at_guarantee_scale():
             phi, scale = repair26.coloring, (26, 6)
         diagnostics.append(
             f"(26,6) anneal repair x2: best bad-subset count "
-            f"{repair26.best_bad_count} of {math.comb(26, 6):,}")
+            f"{repair26.best_bad_count} of {math.comb(26, 6):,}, "
+            f"strategy {repair26.strategy}")
 
     if phi is None:
         detail = (
@@ -359,7 +360,8 @@ def test_criterion_6_extractor_end_to_end_at_guarantee_scale():
             assert verify_star_property(built).ok
         successes += 1
     _report(6, "extractor end-to-end at guarantee scale", successes == 100,
-            f"{successes}/100 witnesses at (D,n)={scale}, |Q|={size:,}")
+            f"{successes}/100 witnesses at (D,n)={scale}, |Q|={size:,}; "
+            + "; ".join(diagnostics))
 
 
 # --- criterion 7 ----------------------------------------------------------------

@@ -94,19 +94,23 @@ def test_check_k5_all_colorings_at_four_bits(capsys):
 def test_check_k5_reports_its_engine(capsys):
     code, rep = run_json(capsys, ["check-k5", "--bits", "5", "--seed", "2"])
     assert code == 0
-    assert rep["counters"]["engine"] == "delta-patterns"
-    assert rep["counters"]["patterns_checked"] == 220
+    assert rep["counters"]["engine"] == "order-types"
+    assert rep["counters"]["classes_checked"] == 1616
+    assert rep["counters"]["classes_fired"] == 0
+    assert rep["counters"]["patterns_checked"] == 0
     code, rep = run_json(capsys, ["check-k5", "--bits", "5", "--seed", "2",
                                   "--vertex-cap", "20"])
     assert code == 0
     assert rep["counters"] == {"colorings": 1, "five_sets_each": 15504,
-                               "engine": "delta-patterns",
-                               "patterns_checked": 127}
+                               "engine": "order-types",
+                               "classes_checked": 1616, "classes_fired": 0,
+                               "patterns_checked": 0}
     code, rep = run_json(capsys, ["check-k5", "--bits", "4", "--seed", "1",
                                   "--vertex-cap", "4"])
     assert code == 0
     assert rep["counters"] == {"colorings": 1, "five_sets_each": 0,
-                               "engine": "delta-patterns",
+                               "engine": "order-types",
+                               "classes_checked": 0, "classes_fired": 0,
                                "patterns_checked": 0}
 
 
@@ -420,7 +424,7 @@ def test_bench_emits_fixed_csv_schema(capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == BENCH_COLUMNS
     assert all(len(r) == len(BENCH_COLUMNS) for r in rows[1:])
-    k5 = [r for r in rows[1:] if r[0] == "k5-sweep"]
+    k5 = [r for r in rows[1:] if r[0] == "k5-check"]
     assert len(k5) == 2 and k5[0][6] == k5[1][6]
     assert csv_path.read_text() == out
     # the CSV holds the rows as the JSON report writes them
@@ -435,16 +439,16 @@ def test_bench_emits_fixed_csv_schema(capsys, tmp_path):
 
 
 def test_bench_k5_rows_count_the_patterns_checked(capsys):
-    # over all 2^D vertices the engine checks delta patterns (64 at D = 4,
-    # 220 at D = 5), not binom(2^D, 5) vertex 5-sets
-    for bits, patterns in ((4, 64), (5, 220)):
+    # at every D the check decides from the 1,616 pattern classes, not
+    # from binom(2^D, 5) vertex 5-sets or the delta patterns over [0, D)
+    for bits, classes in ((4, 1616), (5, 1616)):
         code = main(["bench", "--bits", str(bits), "--threads", "2",
                      "--q-bits", "16", "--q-size", "2000"])
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert code == 0
-        k5 = [r for r in rows[1:] if r[0] == "k5-sweep"]
-        assert [(r[2], r[3]) for r in k5] == [(str(patterns), "1"),
-                                              (str(patterns), "2")]
+        k5 = [r for r in rows[1:] if r[0] == "k5-check"]
+        assert [(r[2], r[3]) for r in k5] == [(str(classes), "1"),
+                                              (str(classes), "2")]
 
 
 def test_bench_verdict_change_with_threads_is_a_typed_error(capsys,

@@ -2,7 +2,11 @@
 
 import contextlib
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations, product
 
@@ -314,12 +318,17 @@ def test_pattern_engine_matches_scalar_scan_under_every_cap(flip):
         for H in _engine_inputs():
             n = H.vertex_count
             for V in sorted({min(cap, n) for cap in (5, 9, 17, 20, n - 1, n)}):
-                by_pattern, checked = hg._check_k5_patterns(H, V)
+                by_pattern, counts = hg._check_k5_patterns(H, V)
+                checked = counts["patterns_checked"]
                 first = _scan_scalar_lex(H, V)
                 by_scan = (None if first is None
                            else hg._violation_report(H, first))
                 assert by_pattern == by_scan
-                if by_pattern is None:
+                assert counts["classes_checked"] == 1616
+                if not counts["classes_fired"]:
+                    # no class fires, so no pattern is scanned
+                    assert checked == 0
+                elif by_pattern is None:
                     # the patterns that occur in [0, V), counted off its
                     # 5-sets
                     assert checked == _patterns_in_prefix(V)
@@ -354,18 +363,19 @@ def test_forced_check_over_2_to_the_20_vertices_is_fast():
     t0 = time.perf_counter()
     assert check_k5_free(H, force=True, stats=stats) is None
     assert time.perf_counter() - t0 < 1.0
-    assert stats == {"engine": "delta-patterns", "patterns_checked": 127_680}
+    assert stats == {"engine": "order-types", "classes_checked": 1616,
+                     "classes_fired": 0, "patterns_checked": 0}
 
 
 def test_engine_follows_the_vertex_cap():
-    # a capped prefix checks only the patterns that occur in it: 127 of the
-    # 220 at D = 5 occur in [0, 20)
+    # no class fires under the honest rules, so every prefix is decided by
+    # the classes alone and no pattern is scanned
     H = graph(5, 3)
-    for cap, checked in ((None, 220), (32, 220), (100, 220), (20, 127)):
+    for cap in (None, 32, 100, 20):
         stats = {}
         assert check_k5_free(H, cap, stats=stats) is None
-        assert stats["engine"] == "delta-patterns"
-        assert stats["patterns_checked"] == checked
+        assert stats == {"engine": "order-types", "classes_checked": 1616,
+                         "classes_fired": 0, "patterns_checked": 0}
 
 
 def test_capped_check_at_d8_is_fast():
@@ -375,13 +385,13 @@ def test_capped_check_at_d8_is_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
-# --- the cached pattern table -------------------------------------------------
+# --- the order-type classes ---------------------------------------------------
 
 
 def per_slice_k5(H, V, E3):
-    """The K5 engine the cached table replaced: delta_patterns rebuilt on
-    every call and read one d1 slice at a time.  Returns the first pattern
-    that fires under the flat table E3, realized (or None), and the
+    """The pattern scan without the class lemma: every delta pattern that
+    can occur in [0, V), read one d1 slice at a time.  Returns the first
+    pattern that fires under the flat table E3, realized (or None), and the
     patterns checked."""
     D = H.D
     capped = V < H.vertex_count
@@ -404,59 +414,6 @@ def per_slice_k5(H, V, E3):
     return None, checked
 
 
-def test_k5_table_lists_delta_patterns_in_order():
-    for L in range(2, 13):
-        want = [(a, int(b), int(c), int(d)) for a, bs, cs, ds in delta_patterns(L)
-                for b, c, d in zip(bs, cs, ds)]
-        for D in sorted({L, 12}):
-            index, ends = hg._k5_pattern_table(D, L)
-            assert index.shape == (5, len(want)) and ends.shape == (len(want),)
-            got = []
-            for row in index.T.tolist():
-                a, bc = divmod(row[0], D * D)
-                got.append((a, *divmod(bc, D), row[4] % D))
-            assert got == want, (D, L)
-            flat = [(a * D + b) * D + c for a, b, c in (
-                triple for a, b, c, d in want for triple in (
-                    (a, b, c), (a, b, max(c, d)), (a, max(b, c), d),
-                    (max(a, b), c, d), (b, c, d)))]
-            assert index.T.ravel().tolist() == flat
-            assert ends.tolist() == [hg._realize(p)[-1] for p in want]
-    assert len(hg._k5_pattern_table(7, 7)[1]) == 1190
-
-
-def test_k5_table_is_read_only_and_holds_no_coloring_state():
-    cases = [(sample_coloring(6, seed), cap, flip)
-             for seed in range(3) for cap in (None, 15, 40)
-             for flip in (False, True)]
-    cases += [(constant_coloring(6), cap, True) for cap in (None, 40)]
-
-    def run(phi, cap, flip):
-        stats = {}
-        with flipped_rule2() if flip else contextlib.nullcontext():
-            v = check_k5_free(StepUpHypergraph(phi), cap, stats=stats)
-        return (None if v is None else v.as_dict()), stats["patterns_checked"]
-
-    hg._k5_pattern_table.cache_clear()
-    fresh = []
-    for case in cases:
-        fresh.append(run(*case))
-        hg._k5_pattern_table.cache_clear()
-    assert any(v is not None for v, _ in fresh)
-    tables = {L: [t.copy() for t in hg._k5_pattern_table(6, L)]
-              for L in (4, 6)}
-    for _ in range(2):
-        for case, want in zip(cases[::-1], fresh[::-1]):
-            assert run(*case) == want
-    for L, (index, ends) in tables.items():
-        cached = hg._k5_pattern_table(6, L)
-        assert np.array_equal(cached[0], index)
-        assert np.array_equal(cached[1], ends)
-        for table in cached:
-            with pytest.raises(ValueError):
-                table[...] = 0
-
-
 def test_k5_engine_matches_the_per_slice_engine():
     fired = 0
     for D in range(3, 10):
@@ -472,7 +429,11 @@ def test_k5_engine_matches_the_per_slice_engine():
                     got = check_k5_free(H, cap, force=True, stats=stats)
                     first, checked = per_slice_k5(
                         H, V, hg._edge3_table(H.coloring))
-                    assert stats["patterns_checked"] == checked, (D, cap, flip)
+                    if stats["classes_fired"]:
+                        assert stats["patterns_checked"] == checked, (
+                            D, cap, flip)
+                    else:
+                        assert stats["patterns_checked"] == 0
                     if first is None:
                         assert got is None
                     else:
@@ -483,14 +444,15 @@ def test_k5_engine_matches_the_per_slice_engine():
 
 def test_k5_engine_skips_patterns_that_end_past_the_cap():
     # The colorings above, honest or corrupted, never fire a pattern that
-    # ends past the cap before one that fits, so random delta-triple tables
-    # stand in for E3; the engine's 5-set then fails the violation re-check.
+    # ends past the cap before one that fits, so random class verdicts,
+    # spread over the graph's class keys, stand in for E3; the engine's
+    # 5-set then fails the violation re-check.
     rng = np.random.default_rng(5)
     skipped = 0
     for D in (5, 6, 7):
         H = graph(D, 0)
-        for _ in range(30):
-            E3 = rng.random(D ** 3) < 0.6
+        for _ in range(40):
+            E3 = (rng.random(216) < 0.6)[H._keys]
             H.__dict__["_edge3"] = E3        # the cached_property's slot
             for _ in range(4):
                 # just above a power of two most patterns over [0, L) end
@@ -507,6 +469,99 @@ def test_k5_engine_skips_patterns_that_end_past_the_cap():
                 whole = per_slice_k5(H, 1 << (V - 1).bit_length(), E3)[0]
                 skipped += first != whole
     assert skipped >= 40
+
+
+def test_class_table_holds_the_order_types_under_every_coloring_at_d4():
+    # The lemma behind the K5 check: the class keys of a pattern's five
+    # triples depend only on its order type and the colors among its at
+    # most four values, so the 34 order types, relabelled 0..k-1, under the
+    # 64 colorings of [0, 4) give every class, and with the verdicts of
+    # _classify_deltas none fires.
+    table = hg._class_keys()
+    assert table.shape == (5, 1616)
+    with pytest.raises(ValueError):
+        table[...] = 0
+    types = set()
+    for a, bs, cs, ds in delta_patterns(4):
+        for p in zip([a] * bs.size, bs.tolist(), cs.tolist(), ds.tolist()):
+            values = sorted(set(p))
+            types.add(tuple(values.index(x) for x in p))
+    assert len(types) == 34
+
+    def key(x, y, z, C):
+        def pair(u, v):   # order 0, 1, 2 for <, =, >, then color
+            return ((u > v) - (u < v) + 1) * 2 + (C[u][v] if u != v else 0)
+        return pair(x, y) * 36 + pair(y, z) * 6 + pair(x, z)
+
+    classes = set()
+    for mask in range(64):
+        C = coloring_from_mask(4, mask).as_matrix().tolist()
+        for a, b, c, d in types:
+            classes.add(tuple(key(*t, C) for t in (
+                (a, b, c), (a, b, max(c, d)), (a, max(b, c), d),
+                (max(a, b), c, d), (b, c, d))))
+    assert classes == set(map(tuple, table.T.tolist()))
+
+    def fired():
+        verdict = np.zeros(216, dtype=bool)
+        graphs = [StepUpHypergraph(coloring_from_mask(4, mask))
+                  for mask in range(64)]
+        for H in graphs:
+            verdict[H._keys[H._edge3]] = True
+        for H in graphs:   # one verdict per class key across colorings
+            assert np.array_equal(verdict[H._keys], H._edge3)
+        return int(np.count_nonzero(verdict[table].all(axis=0)))
+
+    assert fired() == 0
+    with flipped_rule2():
+        assert fired() == 4
+
+
+def test_edge_table_that_is_not_a_function_of_the_classes_is_refused():
+    # the class lemma holds only for a table built per class key; any
+    # other table is an engine disagreement, not a verdict
+    H = graph(6, 0)
+    E3 = H._edge3.copy()
+    E3[np.flatnonzero(H._keys == H._keys[np.flatnonzero(E3)[0]])[-1]] ^= True
+    H.__dict__["_edge3"] = E3        # the cached_property's slot
+    with pytest.raises(EngineDisagreement, match="not a function"):
+        check_k5_free(H)
+    assert check_k5_free(H, vertex_cap=4) is None   # fewer than 5 vertices
+
+
+_D64_CHECK = """
+import json, resource, time
+from stepup.coloring import sample_coloring
+from stepup.hypergraph import StepUpHypergraph, check_k5_free
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+H = StepUpHypergraph(sample_coloring(64, 0))
+out = {"baseline": peak(), "stats": {}}
+t0 = time.perf_counter()
+out["free"] = check_k5_free(H, force=True, stats=out["stats"]) is None
+out["seconds"] = time.perf_counter() - t0
+out["peak"] = peak()
+print(json.dumps(out))
+"""
+
+
+def test_forced_check_at_d64_is_fast_and_small():
+    # the first check builds the graph's D^3 tables (262,144 triples, about
+    # 2.5 MB of keys and verdicts) and reads the 1,616 classes; no table of
+    # delta patterns is built
+    src = os.path.dirname(os.path.dirname(hg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _D64_CHECK], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["free"]
+    assert out["stats"] == {"engine": "order-types", "classes_checked": 1616,
+                            "classes_fired": 0, "patterns_checked": 0}
+    assert out["seconds"] < 0.5
+    assert out["peak"] - out["baseline"] < 64 << 20
 
 
 # --- the corrupted predicate --------------------------------------------------
