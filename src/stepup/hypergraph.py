@@ -118,8 +118,9 @@ class StepUpHypergraph:
     @functools.cached_property
     def _edge3(self) -> np.ndarray:
         """The flattened D^3 edge table of phi (_edge3_table), read-only;
-        built on first use and kept for the life of the graph."""
-        table = _edge3_table(self.coloring)
+        built on first use from the graph's own class keys, and kept for
+        the life of the graph."""
+        table = _edge3_from_keys(self.coloring, self._keys)
         table.setflags(write=False)
         return table
 
@@ -278,9 +279,13 @@ def _edge3_table(phi: PairColoring) -> np.ndarray:
     False where no 4-tuple has it (d1 = d2, d2 = d3, valley d1 = d3).  The
     rules are read at one triple per class (_triple_keys) of a genuine
     order type, at most 7 x 8 calls, and spread over the grid."""
+    return _edge3_from_keys(phi, _triple_keys(phi.as_matrix()))
+
+
+def _edge3_from_keys(phi: PairColoring, key: np.ndarray) -> np.ndarray:
+    """_edge3_table from the class keys of phi's flat delta triples."""
     D = phi.D
     pm = phi.as_matrix()
-    key = _triple_keys(pm)
     some = np.full(216, -1, dtype=np.intp)
     some[key] = np.arange(D ** 3)
     verdict = np.zeros(216, dtype=bool)

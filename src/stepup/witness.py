@@ -16,6 +16,7 @@ meaningful for any position p.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import stat
@@ -111,10 +112,10 @@ class LayerStack:
     values that are strict local maxima with respect to layers[t-1].
     build_layers leaves layers[0] and layers[1] as None: layer 0 means
     every position in [0, deltas.size), and layer 1 the interior strict
-    local maxima of the deltas, which its readers find in windows of the
-    deltas (_layer1) without storing them.  build_layers records layer
-    1's size; a stack built by hand with layers[1] None has it counted
-    from its deltas.  beta keeps the targets
+    local maxima of the deltas.  Every reader gets a layer, however it is
+    held, in windows from _windows.  build_layers records layer 1's size;
+    a stack built by hand with layers[1] None has it counted from those
+    windows.  beta keeps the targets
     (m-1)/(2n)^t as diagnostics only: the all-maxima policy makes each
     layer a superset of the first-beta_t prefix the counting argument
     reasons about, and observed sizes are recorded, not asserted.
@@ -135,15 +136,14 @@ class LayerStack:
     @property
     def layer_sizes(self) -> list[int]:
         sizes = [self.deltas.size]
-        for layer in self.layers[1:]:
+        for t, layer in enumerate(self.layers[1:], 1):
             if layer is not None:
                 sizes.append(int(layer.size))
-            elif self._layer1_size is not None:
+            elif t == 1 and self._layer1_size is not None:
                 sizes.append(self._layer1_size)
             else:
-                sizes.append(sum(
-                    _layer1(self.deltas, s, s + _STAR_CHUNK).size
-                    for s in range(0, self.deltas.size, _STAR_CHUNK)))
+                sizes.append(sum(v.size for _, v in
+                                 _windows(self, t, _STAR_CHUNK)))
         return sizes
 
     def beta_report(self) -> list[dict]:
@@ -230,156 +230,190 @@ def _all_of_next(flags: np.ndarray, length: int) -> np.ndarray:
     return flags
 
 
-_SCAN_CHUNK = 1 << 16  # layers are scanned in cache-sized slices
+_SCAN_CHUNK = 1 << 16  # elements per window of the build
+_STAR_CHUNK = 1 << 16  # elements per window of the star check and counts
+_POSITION = np.int32   # dtype of the stored layers' positions
 
 
-def _layer1(deltas: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Layer 1's positions in [lo, hi): the interior strict local maxima
-    of the deltas there, read with one delta on each side.
+def _windows(stack: LayerStack, t: int, chunk: int,
+             lo: Optional[int] = None, hi: Optional[int] = None):
+    """Layer t's elements at positions in [lo, hi), in windows of at most
+    chunk elements: (positions, values), the values the deltas there.
 
-    Every reader of an implicit layer 1 gets it from here, window by
-    window; only the star check's failure-locating path asks for all of
-    it at once.
+    The one place that knows how a layer is held: layer 0, implicit, is
+    read as slices of the deltas, positions given by the first (see _at);
+    layer 1, implicit, is _Maxima over layer 0 from one position before
+    lo to one after hi; any other layer is stored, read in slices with
+    the deltas taken there, from its start or to its end (sorted or not)
+    where lo or hi is None.
     """
-    a, b = max(lo - 1, 0), min(hi + 1, deltas.size)
-    v = deltas[a:b]
-    p = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))
-    p += a + 1
-    return p
+    deltas = stack.deltas
+    P = _stored(stack, t)
+    if P is not None:
+        a = 0 if lo is None else _rank(P, lo)
+        b = P.size if hi is None else _rank(P, hi)
+        for s in range(a, b, chunk):
+            rows = P[s:min(s + chunk, b)]
+            # clipped, since a corrupted layer is read before it is refused
+            yield rows, deltas.take(rows, mode="clip")
+        return
+    lo = 0 if lo is None else max(lo, 0)
+    hi = deltas.size if hi is None else min(hi, deltas.size)
+    if t == 0:
+        for s in range(lo, hi, chunk):
+            yield s, deltas[s:min(s + chunk, hi)]
+    else:
+        yield from _Maxima(_windows(stack, 0, chunk, lo - 1, hi + 1))
 
 
-def _scan_slice(vals: np.ndarray, s: int, n: int):
-    """The slice of vals from s, _SCAN_CHUNK long, read with the value
-    before it and the n-1 after it: (hit, lo, v, peak).  hit is the
-    leftmost window of n strictly monotone values that starts in the
-    slice, as (start, direction), or None.  v is vals[lo:...], and peak,
-    unless there is a hit, the indices into v of the slice's interior
-    strict local maxima."""
-    size = vals.size
-    e = min(s + _SCAN_CHUNK, size)
-    lo = max(s - 1, 0)
-    v = vals[lo:min(e + n - 1, size)]
-    up = v[1:] > v[:-1]
-    down = v[1:] < v[:-1]
-    hit = _find_run(up[s - lo:], down[s - lo:], n)
-    if hit is not None:
-        return (s + hit[0], hit[1]), lo, v, None
-    # a rise into the value v[j+1] and a fall out of it, for j + 1 in
-    # s..e-1 and below the last value
-    j_end = max(min(e - lo - 1, up.size - 1), 0)
-    peak = np.flatnonzero(up[:j_end] & down[1:j_end + 1])
-    peak += 1
-    return None, lo, v, peak
+def _stored(stack: LayerStack, t: int) -> Optional[np.ndarray]:
+    """Layer t's position array, None for a layer 0 or 1 left implicit,
+    or InvalidParams unless it is a one-dimensional integer array."""
+    P = stack.layers[t]
+    if P is None and t < 2:
+        return None
+    if not (isinstance(P, np.ndarray) and P.dtype.kind in "iu"
+            and P.ndim == 1):
+        raise InvalidParams(f"layer {t} is not an integer position array")
+    return P
 
 
-def _monotone_run(layer: int, pos, direction: str,
-                  deltas: np.ndarray) -> MonotoneRun:
-    return MonotoneRun(layer=layer, positions=tuple(int(p) for p in pos),
-                       direction=direction,
-                       values=tuple(int(v) for v in deltas[pos]))
+def _read(stack: LayerStack, t: int, lo: Optional[int] = None,
+          hi: Optional[int] = None, chunk: int = _STAR_CHUNK) -> tuple:
+    """The windows of _windows joined: layer t's positions and values."""
+    parts = list(_windows(stack, t, chunk, lo, hi))
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.empty(0, _POSITION), stack.deltas[:0]
+    return (_join(None, [p for p, _ in parts], 0),
+            np.concatenate([v for _, v in parts]))
 
 
-def _scan_base(deltas: np.ndarray, n: int):
-    """Layers 0 and 1 in one scan of the deltas, slice by slice.
+def _at(pos, idx):
+    """The positions at indices idx (an int or an index array) of a window
+    whose positions are pos: an array, or the first of consecutive ones."""
+    if not isinstance(pos, int):
+        return pos[idx]
+    if isinstance(idx, (int, np.integer)):
+        return pos + int(idx)
+    return np.add(idx, pos, dtype=_POSITION, casting="unsafe")
 
-    Returns (run, size1, positions, values).  run is the leftmost n-run
-    of layer 0 or, if layer 0 has none, of layer 1, else None; size1 is
-    layer 1's size; positions and values are layer 2, the interior strict
-    maxima of layer 1.  The deltas are read slice by slice (_scan_slice),
-    as _scan_layer reads a layer.  The layer-1 elements a slice finds are
-    scanned behind the n - 1 before them, for runs that end at one of
-    them and maxima just left of one, so that runs and maxima across
-    slices are seen and layer 1 is never held whole.  A layer-1 run waits
-    for the deltas to be read to their end, since a run in layer 0
-    anywhere comes first.
+
+def _join(held, parts: list, c: int):
+    """The positions of windows read behind c elements held before them,
+    parts their positions; consecutive ones stay given by the first."""
+    if isinstance(parts[0], int):
+        return parts[0] - c
+    return np.concatenate(([held] if c else []) + parts)
+
+
+def _index(rows, P: np.ndarray) -> np.ndarray:
+    """The indices positions P would have in a window whose positions are
+    rows (see _at)."""
+    if isinstance(rows, int):
+        return np.subtract(P, rows, dtype=np.intp)
+    return rows.searchsorted(P)
+
+
+def _padded(windows, least: int = 1, pad: int = 1):
+    """Disjoint windows of a layer, joined until least elements are new,
+    as windows with pad more elements before and one after: (rows, win,
+    c, e, at_end), positions, values, and the indices c..e-1 that are the
+    window's own, each element's in one window.  The newest element,
+    whose right neighbor is not read yet, is the next window's own,
+    unless this is the last window, at_end."""
+    windows = iter(windows)
+    window = next(windows, None)
+    held, c = None, 0   # what is kept of the last window; its first not own
+    while window is not None:
+        rows_in, wins_in, new = [], [], 0
+        while window is not None and (not wins_in or new < least):
+            rows_in.append(window[0])
+            wins_in.append(window[1])
+            new += window[1].size
+            window = next(windows, None)
+        n_held = 0 if held is None else held[1].size
+        rows = _join(held and held[0], rows_in, n_held)
+        win = np.concatenate(([held[1]] if n_held else []) + wins_in)
+        at_end = window is None
+        e = win.size if at_end else win.size - 1
+        start = 0
+        if e > c:
+            yield rows, win, c, e, at_end
+            c, start = e, max(e - pad, 0)
+        tail = np.arange(start, win.size)
+        held, c = (_at(rows, tail), win[tail]), c - start
+
+
+class _Maxima:
+    """The filter from layer t to layer t + 1: iterating it yields, from
+    windows of layer t, those of its interior strict local maxima.  Given
+    a run length n, windows keep the n - 1 elements before them
+    (_padded), and layer t's leftmost n strictly monotone consecutive
+    elements are kept as run; the filter then yields no more but reads
+    on, so that a filter it reads from finishes its own, lower layer,
+    whose run comes first.  size counts layer t's elements.
     """
-    size = deltas.size
-    # Layer 2 has at most (|layer 1| - 1) // 2 elements and layer 1 at
-    # most (size - 1) // 2; np.empty commits no pages that are never
-    # written, and the buffers are cut to length in place at the end.
-    bound = max(((size - 1) // 2 - 1) // 2, 0)
-    kept_pos = np.empty(bound, np.int32)
-    kept_vals = np.empty(bound, deltas.dtype)
-    kept = size1 = 0
-    run = None
-    tail_pos, tail_vals = np.empty(0, np.int32), deltas[:0]
-    for s in range(0, size, _SCAN_CHUNK):
-        hit, lo, v, peak = _scan_slice(deltas, s, n)
-        if hit is not None:
-            pos = np.arange(hit[0], hit[0] + n)
-            return _monotone_run(0, pos, hit[1], deltas), 0, None, None
-        size1 += peak.size
-        if run is not None or peak.size == 0:
-            continue
-        vals = np.concatenate((tail_vals, v.take(peak)))
-        peak += lo
-        pos = np.concatenate((tail_pos, peak), dtype=np.int32)
-        up = vals[1:] > vals[:-1]
-        down = vals[1:] < vals[:-1]
-        hit = _find_run(up, down, n)
-        if hit is not None:
-            run = _monotone_run(1, pos[hit[0]:hit[0] + n], hit[1], deltas)
-            continue
-        # maxima whose right neighbor is new; layer 1's first is none
-        first = max(tail_pos.size - 1, 1)
-        top = np.flatnonzero(up[first - 1:-1] & down[first:])
-        top += first
-        end = kept + top.size
-        np.take(vals, top, out=kept_vals[kept:end])
-        np.take(pos, top, out=kept_pos[kept:end])
-        kept = end
-        tail_pos, tail_vals = pos[1 - n:], vals[1 - n:]
-    if run is not None:
-        return run, size1, None, None
-    for buf in (kept_pos, kept_vals):
-        # no views of the buffers remain, so none can see the memory go
-        buf.resize(kept, refcheck=False)
-    return None, size1, kept_pos, kept_vals
+
+    def __init__(self, windows, n: Optional[int] = None, t: int = 0):
+        self.windows, self.n, self.t = windows, n, t
+        self.size = 0
+        self.run: Optional[MonotoneRun] = None
+
+    def __iter__(self):
+        n = self.n
+        for rows, win, c, e, _ in _padded(self.windows,
+                                          pad=1 if n is None else n - 1):
+            self.size += e - c
+            if self.run is not None:
+                continue
+            up = win[1:] > win[:-1]
+            down = win[1:] < win[:-1]
+            hit = None if n is None else _find_run(up, down, n)
+            if hit is not None:
+                run = np.arange(hit[0], hit[0] + n)
+                self.run = MonotoneRun(
+                    layer=self.t, positions=tuple(int(p) for p in _at(rows, run)),
+                    direction=hit[1], values=tuple(int(v) for v in win[run]))
+                continue
+            # own indices with a neighbor on each side
+            lo, hi = max(c, 1), min(e, win.size - 1)
+            top = np.flatnonzero(up[lo - 1:hi - 1] & down[lo:hi])
+            top += lo
+            out = _at(rows, top), win.take(top)
+            del rows, win, up, down, top   # not held while out is read
+            if out[1].size:
+                yield out
 
 
-def _scan_layer(layer: np.ndarray, vals: np.ndarray, n: int):
-    """One stored layer's leftmost monotone n-run, or its strict maxima.
-
-    vals holds the deltas at the layer's positions.  Returns ("run",
-    start, direction) for the leftmost window of n strictly monotone
-    values, else ("maxima", positions, values) for the interior strict
-    local maxima.  Each slice of values is read with the n-1 that follow
-    it and the one before it, so runs and maxima that straddle a slice
-    boundary are still seen, and earlier slices are done first.
-    """
-    size = vals.size
-    # Interior strict maxima are never adjacent, so at most (size - 1) // 2
-    # of them fill buffers that are cut to length in place at the end:
-    # collecting slices and concatenating them would hold every maximum
-    # twice.
-    bound = max((size - 1) // 2, 0)
-    kept_pos = np.empty(bound, layer.dtype)
-    kept_vals = np.empty(bound, vals.dtype)
+def _store(windows, bound: int) -> np.ndarray:
+    """The positions of windows, written into one buffer of bound elements
+    that is cut to length in place at the end: collecting the windows and
+    concatenating them would hold the layer twice.  np.empty commits no
+    pages that are never written."""
+    buf = np.empty(max(bound, 0), _POSITION)
     kept = 0
-    for s in range(0, size, _SCAN_CHUNK):
-        hit, lo, v, peak = _scan_slice(vals, s, n)
-        if hit is not None:
-            return "run", hit[0], hit[1]
-        end = kept + peak.size
-        np.take(v, peak, out=kept_vals[kept:end])
-        peak += lo
-        np.take(layer, peak, out=kept_pos[kept:end])
-        kept = end
-    for buf in (kept_pos, kept_vals):
-        buf.resize(kept, refcheck=False)
-    return "maxima", kept_pos, kept_vals
+    for pos, _ in windows:
+        buf[kept:kept + pos.size] = pos
+        kept += pos.size
+    # no views of the buffer remain, so none can see the memory go
+    buf.resize(kept, refcheck=False)
+    return buf
 
 
 def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     """Grow local-maxima layers to depth 7, or stop at the first n-run.
 
-    Scans each layer left to right before condensing it: a strictly
-    monotone run of n consecutive delta values short-circuits the whole
-    construction, since it already carries an edge.  Layers collect ALL
+    A strictly monotone run of n consecutive delta values short-circuits
+    the whole construction, since it already carries an edge; a layer-t
+    run wins only once no lower layer has one.  Layers collect ALL
     interior strict local maxima of the previous layer, a superset of the
     prefix the counting argument needs, which keeps the builder total for
-    small Q as well.  Layers 0 and 1 are read in one scan of the deltas
-    and left implicit; layers 2 to 7 are stored.
+    small Q as well.  The filter _Maxima is chained seven times: one read
+    of the deltas runs layers 0 and 1 through it, leaving both implicit,
+    and stores layer 2; each later read stores the next layer.  A layer
+    of s elements has at most (s - 1) // 2 interior maxima.
     """
     if n < 3:
         raise InvalidN(f"run-length parameter must be >= 3, got {n}")
@@ -389,27 +423,27 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     deltas = consecutive_deltas(q)
     m = int(q.size)
     beta = tuple((m - 1) / (2 * n) ** t for t in range(LAYER_DEPTH + 1))
-    run, size1, found, vals = _scan_base(deltas, n)
-    if run is not None:
-        return run
-    layers, sizes = [None], [deltas.size]
-    for t in range(1, LAYER_DEPTH + 1):
-        if t > 2:
-            kind, found, extra = _scan_layer(layers[-1], vals, n)
-            if kind == "run":
-                pos = layers[-1][found:found + n]
-                return _monotone_run(t - 1, pos, extra, deltas)
-            vals = extra
-        size = size1 if t == 1 else int(found.size)
-        if size == 0:
+    stack = LayerStack(q=q, deltas=deltas, layers=[None, None], n=n, beta=beta)
+    filters = [_Maxima(_windows(stack, 0, _SCAN_CHUNK), n, 0)]
+    for t in range(2, LAYER_DEPTH + 1):
+        if t == 2:   # layer 1 straight from the filter that finds it
+            below, bound = filters[0], ((deltas.size - 1) // 2 - 1) // 2
+        else:
+            below = _windows(stack, t - 1, _SCAN_CHUNK)
+            bound = (stack.layers[t - 1].size - 1) // 2
+        filters.append(_Maxima(below, n, t - 1))
+        stack.layers.append(_store(filters[-1], bound))
+        for f in filters:
+            if f.run is not None:
+                return f.run
+        sizes = [f.size for f in filters] + [int(stack.layers[t].size)]
+        if 0 in sizes:
+            k = sizes.index(0)
             raise InsufficientLayers(
-                f"layer {t} came out empty: |Q| = {m} cannot sustain depth "
+                f"layer {k} came out empty: |Q| = {m} cannot sustain depth "
                 f"{LAYER_DEPTH} and has no monotone run of length {n}",
-                trace={"layer": t, "sizes": sizes})
-        sizes.append(size)
-        layers.append(None if t == 1 else found)
-    stack = LayerStack(q=q, deltas=deltas, layers=layers, n=n, beta=beta)
-    stack._layer1_size = size1
+                trace={"layer": k, "sizes": sizes[:k]})
+    stack._layer1_size = filters[1].size
     return stack
 
 
@@ -451,8 +485,8 @@ def edge_from_monotone_run(H: StepUpHypergraph, Q,
 
 def _neighbor_in(stack: LayerStack, pos: int, level: int, side: str) -> int:
     """The nearest position of layer `level` on `side` ("left" or "right")
-    of pos.  An implicit layer 0 holds every position; an implicit layer
-    1 is read outward from pos in windows that double in length."""
+    of pos: by searchsorted in a stored layer, and in an implicit one by
+    reading the layer outward from pos in ranges that double in length."""
     layer = stack.layers[level]
     size = stack.deltas.size
     if layer is not None:
@@ -461,26 +495,16 @@ def _neighbor_in(stack: LayerStack, pos: int, level: int, side: str) -> int:
         i -= side == "left"
         if 0 <= i < layer.size:
             return int(layer[i])
-    elif level == 0:
-        i = pos + 1 if side == "right" else pos - 1
-        if 0 <= i < size:
-            return i
-    elif side == "left":
-        hi, span = pos, 64
-        while hi > 0:
-            lo = max(hi - span, 0)
-            found = _layer1(stack.deltas, lo, hi)
-            if found.size:
-                return int(found[-1])
-            hi, span = lo, 2 * span
     else:
-        lo, span = pos + 1, 64
-        while lo < size:
-            hi = min(lo + span, size)
-            found = _layer1(stack.deltas, lo, hi)
-            if found.size:
-                return int(found[0])
-            lo, span = hi, 2 * span
+        left = side == "left"
+        end, span = (pos if left else pos + 1), 64
+        while 0 < end if left else end < size:
+            lo, hi = ((max(end - span, 0), end) if left else
+                      (end, min(end + span, size)))
+            found, vals = _read(stack, level, lo, hi)
+            if vals.size:
+                return int(_at(found, vals.size - 1 if left else 0))
+            end, span = (lo if left else hi), 2 * span
     raise InsufficientLayers(
         f"position {pos} has no {side} neighbor in layer {level}")
 
@@ -686,60 +710,38 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     InvalidParams naming the first layer out of shape, whatever failure a
     lower layer holds.
     Layer t is checked from the deltas of layer t-1 (see the note above),
-    window by window (see _check_layer), so that nothing the check holds
-    grows with |Q|.  This is an induction on t: a failure in layer t-1 is
-    the one reported, and the layers above it are then only checked for
-    shape.  Counting the peaks of layer t-1 inside layer t stands in for
-    the interior check.  A build_layers stack has every peak in the layer
+    in a cascade of one stage per layer (_LayerCheck) that reads every
+    layer once, in windows, so that nothing the check holds grows with
+    |Q|.  This is an induction on t: a failure in layer t-1 is the one
+    reported, and the layers above it then count only for their shape.
+    Counting the peaks of layer t-1 inside layer t stands in for the
+    interior check.  A build_layers stack has every peak in the layer
     above, since its layers hold every strict local maximum and a peak
     that is not strict has an equal neighbor, which the equal-deltas
     check of layer t-1 rules out (in layer 0, delta(x, y) != delta(y, z)
     for x < y < z).  When the count falls short, the first failing pair,
     if any, is found by a maximum over d between consecutive indices.
-    An implicit layer 1 and layer 2 are checked in one walk over the
-    deltas (_Layer1Walk).
     """
     if stack.layers[0] is not None:
         raise InvalidParams(
             "layer 0 must be left implicit (None), as build_layers leaves it")
+    stages, below = [], _windows(stack, 0, _STAR_CHUNK)
+    for t in range(1, len(stack.layers)):
+        below = _LayerCheck(stack, t, below)
+        stages.append(below)
+    for _ in below:
+        pass
+    for stage in stages:   # the lowest layer out of shape is named
+        if stage.refused is not None:
+            raise stage.refused
     checks = {"star_pairs": 0, "drop_dominance": 0}
     failure = None
-    start = 1
-    if len(stack.layers) > 1 and stack.layers[1] is None:
-        walk = _Layer1Walk(stack.deltas)
-        above = dict(checks)
-        found = None
-        if len(stack.layers) > 2:
-            found = _check_layer(stack, 2, above, True, walk.windows())
-        else:
-            for _ in walk.windows():
-                pass
-        failure = walk.failure(stack, checks)
-        if failure is None:
-            # a failure in layer 1 leaves layer 2 checked for shape only
-            failure = found
-            for key, count in above.items():
-                checks[key] += count
-        start = 3
-    for t in range(start, len(stack.layers)):
-        found = _check_layer(stack, t, checks, failure is None,
-                             _windows(stack.deltas, stack.layers[t - 1]))
-        failure = failure or found
+    for stage in stages:
+        failure = stage.failure(checks)
+        if failure is not None:
+            break
     return PropertyReport(ok=failure is None, checks=checks,
                           counterexample=failure)
-
-
-_STAR_CHUNK = 1 << 16  # indices of the layer below per window of the star check
-
-
-def _positions(stack: LayerStack, t: int) -> np.ndarray:
-    """Layer t, or InvalidParams unless it is a one-dimensional integer
-    array."""
-    P = stack.layers[t]
-    if not (isinstance(P, np.ndarray) and P.dtype.kind in "iu"
-            and P.ndim == 1):
-        raise InvalidParams(f"layer {t} is not an integer position array")
-    return P
 
 
 def _rank(P: np.ndarray, key: int) -> int:
@@ -756,221 +758,154 @@ def _rank(P: np.ndarray, key: int) -> int:
     return int(P.searchsorted(key))
 
 
-def _windows(deltas: np.ndarray, below: Optional[np.ndarray]):
-    """A stored layer, or an implicit layer 0 (None), in windows of
-    _STAR_CHUNK consecutive indices c..e-1, with one more index on each
-    side: (c, e, base, rows, win, at_end).  rows holds the layer's
-    positions at indices base..base + win.size - 1, or is None for layer
-    0, whose indices are its positions; win holds the deltas there."""
-    bound = deltas.size if below is None else below.size
-    for c in range(0, bound, _STAR_CHUNK):
-        e = min(c + _STAR_CHUNK, bound)
-        base, end = max(c - 1, 0), min(e + 1, bound)
-        if below is None:
-            yield c, e, base, None, deltas[base:end], e == bound
-        else:
-            rows = below[base:end]
-            yield c, e, base, rows, deltas.take(rows), e == bound
+class _LayerCheck:
+    """The star check of layer t, one stage of the check's cascade.
 
-
-class _Layer1Walk:
-    """An implicit layer 1, read from the deltas in windows of _STAR_CHUNK
-    positions, checked on the way, and handed on in windows of its own
-    indices for the check of layer 2.
-
-    Its elements are the strict peaks of layer 0, so the only failures
-    it can hold are equal deltas at consecutive elements and, where some
-    delta equals a neighbor, a peak of layer 0 left out of it; its ends
-    are interior to layer 0 and every element it drops is a strict peak,
-    so no drop fails.
+    Iterating it reads layer t-1 in padded windows (_padded) of the
+    windows below, joined to at least a quarter of _STAR_CHUNK elements,
+    and layer t from its source, up to the element after each window's
+    own.  It yields layer t as read: the windows below of the stage of
+    layer t+1.  A window's deltas give the count of layer t-1's peaks
+    among its own elements and its strict peaks there.  On a stack as
+    built, layer t's elements in the window are exactly the positions of
+    the strict peaks.  Otherwise their indices are looked up in the
+    window, and layer t must strictly increase inside the window's own
+    elements.  A layer out of shape is kept as refused, an InvalidParams
+    naming it, and ends the stage.  Layer t+1, which says which elements
+    layer t drops, has its own stage, so one out of shape only leads here
+    to a failure that is never reported.
     """
 
-    def __init__(self, deltas: np.ndarray):
-        self.deltas = deltas
-        self.size = 0
-        self.equal = None     # the first consecutive positions with equal deltas
-        self.plateau = False  # some window holds a peak that is not strict
+    def __init__(self, stack: LayerStack, t: int, below):
+        self.stack, self.t, self.below = stack, t, below
+        self.nxt = np.empty(0, _POSITION)
+        if t + 1 < len(stack.layers):
+            try:
+                self.nxt = _stored(stack, t + 1)
+            except InvalidParams:
+                pass
+        self.refused: Optional[InvalidParams] = None
+        self.size = self.peaks = self.taken = 0
+        self.equal = self.flank = None   # (left, right), (position, left, right)
+        self.first = self.final = None   # layer t-1's ends
+        self.head = self.last = None     # layer t's first, last with its delta
 
-    def windows(self):
-        """Layer 1 in windows as _windows gives them.  A window ends at
-        the element before the newest, whose right neighbor is not read
-        yet, except the last, which ends at layer 1's end."""
-        d = self.deltas
-        held_pos, held_val = np.empty(0, np.intp), d[:0]
-        for s in range(0, d.size, _STAR_CHUNK):
-            e = min(s + _STAR_CHUNK, d.size)
-            pos = _layer1(d, s, e)
-            if not self.plateau:
-                v = d[max(s - 1, 0):e + 1]
-                self.plateau = bool((v[1:] == v[:-1]).any()) and bool(
-                    pos.size < np.count_nonzero(
-                        (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])))
-            at_end = e == d.size
-            if pos.size == 0 and not at_end:
-                continue
-            val = d.take(pos)
-            if self.equal is None and pos.size:
-                if held_val.size and held_val[-1] == val[0]:
-                    self.equal = int(held_pos[-1]), int(pos[0])
-                else:
-                    k = _first(val[1:] == val[:-1])
-                    if k >= 0:
-                        self.equal = int(pos[k]), int(pos[k + 1])
-            rows = np.concatenate((held_pos, pos))
-            win = np.concatenate((held_val, val))
-            c, base = max(self.size - 1, 0), max(self.size - 2, 0)
-            self.size += pos.size
-            stop = self.size if at_end else self.size - 1
-            if stop > c:
-                yield c, stop, base, rows, win, at_end
-            held_pos, held_val = rows[-2:], win[-2:]
-
-    def failure(self, stack: LayerStack, checks: dict) -> Optional[dict]:
-        """Layer 1's first failure, once windows() has been read through;
-        checks are counted as _check_layer counts them."""
-        if self.size >= 2:
-            checks["star_pairs"] += self.size - 1
-        if self.equal is not None:
-            return {"check": "star", "layer": 1, "left": self.equal[0],
-                    "right": self.equal[1], "reason": "equal deltas"}
-        if self.plateau:
-            # the failure-locating path, the one read of all of layer 1
-            P = _layer1(self.deltas, 0, self.deltas.size)
-            k = _first_undominated_pair(self.deltas, P)
-            if k >= 0:
-                return _undominated(self.deltas, 1, int(P[k]), int(P[k + 1]))
-        nxt = stack.layers[2].size if len(stack.layers) > 2 else 0
-        if self.size > nxt:
-            checks["drop_dominance"] += self.size - nxt
-        return None
-
-
-def _check_layer(stack: LayerStack, t: int, checks: dict, star: bool,
-                 windows) -> Optional[dict]:
-    """Layer t's first failure of the star property, or None.
-
-    Layer t-1 is read in the windows given (see _windows), of indices
-    c..e-1 with one more index on each side; the next window starts at
-    e.  A window's deltas give the count of layer t-1's peaks at c..e-1
-    and its strict peaks there.  The layer-t positions in the window are
-    those below the position of index e, found by one scalar
-    searchsorted.  On a stack as built they are exactly the positions of
-    the strict peaks, which give their indices once layer t-1's positions
-    there are seen to equal them.  Otherwise (in layer 1 over an implicit
-    layer 0, or on a corrupted stack) the indices are read off or looked
-    up in the window, and layer t must strictly increase inside c..e-1,
-    or InvalidParams names it.  With star false, only that is checked.
-    Layer t+1, which says which elements layer t drops, is checked when
-    it is reached, so one out of shape only leads here to a failure that
-    is never reported.
-    """
-    deltas = stack.deltas
-    P = _positions(stack, t)
-    nxt = P[:0]
-    if t + 1 < len(stack.layers):
+    def __iter__(self):
+        lo = None
         try:
-            nxt = _positions(stack, t + 1)
-        except InvalidParams:
-            pass
-    peaks = taken = 0
-    equal = flank = -1
-    flank_at = first = final = None   # positions in layer t-1
-    last = None
-    j0 = 0
-    for c, e, base, rows, win, at_end in windows:
-        if c == 0:
-            first = base if rows is None else int(rows[0])
-        if at_end:
-            final = base + win.size - 1 if rows is None else int(rows[-1])
-        j1 = P.size if at_end else _rank(
-            P, e if rows is None else int(rows[e - base]))
-        if j1 < j0:
-            raise _unnested(t)
-        Pj = P[j0:j1]
-        if not star:
-            _located(Pj, rows, base, c, e, t)
-            j0 = j1
-            continue
+            for rows, win, c, e, at_end in _padded(self.below,
+                                                   _STAR_CHUNK // 4):
+                if self.first is None:
+                    self.first = int(_at(rows, 0))
+                if at_end:
+                    self.final = int(_at(rows, win.size - 1))
+                hi = None if at_end else _at(rows, e)
+                # in one part: the window holds at least as many positions
+                Pj, vals = _read(self.stack, self.t, lo, hi, win.size + 2)
+                lo = hi
+                self._window(rows, win, c, e, Pj)
+                del rows, win   # not held while the stage above reads
+                if Pj.size:
+                    self._equal(Pj, vals)
+                    self.head = int(Pj[0]) if self.head is None else self.head
+                    self.last = int(Pj[-1]), vals[-1]
+                    self.size += Pj.size
+                    yield Pj, vals
+            P = _stored(self.stack, self.t)
+            if P is not None and self.size != P.size:
+                raise _unnested(self.t)
+        except InvalidParams as exc:
+            self.refused = exc
+
+    def _equal(self, Pj: np.ndarray, vals: np.ndarray) -> None:
+        if self.equal is None:
+            if self.last is not None and vals[0] == self.last[1]:
+                self.equal = self.last[0], int(Pj[0])
+            else:
+                k = _first(vals[1:] == vals[:-1])
+                if k >= 0:
+                    self.equal = int(Pj[k]), int(Pj[k + 1])
+
+    def _window(self, rows, win, c: int, e: int, Pj: np.ndarray) -> None:
+        """Count a window's peaks and those among layer t's elements Pj,
+        and keep its first undominated drop."""
         up = win[1:] > win[:-1]
         down = win[1:] < win[:-1]
         # window index i is a peak unless win[i] falls from i-1 or rises
         # to i+1; the window's ends hold no index of its own
         no_peak = down[:-1] | up[1:]
-        peaks += no_peak.size - int(np.count_nonzero(no_peak))
+        self.peaks += no_peak.size - int(np.count_nonzero(no_peak))
         strict = np.zeros(win.size, dtype=bool)
         np.logical_and(up[:-1], down[1:], out=strict[1:-1])
-        matched = False
-        if rows is not None:
-            rel = strict[c - base:e - base].nonzero()[0]
-            rel += c - base
-            matched = (rel.size == Pj.size
-                       and bool((rows.take(rel) == Pj).all()))
-        if not matched:
-            rel = _located(Pj, rows, base, c, e, t)
-            top = strict.take(rel)
-            matched = bool(top.all())
-        if matched:
-            taken += rel.size   # as in a build_layers stack
-        else:
-            # an end of layer t-1 is no peak; dropped, it fails the
-            # boundary check, which comes first
-            peak = np.zeros(win.size, dtype=bool)
-            np.logical_not(no_peak, out=peak[1:-1])
-            taken += int(np.count_nonzero(peak.take(rel)))
-            if flank < 0:
-                weak = ~top & (rel > 0) & (rel < win.size - 1)
-                lo = _rank(nxt, int(Pj[0]))
-                hi = _rank(nxt, int(Pj[-1]) + 1)
-                weak &= ~np.isin(Pj, nxt[lo:hi])
-                k = _first(weak)
-                if k >= 0:
-                    r = int(rel[k])
-                    flank = j0 + k
-                    flank_at = ((base + r - 1, base + r + 1) if rows is None
-                                else (int(rows[r - 1]), int(rows[r + 1])))
-        if equal < 0 and rel.size:
-            dj = win.take(rel)
-            if last is not None and dj[0] == last:
-                equal = j0 - 1
-            else:
-                k = _first(dj[1:] == dj[:-1])
-                equal = j0 + k if k >= 0 else -1
-            last = dj[-1]
-        j0 = j1
-    if j0 < P.size:
-        raise _unnested(t)  # an empty layer t-1 holds no index
-    if not star:
+        if not isinstance(rows, int):
+            # the strict peaks' positions, compared; consecutive positions
+            # find Pj's indices by subtraction instead
+            rel = strict[c:e].nonzero()[0]
+            rel += c
+            if rel.size == Pj.size and bool((_at(rows, rel) == Pj).all()):
+                self.taken += rel.size   # as in a build_layers stack
+                return
+        rel = _located(Pj, rows, c, e, self.t)
+        top = strict.take(rel)
+        if top.all():
+            self.taken += rel.size
+            return
+        # an end of layer t-1 is no peak; dropped, it fails the boundary
+        # check, which comes first
+        peak = np.zeros(win.size, dtype=bool)
+        np.logical_not(no_peak, out=peak[1:-1])
+        self.taken += int(np.count_nonzero(peak.take(rel)))
+        if self.flank is None:
+            nxt = self.nxt
+            weak = ~top & (rel > 0) & (rel < win.size - 1)
+            lo = _rank(nxt, int(Pj[0]))
+            hi = _rank(nxt, int(Pj[-1]) + 1)
+            weak &= ~np.isin(Pj, nxt[lo:hi])
+            k = _first(weak)
+            if k >= 0:
+                r = int(rel[k])
+                self.flank = (int(Pj[k]), int(_at(rows, r - 1)),
+                              int(_at(rows, r + 1)))
+
+    def failure(self, checks: dict) -> Optional[dict]:
+        """Layer t's first failure, or None; its checks are counted."""
+        t, nxt, size = self.t, self.nxt, self.size
+        if size >= 2:
+            checks["star_pairs"] += size - 1
+        if self.equal is not None:
+            return {"check": "star", "layer": t, "left": self.equal[0],
+                    "right": self.equal[1], "reason": "equal deltas"}
+        if self.taken != self.peaks:
+            pair = _first_undominated(self.stack, t)
+            if pair is not None:
+                return _undominated(self.stack.deltas, t, *pair)
+        if size > nxt.size:   # a longer layer t+1 is refused with it
+            # only the ends can lack a neighbor below
+            for mine, end, kept in ((self.head, self.first, 0),
+                                    (self.last[0], self.final, -1)):
+                if mine == end and not (nxt.size and nxt[kept] == end):
+                    return {"check": "drop_dominance", "layer": t,
+                            "position": end,
+                            "reason": "element not interior to layer below"}
+            checks["drop_dominance"] += size - nxt.size
+            if self.flank is not None:
+                return {"check": "drop_dominance", "layer": t,
+                        "position": self.flank[0], "left": self.flank[1],
+                        "right": self.flank[2],
+                        "reason": "neighborhood not dominated"}
         return None
-    if P.size >= 2:
-        checks["star_pairs"] += int(P.size - 1)
-    if equal >= 0:
-        return {"check": "star", "layer": t, "left": int(P[equal]),
-                "right": int(P[equal + 1]), "reason": "equal deltas"}
-    if taken != peaks:
-        # the failure-locating read is the one of all layer t-1's deltas,
-        # with every index of layer t in it
-        below = stack.layers[t - 1]
-        if below is None and t == 2:
-            below = _layer1(deltas, 0, deltas.size)
-        k = (_first_undominated_pair(deltas, P) if below is None else
-             _first_undominated_pair(deltas[below],
-                                     np.searchsorted(below, P)))
-        if k >= 0:
-            return _undominated(deltas, t, int(P[k]), int(P[k + 1]))
-    n_drop = P.size - nxt.size
-    if n_drop > 0:   # a longer layer t+1 is refused with it
-        # only the ends can lack a neighbor below
-        if P[0] == first and not (nxt.size and nxt[0] == P[0]):
-            return _boundary_failure(t, int(P[0]))
-        if P[-1] == final and not (nxt.size and nxt[-1] == P[-1]):
-            return _boundary_failure(t, int(P[-1]))
-        checks["drop_dominance"] += n_drop
-        if flank >= 0:
-            return {"check": "drop_dominance", "layer": t,
-                    "position": int(P[flank]), "left": flank_at[0],
-                    "right": flank_at[1],
-                    "reason": "neighborhood not dominated"}
-    return None
+
+
+def _first_undominated(stack: LayerStack, t: int) -> Optional[tuple[int, int]]:
+    """The first consecutive positions of layer t with some delta of layer
+    t-1 between them at least the larger of theirs, or None.  This is the
+    failure-locating path, the one read of layers t and t-1 whole, each
+    in one window (so layer 0's values are the deltas, not a copy)."""
+    whole = stack.deltas.size
+    P = _read(stack, t, chunk=whole)[0]
+    rows, d = _read(stack, t - 1, chunk=whole)
+    k = _first_undominated_pair(d, _index(rows, P))
+    return None if k < 0 else (int(P[k]), int(P[k + 1]))
 
 
 def _undominated(deltas: np.ndarray, t: int, lo: int, hi: int) -> dict:
@@ -981,20 +916,15 @@ def _undominated(deltas: np.ndarray, t: int, lo: int, hi: int) -> dict:
             "position": x, "reason": "interior delta not dominated"}
 
 
-def _located(Pj: np.ndarray, rows: Optional[np.ndarray], base: int, c: int,
-             e: int, t: int) -> np.ndarray:
+def _located(Pj: np.ndarray, rows, c: int, e: int, t: int) -> np.ndarray:
     """The window indices of layer-t positions Pj, looked up in the
-    window's rows of layer t-1 (None: an implicit layer 0, whose window
-    starts at position base); InvalidParams unless they strictly increase
-    inside c..e-1."""
-    if rows is None:
-        rel = Pj.astype(np.intp)
-        rel -= base
-    else:
-        rel = rows.searchsorted(Pj)
-    if rel.size and not (rel[0] >= c - base and rel[-1] < e - base
+    window's positions rows of layer t-1; InvalidParams unless they
+    strictly increase inside the window's own indices c..e-1."""
+    rel = _index(rows, Pj)
+    if rel.size and not (rel[0] >= c and rel[-1] < e
                          and bool((rel[1:] > rel[:-1]).all())
-                         and (rows is None or (rows.take(rel) == Pj).all())):
+                         # indices found by subtraction are exact
+                         and (isinstance(rows, int) or (rows[rel] == Pj).all())):
         raise _unnested(t)
     return rel
 
@@ -1002,11 +932,6 @@ def _located(Pj: np.ndarray, rows: Optional[np.ndarray], base: int, c: int,
 def _unnested(t: int) -> InvalidParams:
     return InvalidParams(
         f"layer {t} does not strictly increase inside layer {t - 1}")
-
-
-def _boundary_failure(t: int, pos: int) -> dict:
-    return {"check": "drop_dominance", "layer": t, "position": pos,
-            "reason": "element not interior to layer below"}
 
 
 def _first_undominated_pair(d: np.ndarray, loc: np.ndarray) -> int:

@@ -592,6 +592,26 @@ def test_mutation_flipped_rule_ii_inequality_violates_at_d4():
         assert np.array_equal(G._edge3, _edge3_table(G.coloring))
 
 
+def test_first_k5_check_builds_the_class_keys_once(monkeypatch):
+    """A fresh graph's first check_k5_free builds its triple class keys
+    once, for H._keys, and the edge table reads them from there."""
+    hg._class_keys()   # cached per process, and built from its own keys
+    calls = []
+    real = hg._triple_keys
+
+    def counted(pm):
+        calls.append(len(pm))
+        return real(pm)
+
+    monkeypatch.setattr(hg, "_triple_keys", counted)
+    for D in (5, 7, 64):
+        calls.clear()
+        H = StepUpHypergraph(sample_coloring(D, 1))
+        assert check_k5_free(H, force=True) is None
+        assert calls == [D]
+        assert np.array_equal(H._edge3, _edge3_table(H.coloring))
+
+
 def test_mutation_violation_found_for_random_seed_too():
     # seed 5 is the first sampled coloring at D = 4 that the corrupted
     # classifier trips over
@@ -1124,9 +1144,12 @@ def test_exact_alpha_cache_holds_no_coloring_state():
         assert exact_alpha(reused[case]).as_dict() == fresh[case]
     for (D, _), H in reused.items():
         # a graph keeps only its coloring's own read-only tables
-        assert set(vars(H)) <= {"D", "coloring", "_color_rows", "_edge3"}
+        assert set(vars(H)) <= {"D", "coloring", "_color_rows", "_edge3",
+                                "_keys"}
         with pytest.raises(ValueError):
             H._edge3[...] = False
+        with pytest.raises(ValueError):
+            H._keys[...] = 0
         # the per-D tables say nothing of phi and cannot be written
         shell, keep2, keep3, with_entry = hg._pattern_layout(D)
         assert sorted(shell.ravel()) == list(range(D * D))

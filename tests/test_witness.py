@@ -390,17 +390,17 @@ def test_select_anchors_traps_an_out_of_order_chain():
 
 
 def test_layer1_neighbors_match_the_stored_layer(monkeypatch):
-    """_neighbor_in reads an implicit layer 1 as searchsorted reads it
-    stored: at every layer-1 lookup the anchor selection makes (each
-    selection makes one, for e or f), and at random positions, where
-    those off an end must raise InsufficientLayers."""
+    """_neighbor_in reads every layer, implicit or stored, as searchsorted
+    reads it stored: at every lookup the anchor selection makes (each
+    selection makes one at layer 1, for e or f), and at random positions
+    in each layer 0-7, where those off an end must raise
+    InsufficientLayers."""
     lookups = []
     real = w._neighbor_in
 
     def spy(stack, pos, level, side):
         got = real(stack, pos, level, side)
-        if level == 1:
-            lookups.append((stack, pos, side, got))
+        lookups.append((stack, pos, level, side, got))
         return got
 
     monkeypatch.setattr(w, "_neighbor_in", spy)
@@ -416,23 +416,23 @@ def test_layer1_neighbors_match_the_stored_layer(monkeypatch):
         if isinstance(stack, LayerStack):
             stacks.append(stack)
             select_anchors(stack, sample_coloring(12, int(rng.integers(50))))
-    assert len(lookups) == len(stacks) > 50
+    assert sum(look[2] == 1 for look in lookups) == len(stacks) > 50
     for stack in stacks[:10]:
         for side in ("left", "right"):
-            for pos in rng.integers(stack.deltas.size, size=20):
-                lookups.append((stack, int(pos), side, None))
-            lookups.append((stack, 0 if side == "left" else
-                            stack.deltas.size - 1, side, None))
+            end = 0 if side == "left" else stack.deltas.size - 1
+            at = [int(p) for p in rng.integers(stack.deltas.size, size=20)]
+            for level in range(8):
+                lookups += [(stack, p, level, side, None) for p in at + [end]]
     ends = 0
-    for stack, pos, side, got in lookups:
-        P = _layer(stack, 1)
+    for stack, pos, level, side, got in lookups:
+        P = _layer(stack, level)
         i = int(np.searchsorted(P, pos, side=side)) - (side == "left")
         if not 0 <= i < P.size:
             ends += 1
-            with pytest.raises(InsufficientLayers, match="layer 1"):
-                real(stack, pos, 1, side)
+            with pytest.raises(InsufficientLayers, match=f"layer {level}"):
+                real(stack, pos, level, side)
             continue
-        assert real(stack, pos, 1, side) == P[i]
+        assert real(stack, pos, level, side) == P[i]
         assert got is None or got == P[i]
     assert ends >= 20
 
@@ -1046,18 +1046,19 @@ def test_layer_stack_memory_stays_lean():
 
 
 def test_build_layers_holds_positions_and_values_only():
-    """build_layers' traced peak is what its scans are built to hold.
+    """build_layers' traced peak is within what its reads may hold.
 
-    Layers 0 and 1 are read in one scan of the deltas, which holds them
-    and layer 2's two buffers, positions and values, each sized for the
-    ((|layer 0| - 1) // 2 - 1) // 2 strict maxima that a layer 1 of at
-    most (|layer 0| - 1) // 2 elements can have.  While a layer t >= 3
-    is scanned, the build holds the deltas, the positions of layers
-    2..t-1, the deltas at layer t-1's positions and layer t's buffers,
-    sized for (|layer t-1| - 1) // 2.  A scanned slice adds its flags,
-    indices and the layer-1 elements it finds, under 16 bytes per delta
-    of a slice.  No term holds layer 1: its positions alone would not
-    fit.
+    One read of the deltas runs layers 0 and 1 through the filter and
+    may hold layer 2's buffer, sized for the ((|layer 0| - 1) // 2 - 1)
+    // 2 strict maxima that a layer 1 of at most (|layer 0| - 1) // 2
+    elements can have.  While a layer t >= 3 is read, the build may hold
+    the deltas, the positions of layers 2..t-1, the deltas at layer
+    t-1's positions and layer t's buffer, sized for (|layer t-1| - 1) //
+    2; the bound gives each buffer five bytes per element, though the
+    build keeps four (int32 positions) and takes the deltas window by
+    window.  A window adds its flags, indices and the elements it finds,
+    under 16 bytes per delta of a window.  No term holds layer 1: its
+    positions alone would not fit.
     """
     q = random_subset(24, 1 << 23, seed=0)
     tracemalloc.start()
