@@ -16,7 +16,6 @@ meaningful for any position p.
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 import stat
@@ -342,8 +341,10 @@ def _padded(windows, least: int = 1, pad: int = 1):
         if e > c:
             yield rows, win, c, e, at_end
             c, start = e, max(e - pad, 0)
-        tail = np.arange(start, win.size)
-        held, c = (_at(rows, tail), win[tail]), c - start
+        # copies, so that the held elements do not keep the window
+        held = (rows + start if isinstance(rows, int) else rows[start:].copy(),
+                win[start:].copy())
+        c -= start
 
 
 class _Maxima:
@@ -842,7 +843,7 @@ class _LayerCheck:
             # find Pj's indices by subtraction instead
             rel = strict[c:e].nonzero()[0]
             rel += c
-            if rel.size == Pj.size and bool((_at(rows, rel) == Pj).all()):
+            if rel.size == Pj.size and bool((rows[rel] == Pj).all()):
                 self.taken += rel.size   # as in a build_layers stack
                 return
         rel = _located(Pj, rows, c, e, self.t)
