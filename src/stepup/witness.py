@@ -819,6 +819,8 @@ class _LayerCheck:
             self.refused = exc
 
     def _equal(self, Pj: np.ndarray, vals: np.ndarray) -> None:
+        """Keep layer t's first consecutive elements with equal deltas,
+        across windows too."""
         if self.equal is None:
             if self.last is not None and vals[0] == self.last[1]:
                 self.equal = self.last[0], int(Pj[0])
