@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 import time
 from typing import Optional
@@ -285,6 +286,7 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
         report["verdict"] = "ExtractionFailed"
         report["failure"] = {"kind": exc.kind, "message": str(exc),
                              "trace": exc.trace}
+        timings["peak_rss_mb"] = _peak_rss_mb()
         return 1, report
     timings["extract_s"] = round(time.perf_counter() - t0, 6)
     vs = np.array(witness.vertices, dtype=np.uint64)
@@ -316,7 +318,13 @@ def _cmd_extract_witness(args) -> tuple[int, dict]:
             star = {"ok": True, "note": "monotone run, no stack built"}
         report["star_property"] = star
         timings["star_s"] = round(time.perf_counter() - t0, 6)
+    timings["peak_rss_mb"] = _peak_rss_mb()
     return 0, report
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MiB (ru_maxrss)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def _cmd_steiner(args) -> tuple[int, dict]:

@@ -266,12 +266,13 @@ def _edge_witness_for(H: StepUpHypergraph, vs: tuple[int, int, int, int],
 
 def _triple_keys(pm: np.ndarray) -> np.ndarray:
     """Class key, below 216, of each flat delta triple (d1, d2, d3) under
-    color matrix pm: the order and color of (d1, d2), (d2, d3), (d1, d3)."""
+    color matrix pm: the order and color of (d1, d2), (d2, d3), (d1, d3).
+    The keys are uint8, a byte per triple."""
     v = np.arange(len(pm))
     # per pair: 2 * (order 0, 1, 2 for <, =, >) + color, below 6
     pair = ((np.sign(v[:, None] - v) + 1) * 2 + pm).astype(np.uint8)
     key = pair[:, :, None] * 36 + pair[None, :, :] * 6 + pair[:, None, :]
-    return key.reshape(-1).astype(np.intp)
+    return key.reshape(-1)
 
 
 def _edge3_table(phi: PairColoring) -> np.ndarray:

@@ -66,15 +66,17 @@ LAYER_DEPTH = 7
 SMALL_Q_DIRECT = 24  # below this, scanning all 4-subsets beats layering
 
 # random_subset: draws of at least DENSE_MIN_SIZE vertices that fill at
-# least 2^-DENSE_MAX_SPARSITY of the universe are marked on a byte map of
-# the universe, which is then no larger than the sorted result.
+# least 2^-DENSE_MAX_SPARSITY of the universe are marked on a bit map of
+# the universe, which is then at most an eighth the size of the sorted
+# result.
 # Sparse draws (under that fill) from at least 2^STREAM_MIN_BITS vertices
 # keep the first distinct values of an iid stream; smaller universes are
 # permuted whole.
 DENSE_MIN_SIZE = 1 << 20
 DENSE_MAX_SPARSITY = 3
 STREAM_MIN_BITS = 20
-_MARK_CHUNK = 1 << 20
+_MARK_CHUNK = 1 << 20     # vertices marked per window of the bit map
+_UNPACK_CHUNK = 1 << 18   # vertices unpacked per window into Q
 
 _Q_HEADER_RE = re.compile(rb"^STEPUP-Q v1 count=(\d+) bits=(\d+)\n")
 _Q_HEADER_MAX = 256  # bytes of the first line a Q file header is read from
@@ -109,12 +111,14 @@ class LayerStack:
 
     layers[0] is every position; layers[t] holds the positions of delta
     values that are strict local maxima with respect to layers[t-1].
-    build_layers leaves layers[0] and layers[1] as None: layer 0 means
-    every position in [0, deltas.size), and layer 1 the interior strict
-    local maxima of the deltas.  Every reader gets a layer, however it is
-    held, in windows from _windows.  build_layers records layer 1's size;
-    a stack built by hand with layers[1] None has it counted from those
-    windows.  beta keeps the targets
+    A layer that is None is implicit: layer 0 means every position in
+    [0, deltas.size), and any other the interior strict local maxima of
+    the layer below, regenerated where it is read.  build_layers leaves
+    layers 0, 1 and 2 implicit and stores layers 3-7 as int32 positions.
+    Every reader gets a layer, however it is held, in windows from
+    _windows.  build_layers records the sizes of layers 1 and 2; a stack
+    built by hand has an implicit layer's size counted from its windows.
+    beta keeps the targets
     (m-1)/(2n)^t as diagnostics only: the all-maxima policy makes each
     layer a superset of the first-beta_t prefix the counting argument
     reasons about, and observed sizes are recorded, not asserted.
@@ -128,9 +132,10 @@ class LayerStack:
     layers: list[Optional[np.ndarray]]
     n: int
     beta: tuple[float, ...]
-    # layer 1's size as built; not copied by dataclasses.replace
-    _layer1_size: Optional[int] = field(default=None, init=False,
-                                        repr=False, compare=False)
+    # implicit layers' sizes as built, by layer; not copied by
+    # dataclasses.replace
+    _counted: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -138,8 +143,8 @@ class LayerStack:
         for t, layer in enumerate(self.layers[1:], 1):
             if layer is not None:
                 sizes.append(int(layer.size))
-            elif t == 1 and self._layer1_size is not None:
-                sizes.append(self._layer1_size)
+            elif t in self._counted:
+                sizes.append(self._counted[t])
             else:
                 sizes.append(sum(v.size for _, v in
                                  _windows(self, t, _STAR_CHUNK)))
@@ -232,6 +237,7 @@ def _all_of_next(flags: np.ndarray, length: int) -> np.ndarray:
 _SCAN_CHUNK = 1 << 16  # elements per window of the build
 _STAR_CHUNK = 1 << 16  # elements per window of the star check and counts
 _POSITION = np.int32   # dtype of the stored layers' positions
+_FIRST_STORED = 3      # build_layers leaves the layers below this implicit
 
 
 def _windows(stack: LayerStack, t: int, chunk: int,
@@ -239,12 +245,15 @@ def _windows(stack: LayerStack, t: int, chunk: int,
     """Layer t's elements at positions in [lo, hi), in windows of at most
     chunk elements: (positions, values), the values the deltas there.
 
-    The one place that knows how a layer is held: layer 0, implicit, is
-    read as slices of the deltas, positions given by the first (see _at);
-    layer 1, implicit, is _Maxima over layer 0 from one position before
-    lo to one after hi; any other layer is stored, read in slices with
-    the deltas taken there, from its start or to its end (sorted or not)
-    where lo or hi is None.
+    The one place that knows how a layer is held.  Layer 0, implicit, is
+    read as slices of the deltas, positions given by the first (see _at).
+    Any other implicit layer is regenerated: _Maxima over the layer below,
+    read one element past each end of the range, that is, for layer 1
+    from one position before lo to one after hi, and above it from the
+    nearest element left of lo to the nearest right of hi - 1 (_neighbor),
+    or from the layer's start or to its end where there is none.  A
+    stored layer is read in slices with the deltas taken there.  A range
+    end that is None means the layer's start or end (sorted or not).
     """
     deltas = stack.deltas
     P = _stored(stack, t)
@@ -256,20 +265,27 @@ def _windows(stack: LayerStack, t: int, chunk: int,
             # clipped, since a corrupted layer is read before it is refused
             yield rows, deltas.take(rows, mode="clip")
         return
-    lo = 0 if lo is None else max(lo, 0)
-    hi = deltas.size if hi is None else min(hi, deltas.size)
     if t == 0:
+        lo = 0 if lo is None else max(lo, 0)
+        hi = deltas.size if hi is None else min(hi, deltas.size)
         for s in range(lo, hi, chunk):
             yield s, deltas[s:min(s + chunk, hi)]
+        return
+    if t == 1:
+        a = None if lo is None else lo - 1
+        b = None if hi is None else hi + 1
     else:
-        yield from _Maxima(_windows(stack, 0, chunk, lo - 1, hi + 1))
+        a = None if lo is None else _neighbor(stack, lo, t - 1, "left")
+        b = None if hi is None else _neighbor(stack, hi - 1, t - 1, "right")
+        b = None if b is None else b + 1
+    yield from _Maxima(_windows(stack, t - 1, chunk, a, b))
 
 
 def _stored(stack: LayerStack, t: int) -> Optional[np.ndarray]:
-    """Layer t's position array, None for a layer 0 or 1 left implicit,
-    or InvalidParams unless it is a one-dimensional integer array."""
+    """Layer t's position array, None for a layer left implicit, or
+    InvalidParams unless it is a one-dimensional integer array."""
     P = stack.layers[t]
-    if P is None and t < 2:
+    if P is None:
         return None
     if not (isinstance(P, np.ndarray) and P.dtype.kind in "iu"
             and P.ndim == 1):
@@ -412,9 +428,9 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     interior strict local maxima of the previous layer, a superset of the
     prefix the counting argument needs, which keeps the builder total for
     small Q as well.  The filter _Maxima is chained seven times: one read
-    of the deltas runs layers 0 and 1 through it, leaving both implicit,
-    and stores layer 2; each later read stores the next layer.  A layer
-    of s elements has at most (s - 1) // 2 interior maxima.
+    of the deltas runs layers 0, 1 and 2 through it, leaving all three
+    implicit, and stores layer 3; each later read stores the next layer.
+    A layer of s elements has at most (s - 1) // 2 interior maxima.
     """
     if n < 3:
         raise InvalidN(f"run-length parameter must be >= 3, got {n}")
@@ -424,15 +440,15 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     deltas = consecutive_deltas(q)
     m = int(q.size)
     beta = tuple((m - 1) / (2 * n) ** t for t in range(LAYER_DEPTH + 1))
-    stack = LayerStack(q=q, deltas=deltas, layers=[None, None], n=n, beta=beta)
-    filters = [_Maxima(_windows(stack, 0, _SCAN_CHUNK), n, 0)]
-    for t in range(2, LAYER_DEPTH + 1):
-        if t == 2:   # layer 1 straight from the filter that finds it
-            below, bound = filters[0], ((deltas.size - 1) // 2 - 1) // 2
-        else:
-            below = _windows(stack, t - 1, _SCAN_CHUNK)
-            bound = (stack.layers[t - 1].size - 1) // 2
+    stack = LayerStack(q=q, deltas=deltas, layers=[None] * _FIRST_STORED,
+                       n=n, beta=beta)
+    filters, below, bound = [], _windows(stack, 0, _SCAN_CHUNK), deltas.size
+    for t in range(1, LAYER_DEPTH + 1):
         filters.append(_Maxima(below, n, t - 1))
+        bound = (bound - 1) // 2
+        if t < _FIRST_STORED:   # an implicit layer straight from its filter
+            below = filters[-1]
+            continue
         stack.layers.append(_store(filters[-1], bound))
         for f in filters:
             if f.run is not None:
@@ -444,7 +460,8 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
                 f"layer {k} came out empty: |Q| = {m} cannot sustain depth "
                 f"{LAYER_DEPTH} and has no monotone run of length {n}",
                 trace={"layer": k, "sizes": sizes[:k]})
-    stack._layer1_size = filters[1].size
+        below, bound = _windows(stack, t, _SCAN_CHUNK), sizes[-1]
+    stack._counted = {t: filters[t].size for t in range(1, _FIRST_STORED)}
     return stack
 
 
@@ -484,30 +501,36 @@ def edge_from_monotone_run(H: StepUpHypergraph, Q,
     return _edge_witness_for(H, vs, branch="MonotoneRunBranch", trace=trace)
 
 
-def _neighbor_in(stack: LayerStack, pos: int, level: int, side: str) -> int:
+def _neighbor(stack: LayerStack, pos: int, level: int,
+              side: str) -> Optional[int]:
     """The nearest position of layer `level` on `side` ("left" or "right")
-    of pos: by searchsorted in a stored layer, and in an implicit one by
-    reading the layer outward from pos in ranges that double in length."""
+    of pos, or None: by searchsorted in a stored layer, and in an implicit
+    one by reading the layer outward from pos in ranges that double in
+    length."""
     layer = stack.layers[level]
-    size = stack.deltas.size
+    left = side == "left"
     if layer is not None:
-        # a key of the layer's own dtype keeps numpy from converting it
-        i = int(np.searchsorted(layer, layer.dtype.type(pos), side=side))
-        i -= side == "left"
-        if 0 <= i < layer.size:
-            return int(layer[i])
-    else:
-        left = side == "left"
-        end, span = (pos if left else pos + 1), 64
-        while 0 < end if left else end < size:
-            lo, hi = ((max(end - span, 0), end) if left else
-                      (end, min(end + span, size)))
-            found, vals = _read(stack, level, lo, hi)
-            if vals.size:
-                return int(_at(found, vals.size - 1 if left else 0))
-            end, span = (lo if left else hi), 2 * span
-    raise InsufficientLayers(
-        f"position {pos} has no {side} neighbor in layer {level}")
+        i = _rank(layer, pos) - 1 if left else _rank(layer, pos + 1)
+        return int(layer[i]) if 0 <= i < layer.size else None
+    size = stack.deltas.size
+    end, span = (pos if left else pos + 1), 64
+    while 0 < end if left else end < size:
+        lo, hi = ((max(end - span, 0), end) if left else
+                  (end, min(end + span, size)))
+        found, vals = _read(stack, level, lo, hi)
+        if vals.size:
+            return int(_at(found, vals.size - 1 if left else 0))
+        end, span = (lo if left else hi), 2 * span
+    return None
+
+
+def _neighbor_in(stack: LayerStack, pos: int, level: int, side: str) -> int:
+    """_neighbor, or InsufficientLayers where pos has none."""
+    found = _neighbor(stack, pos, level, side)
+    if found is None:
+        raise InsufficientLayers(
+            f"position {pos} has no {side} neighbor in layer {level}")
+    return found
 
 
 def _require_order(ok: bool, chain: str, dl: np.ndarray, **at: int) -> None:
@@ -531,7 +554,7 @@ def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
             f"anchor selection needs {LAYER_DEPTH + 1} layers, stack has "
             f"{len(stack.layers)}")
     dl = stack.deltas
-    a = int(stack.layers[7][0])
+    a = _neighbor_in(stack, -1, 7, "right")   # layer 7's first
     b1 = _neighbor_in(stack, a, 6, "left")
     b2 = _neighbor_in(stack, b1, 5, "right")
     b3 = _neighbor_in(stack, b2, 4, "right")
@@ -706,10 +729,11 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     first largest delta between the pair.
 
     The stack must have the shape build_layers makes: layer 0 implicit,
-    layer 1 implicit or an array, and each layer an integer array that
-    strictly increases inside the one below.  Any other raises
-    InvalidParams naming the first layer out of shape, whatever failure a
-    lower layer holds.
+    and every other layer implicit or an integer array that strictly
+    increases inside the one below.  Any other raises InvalidParams
+    naming the first layer out of shape, whatever failure a lower layer
+    holds.  An implicit layer is the strict maxima of the layer below,
+    so it is always in shape.
     Layer t is checked from the deltas of layer t-1 (see the note above),
     in a cascade of one stage per layer (_LayerCheck) that reads every
     layer once, in windows, so that nothing the check holds grows with
@@ -737,8 +761,8 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
             raise stage.refused
     checks = {"star_pairs": 0, "drop_dominance": 0}
     failure = None
-    for stage in stages:
-        failure = stage.failure(checks)
+    for stage, above in zip(stages, stages[1:] + [None]):
+        failure = stage.failure(checks, above)
         if failure is not None:
             break
     return PropertyReport(ok=failure is None, checks=checks,
@@ -763,22 +787,26 @@ class _LayerCheck:
     """The star check of layer t, one stage of the check's cascade.
 
     Iterating it reads layer t-1 in padded windows (_padded) of the
-    windows below, joined to at least a quarter of _STAR_CHUNK elements,
-    and layer t from its source, up to the element after each window's
-    own.  It yields layer t as read: the windows below of the stage of
-    layer t+1.  A window's deltas give the count of layer t-1's peaks
-    among its own elements and its strict peaks there.  On a stack as
-    built, layer t's elements in the window are exactly the positions of
-    the strict peaks.  Otherwise their indices are looked up in the
-    window, and layer t must strictly increase inside the window's own
-    elements.  A layer out of shape is kept as refused, an InvalidParams
-    naming it, and ends the stage.  Layer t+1, which says which elements
-    layer t drops, has its own stage, so one out of shape only leads here
-    to a failure that is never reported.
+    windows below, joined to at least a quarter of _STAR_CHUNK elements.
+    A stored layer t is read from its source, up to the element after
+    each window's own; an implicit one is the window's own strict peaks,
+    as the source would regenerate it.  It yields layer t as read: the
+    windows below of the stage of layer t+1.  A window's deltas give the
+    count of layer t-1's peaks among its own elements and its strict
+    peaks there.  On a stack as built, layer t's elements in the window
+    are exactly the positions of the strict peaks.  Otherwise their
+    indices are looked up in the window, and layer t must strictly
+    increase inside the window's own elements.  A layer out of shape is
+    kept as refused, an InvalidParams naming it, and ends the stage.
+    Layer t+1, which says which elements layer t drops, has its own
+    stage, so one out of shape only leads here to a failure that is
+    never reported.
     """
 
     def __init__(self, stack: LayerStack, t: int, below):
         self.stack, self.t, self.below = stack, t, below
+        self.implicit = stack.layers[t] is None
+        # layer t+1's positions; None where it is implicit
         self.nxt = np.empty(0, _POSITION)
         if t + 1 < len(stack.layers):
             try:
@@ -800,11 +828,13 @@ class _LayerCheck:
                     self.first = int(_at(rows, 0))
                 if at_end:
                     self.final = int(_at(rows, win.size - 1))
-                hi = None if at_end else _at(rows, e)
-                # in one part: the window holds at least as many positions
-                Pj, vals = _read(self.stack, self.t, lo, hi, win.size + 2)
-                lo = hi
-                self._window(rows, win, c, e, Pj)
+                Pj = vals = None
+                if not self.implicit:
+                    hi = None if at_end else _at(rows, e)
+                    # in one part: the window holds at least as many positions
+                    Pj, vals = _read(self.stack, self.t, lo, hi, win.size + 2)
+                    lo = hi
+                Pj, vals = self._window(rows, win, c, e, Pj, vals)
                 del rows, win   # not held while the stage above reads
                 if Pj.size:
                     self._equal(Pj, vals)
@@ -829,9 +859,11 @@ class _LayerCheck:
                 if k >= 0:
                     self.equal = int(Pj[k]), int(Pj[k + 1])
 
-    def _window(self, rows, win, c: int, e: int, Pj: np.ndarray) -> None:
+    def _window(self, rows, win, c: int, e: int, Pj, vals) -> tuple:
         """Count a window's peaks and those among layer t's elements Pj,
-        and keep its first undominated drop."""
+        and keep its first undominated drop; layer t's positions and
+        values in the window, which for an implicit layer (Pj None) are
+        its own strict peaks."""
         up = win[1:] > win[:-1]
         down = win[1:] < win[:-1]
         # window index i is a peak unless win[i] falls from i-1 or rises
@@ -840,39 +872,49 @@ class _LayerCheck:
         self.peaks += no_peak.size - int(np.count_nonzero(no_peak))
         strict = np.zeros(win.size, dtype=bool)
         np.logical_and(up[:-1], down[1:], out=strict[1:-1])
-        if not isinstance(rows, int):
+        if Pj is None or not isinstance(rows, int):
             # the strict peaks' positions, compared; consecutive positions
             # find Pj's indices by subtraction instead
             rel = strict[c:e].nonzero()[0]
             rel += c
+            if Pj is None:
+                self.taken += rel.size
+                return _at(rows, rel), win.take(rel)
             if rel.size == Pj.size and bool((rows[rel] == Pj).all()):
                 self.taken += rel.size   # as in a build_layers stack
-                return
+                return Pj, vals
         rel = _located(Pj, rows, c, e, self.t)
         top = strict.take(rel)
         if top.all():
             self.taken += rel.size
-            return
+            return Pj, vals
         # an end of layer t-1 is no peak; dropped, it fails the boundary
         # check, which comes first
         peak = np.zeros(win.size, dtype=bool)
         np.logical_not(no_peak, out=peak[1:-1])
         self.taken += int(np.count_nonzero(peak.take(rel)))
         if self.flank is None:
-            nxt = self.nxt
             weak = ~top & (rel > 0) & (rel < win.size - 1)
-            lo = _rank(nxt, int(Pj[0]))
-            hi = _rank(nxt, int(Pj[-1]) + 1)
-            weak &= ~np.isin(Pj, nxt[lo:hi])
+            lo, hi = int(Pj[0]), int(Pj[-1]) + 1
+            nxt = self.nxt
+            if nxt is None:   # regenerated over the window's span
+                nxt = _read(self.stack, self.t + 1, lo, hi)[0]
+            else:
+                nxt = nxt[_rank(nxt, lo):_rank(nxt, hi)]
+            weak &= ~np.isin(Pj, nxt)
             k = _first(weak)
             if k >= 0:
                 r = int(rel[k])
                 self.flank = (int(Pj[k]), int(_at(rows, r - 1)),
                               int(_at(rows, r + 1)))
+        return Pj, vals
 
-    def failure(self, checks: dict) -> Optional[dict]:
-        """Layer t's first failure, or None; its checks are counted."""
-        t, nxt, size = self.t, self.nxt, self.size
+    def failure(self, checks: dict,
+                above: Optional[_LayerCheck]) -> Optional[dict]:
+        """Layer t's first failure, or None; its checks are counted.
+        above is the stage of layer t+1, None for the top layer."""
+        t, size = self.t, self.size
+        kept = 0 if above is None else above.size
         if size >= 2:
             checks["star_pairs"] += size - 1
         if self.equal is not None:
@@ -882,15 +924,16 @@ class _LayerCheck:
             pair = _first_undominated(self.stack, t)
             if pair is not None:
                 return _undominated(self.stack.deltas, t, *pair)
-        if size > nxt.size:   # a longer layer t+1 is refused with it
+        if size > kept:   # a longer layer t+1 is refused with it
             # only the ends can lack a neighbor below
-            for mine, end, kept in ((self.head, self.first, 0),
-                                    (self.last[0], self.final, -1)):
-                if mine == end and not (nxt.size and nxt[kept] == end):
+            ends = (above.head, above.last[0]) if kept else (None, None)
+            for mine, end, theirs in ((self.head, self.first, ends[0]),
+                                      (self.last[0], self.final, ends[1])):
+                if mine == end != theirs:
                     return {"check": "drop_dominance", "layer": t,
                             "position": end,
                             "reason": "element not interior to layer below"}
-            checks["drop_dominance"] += size - nxt.size
+            checks["drop_dominance"] += size - kept
             if self.flank is not None:
                 return {"check": "drop_dominance", "layer": t,
                         "position": self.flank[0], "left": self.flank[1],
@@ -1016,23 +1059,29 @@ def _stream_subset(rng: np.random.Generator, D: int, m: int) -> np.ndarray:
 
 
 def _dense_subset(rng: np.random.Generator, D: int, m: int) -> np.ndarray:
-    """Uniform m-subset of [0, 2^D) marked on a byte map of the universe.
+    """Uniform m-subset of [0, 2^D) marked on a bit map of the universe.
 
     Each vertex is marked when a 16-bit uniform falls below m / 2^D,
     rounded to 1/2^16.  The uniforms are the generator's raw 64-bit words
     read four to a word: for a fresh generator on a little-endian machine
     that is the stream of rng.bytes, with no copy (D >= 20 here, so every
     slice is a whole number of words).  Uniform draws then add or remove
-    vertices until exactly m are marked, whatever the rounding.
+    vertices until exactly m are marked, whatever the rounding.  Vertex v
+    is bit v % 8 of byte v // 8, so the map takes 2^D / 8 bytes; it is
+    unpacked window by window straight into the sorted vertex array.
     """
     N = 1 << D
     threshold = round(m / N * 65536)
-    mark = np.empty(N, dtype=bool)
+    bits = np.empty(N // 8, dtype=np.uint8)
+    marked = 0
     for s in range(0, N, _MARK_CHUNK):
         e = min(s + _MARK_CHUNK, N)
         draws = rng.bit_generator.random_raw((e - s) // 4).view(np.uint16)
-        np.less(draws, threshold, out=mark[s:e])
-    surplus = int(np.count_nonzero(mark)) - m
+        mark = draws < threshold
+        marked += int(np.count_nonzero(mark))
+        bits[s // 8:e // 8] = np.packbits(mark, bitorder="little")
+    del draws, mark   # not held while Q is written
+    surplus = marked - m
     # Uniform draws from [0, N) that land on the side being thinned pick
     # those vertices in a uniform order; flipping the first |surplus|
     # distinct hits removes (or adds) a uniform subset of that side.
@@ -1041,11 +1090,19 @@ def _dense_subset(rng: np.random.Generator, D: int, m: int) -> np.ndarray:
     while need:
         draw = rng.integers(0, N, size=4 * need + 64, dtype=np.int64)
         vals, first = np.unique(draw, return_index=True)
-        hits = vals[mark[vals] == target]
-        hits = hits[np.argsort(first[mark[vals] == target])][:need]
-        mark[hits] = not target
+        on = ((bits[vals >> 3] >> (vals & 7)) & 1) == target
+        hits = vals[on][np.argsort(first[on])][:need]
+        # distinct hits flip distinct bits, several of a byte in turn
+        np.bitwise_xor.at(bits, hits >> 3, (1 << (hits & 7)).astype(np.uint8))
         need -= hits.size
-    return np.flatnonzero(mark).view(np.uint64)
+    q = np.empty(m, dtype=np.uint64)
+    kept = 0
+    for s in range(0, N, _UNPACK_CHUNK):
+        found = np.flatnonzero(np.unpackbits(
+            bits[s // 8:(s + _UNPACK_CHUNK) // 8], bitorder="little").view(bool))
+        np.add(found, s, out=q[kept:kept + found.size], casting="unsafe")
+        kept += found.size
+    return q
 
 
 def save_q(q: np.ndarray, D: int, path) -> None:

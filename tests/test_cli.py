@@ -264,7 +264,8 @@ def test_check_star_builds_layers_for_a_directly_scanned_q(capsys,
     assert rep["witness"]["branch"] == "DirectScanBranch"
     assert rep["star_property"] == {"ok": None,
                                     "note": f"no stack: {info.value}"}
-    assert set(rep["timings"]) == {"extract_s", "star_s", "total_s"}
+    assert set(rep["timings"]) == {"extract_s", "star_s", "peak_rss_mb",
+                                   "total_s"}
     assert calls == [20, 24]
     # the rest of the report is the one written without --check-star
     code, plain = run_json(capsys, argv[:-1] + ["--n", "5", "--q-size", "24"])
@@ -282,15 +283,21 @@ def test_extract_witness_reports_stage_timings(capsys, certified12_file,
     argv = ["extract-witness", "--coloring", certified12_file, "--n", "5",
             "--q-file", str(qpath)]
     code, rep = run_json(capsys, argv)
-    assert code == 0 and set(rep["timings"]) == {"extract_s", "total_s"}
+    assert code == 0 and set(rep["timings"]) == {"extract_s", "peak_rss_mb",
+                                                 "total_s"}
     code, starred = run_json(capsys, argv + ["--check-star"])
     assert code == 0
-    assert set(starred["timings"]) == {"extract_s", "star_s", "total_s"}
+    assert set(starred["timings"]) == {"extract_s", "star_s", "peak_rss_mb",
+                                       "total_s"}
     assert all(v >= 0 for v in starred["timings"].values())
     code, failed = run_json(capsys, ["extract-witness", "--bits", "12",
                                      "--seed", "1", "--n", "5",
                                      "--q-seed", "3", "--q-size", "30"])
-    assert code == 1 and set(failed["timings"]) == {"extract_s", "total_s"}
+    assert code == 1 and set(failed["timings"]) == {"extract_s", "peak_rss_mb",
+                                                    "total_s"}
+    # the process's peak RSS, in MiB, never falls from call to call
+    peaks = [r["timings"]["peak_rss_mb"] for r in (rep, starred, failed)]
+    assert 0 < peaks[0] <= peaks[1] <= peaks[2]
 
 
 def test_extract_witness_failure_is_exit_one(capsys):

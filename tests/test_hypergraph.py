@@ -1148,6 +1148,8 @@ def test_exact_alpha_cache_holds_no_coloring_state():
                                 "_keys"}
         with pytest.raises(ValueError):
             H._edge3[...] = False
+        # the class keys are below 216, a byte per triple
+        assert H._keys.dtype == np.uint8 and not H._keys.flags.writeable
         with pytest.raises(ValueError):
             H._keys[...] = 0
         # the per-D tables say nothing of phi and cannot be written

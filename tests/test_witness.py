@@ -73,15 +73,16 @@ def constant_graph(D, color=0):
 
 
 def _layer(stack, t):
-    """Layer t as a position array, materialising an implicit layer 0 (every
-    position) or layer 1 (the interior strict maxima of the stack's own
-    deltas)."""
+    """Layer t as a position array, materialising an implicit layer: layer
+    0 is every position, and any other the interior strict maxima, by the
+    stack's own deltas, of the materialised layer below."""
     layer = stack.layers[t]
     if layer is not None:
         return layer
     if t == 0:
         return np.arange(stack.deltas.size, dtype=np.int32)
-    return _strict_maxima(stack.deltas)
+    below = _layer(stack, t - 1)
+    return below[_strict_maxima(stack.deltas[below])]
 
 
 def _strict_maxima(d):
@@ -90,9 +91,11 @@ def _strict_maxima(d):
     return (np.flatnonzero(peak) + 1).astype(np.int32)
 
 
-def _with_layer1(stack):
-    """The same stack with layer 1 stored, read from its own deltas."""
-    return replace(stack, layers=[None, _layer(stack, 1)] + stack.layers[2:])
+def _with_stored(stack, k):
+    """The same stack with layers 1..k stored, read from its own deltas."""
+    return replace(stack, layers=[None] + [_layer(stack, t) for t in
+                                           range(1, k + 1)]
+                   + stack.layers[k + 1:])
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +230,7 @@ def _built(q, n):
         return exc.trace["layer"]
     if isinstance(built, MonotoneRun):
         return built.layer, built.positions, built.direction
-    assert built.layers[:2] == [None, None]
+    assert built.layers[:3] == [None] * 3
     return built.layer_sizes
 
 
@@ -392,9 +395,9 @@ def test_select_anchors_traps_an_out_of_order_chain():
 def test_layer1_neighbors_match_the_stored_layer(monkeypatch):
     """_neighbor_in reads every layer, implicit or stored, as searchsorted
     reads it stored: at every lookup the anchor selection makes (each
-    selection makes one at layer 1, for e or f), and at random positions
-    in each layer 0-7, where those off an end must raise
-    InsufficientLayers."""
+    selection makes one at layer 1, for e or f, and one at layer 2, for d
+    or e, both implicit), and at random positions in each layer 0-7,
+    where those off an end must raise InsufficientLayers."""
     lookups = []
     real = w._neighbor_in
 
@@ -417,6 +420,7 @@ def test_layer1_neighbors_match_the_stored_layer(monkeypatch):
             stacks.append(stack)
             select_anchors(stack, sample_coloring(12, int(rng.integers(50))))
     assert sum(look[2] == 1 for look in lookups) == len(stacks) > 50
+    assert sum(look[2] == 2 for look in lookups) == len(stacks)
     for stack in stacks[:10]:
         for side in ("left", "right"):
             end = 0 if side == "left" else stack.deltas.size - 1
@@ -435,6 +439,38 @@ def test_layer1_neighbors_match_the_stored_layer(monkeypatch):
         assert real(stack, pos, level, side) == P[i]
         assert got is None or got == P[i]
     assert ends >= 20
+
+
+def test_implicit_layer_over_stored_ones_is_regenerated(certified12):
+    """A stack built by hand may leave any layer from 1 to 7 implicit
+    (None) over stored ones, such as layer 2 over a stored layer 1: the
+    layer is regenerated from the layer below, not refused.  Its windows
+    over any range hold the materialised layer's positions there, and
+    the sizes, anchors and star report are those of the stack with every
+    layer stored.  Windows of 2 put window boundaries inside every
+    range."""
+    rng = np.random.default_rng(41)
+    H = certified12
+    stack = build_layers(random_subset(12, 2000, seed=4), 5)
+    full = _with_stored(stack, 7)
+    want = (full.layer_sizes, select_anchors(full, H.coloring).as_dict(),
+            _report_of(verify_star_property(full)))
+    assert want[2][0]
+    size = stack.deltas.size
+    for t in range(1, 8):
+        layers = list(full.layers)
+        layers[t] = None
+        hand = LayerStack(q=stack.q, deltas=stack.deltas, layers=layers,
+                          n=stack.n, beta=stack.beta)
+        assert (hand.layer_sizes, select_anchors(hand, H.coloring).as_dict(),
+                _report_of(verify_star_property(hand))) == want
+        P = full.layers[t]
+        for _ in range(20):
+            lo, hi = sorted(int(x) for x in rng.integers(-2, size + 3, size=2))
+            for chunk in (2, w._STAR_CHUNK):
+                got, vals = w._read(hand, t, lo, hi, chunk)
+                assert np.array_equal(got, P[(P >= lo) & (P < hi)])
+                assert np.array_equal(vals, stack.deltas[got])
 
 
 # --- extract_edge -------------------------------------------------------------
@@ -549,9 +585,9 @@ def test_extraction_hands_back_what_it_built(certified12):
             continue
         assert np.array_equal(built.q, q) and np.array_equal(built.deltas,
                                                               fresh.deltas)
-        assert built.layers[:2] == [None, None]
+        assert built.layers[:3] == [None] * 3
         assert built.layer_sizes == fresh.layer_sizes
-        for t in range(2, len(fresh.layers)):
+        for t in range(3, len(fresh.layers)):
             assert np.array_equal(built.layers[t], fresh.layers[t])
         assert verify_star_property(built) == verify_star_property(fresh)
         assert wit.trace["stack"] == built.as_dict()
@@ -602,7 +638,7 @@ built = build_layers(q, 7)
 if isinstance(built, LayerStack):
     out["star_ok"] = bool(verify_star_property(built).ok)
     out["sizes"] = built.layer_sizes
-    out["layer1_held"] = built.layers[1] is not None
+    out["implicit_held"] = built.layers[1] is not None or built.layers[2] is not None
 out["peak"] = peak()
 print(json.dumps(out))
 """
@@ -615,12 +651,14 @@ def test_guarantee_scale_trial_at_n7():
     extraction must succeed (about 3-4 s on a 2-core machine).  The trial
     runs in a fresh interpreter, whose peak RSS must stay within the
     larger of its two phases, on top of what the interpreter held before
-    Q was drawn: the sampler's, Q and its byte map of the 2^27 vertices,
-    and the stack's, Q, the int8 deltas and layers 2-7 at five bytes per
+    Q was drawn: the sampler's, Q and its bit map of the 2^27 vertices,
+    and the stack's, Q, the int8 deltas and layers 3-7 at five bytes per
     element (int32 positions, and the values a scan reads and writes).
-    It peaks at 1.07 GiB, most of it the stack as built; 1.26 GiB while
-    layer 1 was stored, 1.37 GiB with index rows into the layer below,
-    1.46 GiB while the star check copied whole layers.
+    It peaks at 1.00 GiB (995 MB above the baseline, against a stack
+    bound of 1,021 MB), most of it the stack as built; 1.07 GiB while
+    layer 2 was stored and the sampler's map took a byte per vertex,
+    1.26 GiB while layer 1 was stored, 1.37 GiB with index rows into the
+    layer below, 1.46 GiB while the star check copied whole layers.
     """
     src = os.path.dirname(os.path.dirname(w.__file__))
     proc = subprocess.run(
@@ -630,12 +668,43 @@ def test_guarantee_scale_trial_at_n7():
     out = json.loads(proc.stdout)
     assert out["certified"] and out["valid"]
     assert out["q_size"] == 105_413_505
-    sampler = out["q_bytes"] + (1 << 27)
+    sampler = out["q_bytes"] + (1 << 27) // 8
     stack = out["q_bytes"]
     if "sizes" in out:
-        assert out["star_ok"] and not out["layer1_held"]
-        stack += out["sizes"][0] + 5 * sum(out["sizes"][2:])
+        assert out["star_ok"] and not out["implicit_held"]
+        stack += out["sizes"][0] + 5 * sum(out["sizes"][3:])
     assert out["peak"] - out["baseline"] <= max(sampler, stack)
+
+
+_SAMPLER_PEAK = """
+import json, resource, sys
+from stepup.witness import guarantee_threshold, random_subset
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+baseline = peak()
+q = random_subset(26, guarantee_threshold(6), int(sys.argv[1]))
+print(json.dumps({"baseline": baseline, "peak": peak(),
+                  "q_size": int(q.size), "q_bytes": int(q.nbytes)}))
+"""
+
+
+def test_dense_sampler_holds_q_and_a_bit_map():
+    """A dense draw at guarantee scale, |Q| = 12^7 + 1 of 2^26, peaks in a
+    fresh interpreter within Q, its bit map of 2^26 / 8 bytes and 8 MiB
+    of windows above the interpreter's baseline.  It holds Q, the map and
+    about 5.5 MiB more (a map of a byte per vertex took 64 MiB).
+    """
+    src = os.path.dirname(os.path.dirname(w.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SAMPLER_PEAK, "0"], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["q_size"] == guarantee_threshold(6)
+    slack = 8 << 20
+    assert out["peak"] - out["baseline"] <= out["q_bytes"] + (1 << 26) // 8 + slack
 
 
 def test_extraction_guarantee_trips_gap_trap_not_retry(monkeypatch):
@@ -783,7 +852,7 @@ def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
 def _local_maxima_stack(q):
     """All seven local-maxima layers, built without the run shortcut.
 
-    The stack has the shape build_layers gives it: layers 0 and 1
+    The stack has the shape build_layers gives it: layers 0, 1 and 2
     implicit and int32 positions in every other layer.
     """
     d = w.consecutive_deltas(q)
@@ -795,7 +864,7 @@ def _local_maxima_stack(q):
         if idx.size == 0:
             break
         prev = prev[idx]
-        layers.append(None if t == 1 else prev)
+        layers.append(None if t < 3 else prev)
     return LayerStack(q=q, deltas=d, layers=layers, n=5, beta=())
 
 
@@ -870,24 +939,29 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
 
     Stacks of build_layers' shape are compared with the reference scan as
     built, with corrupted deltas, and with an element added to or removed
-    from a layer.  A removal that leaves a layer outside the one below is
-    refused, and the scan reports a failure on every such stack, so no
-    passing stack is refused.  An explicit layer 0, and a layer out of
-    order, with a repeated element or off the layer below are refused,
-    naming the layer.  Windows of 2 put window boundaries inside every
-    gap and run; chunk None keeps the default windows.
+    from a layer.  Corrupted deltas come with layer 1 stored and layer 2
+    implicit, or with both stored, in turn: an implicit layer 2 moves with
+    the deltas, and a stored layer 3 it leaves is refused.  A removal that
+    leaves a layer outside the one below is refused, and the scan reports
+    a failure on every such stack, so no passing stack is refused.  An
+    explicit layer 0, and a layer out of order, with a repeated element
+    or off the layer below are refused, naming the layer.  Windows of 2
+    put window boundaries inside every gap and run; chunk None keeps the
+    default windows.
     """
     if chunk is not None:
         monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
     rng = np.random.default_rng(17)
     compared = failing = refused = 0
-    for _ in range(800):
+    for i in range(800):
         D, stack = _random_stack(rng)
         kind = int(rng.integers(7))
         bad_layer = None
         if kind == 1:
-            # layer 1 stored, so that it stays what it was built as
-            stack = _with_corrupted_deltas(_with_layer1(stack), D, rng)
+            # layers 1..k stored, so that they stay what they were built as
+            stack = _with_corrupted_deltas(_with_stored(stack, 1 + i % 2), D,
+                                           rng)
+            bad_layer = _first_unnested(stack)
         elif kind == 2 and len(stack.layers) > 1:
             stack = _with_element_removed(stack, rng)
         elif kind == 3 and len(stack.layers) > 1:
@@ -903,11 +977,11 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
             # a higher layer reversed, or with one element repeated: its
             # positions are all in the layer below, but out of order
             rows = [t for t in range(2, len(stack.layers))
-                    if stack.layers[t].size > 1]
+                    if _layer(stack, t).size > 1]
             if rows:
                 bad_layer = rows[int(rng.integers(len(rows)))]
                 stack.layers = list(stack.layers)
-                P = stack.layers[bad_layer]
+                P = _layer(stack, bad_layer)
                 k = int(rng.integers(P.size))
                 stack.layers[bad_layer] = (P[::-1].copy() if rng.integers(2)
                                            else np.insert(P, k, P[k]))
@@ -951,13 +1025,15 @@ def _outcome(stack):
 
 @pytest.mark.parametrize("chunk", [2, None])
 def test_implicit_layer1_matches_its_stored_form(monkeypatch, chunk):
-    """An implicit layer 1 is checked as the same layer stored.
+    """Implicit layers 1 and 2 are checked as the same layers stored.
 
     The stacks are drawn as in test_nested_star_check_agrees_with_direct_scan,
-    as built and with corrupted deltas, which move an implicit layer 1
-    with them.  On each, the report (or refusal) is the one for the stack
-    with layer 1 stored from its own deltas, and a report is the
-    reference scan's.  Windows of 2 put a window boundary at every delta.
+    as built and with corrupted deltas, which move implicit layers 1 and
+    2 with them.  On each, the report (or refusal) is the one for the
+    stack with layer 1 stored from its own deltas and layer 2 implicit,
+    and for the stack with both stored, and a report is the reference
+    scan's; a refusal names layer 3, the first stored one.  Windows of 2
+    put a window boundary at every delta.
     """
     if chunk is not None:
         monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
@@ -966,11 +1042,12 @@ def test_implicit_layer1_matches_its_stored_form(monkeypatch, chunk):
     for _ in range(200):
         D, built = _random_stack(rng)
         for stack in (built, _with_corrupted_deltas(built, D, rng)):
-            assert stack.layers[1] is None
+            assert stack.layers[1] is None and stack.layers[2] is None
             got = _outcome(stack)
-            assert got == _outcome(_with_layer1(stack))
+            for k in (1, 2):
+                assert got == _outcome(_with_stored(stack, k))
             if isinstance(got, str):
-                assert "layer 2 " in got
+                assert "layer 3 " in got
                 refused += 1
                 continue
             assert got == _report_of(_star_reference(stack))
@@ -1048,17 +1125,17 @@ def test_layer_stack_memory_stays_lean():
 def test_build_layers_holds_positions_and_values_only():
     """build_layers' traced peak is within what its reads may hold.
 
-    One read of the deltas runs layers 0 and 1 through the filter and
-    may hold layer 2's buffer, sized for the ((|layer 0| - 1) // 2 - 1)
-    // 2 strict maxima that a layer 1 of at most (|layer 0| - 1) // 2
-    elements can have.  While a layer t >= 3 is read, the build may hold
-    the deltas, the positions of layers 2..t-1, the deltas at layer
-    t-1's positions and layer t's buffer, sized for (|layer t-1| - 1) //
-    2; the bound gives each buffer five bytes per element, though the
-    build keeps four (int32 positions) and takes the deltas window by
-    window.  A window adds its flags, indices and the elements it finds,
-    under 16 bytes per delta of a window.  No term holds layer 1: its
-    positions alone would not fit.
+    One read of the deltas runs layers 0, 1 and 2 through the filter
+    and may hold layer 3's buffer, sized for the most strict maxima a
+    layer 2 can have: b_3, where b_0 = |layer 0| and b_t = (b_{t-1} -
+    1) // 2.  While a layer t >= 4 is read, the build may hold the
+    deltas, the positions of layers 3..t-1, the deltas at layer t-1's
+    positions and layer t's buffer, sized for (|layer t-1| - 1) // 2;
+    the bound gives each buffer five bytes per element, though the build
+    keeps four (int32 positions) and takes the deltas window by window.
+    A window adds its flags, indices and the elements it finds, under 16
+    bytes per delta of a window.  No term holds layer 1 or 2: the
+    positions of either would not fit.
     """
     q = random_subset(24, 1 << 23, seed=0)
     tracemalloc.start()
@@ -1069,13 +1146,16 @@ def test_build_layers_holds_positions_and_values_only():
         tracemalloc.stop()
     assert isinstance(stack, LayerStack) and len(stack.layers) == 8
     assert not hasattr(stack, "parents")
-    assert stack.layers[0] is None and stack.layers[1] is None
+    assert stack.layers[:3] == [None] * 3
     sizes = stack.layer_sizes
-    entry = stack.layers[2].itemsize + stack.deltas.itemsize
-    scans = [((sizes[0] - 1) // 2 - 1) // 2 * entry] + [
-        sum(stack.layers[s].nbytes for s in range(2, t))
+    entry = stack.layers[3].itemsize + stack.deltas.itemsize
+    first = sizes[0]
+    for _ in range(3):
+        first = (first - 1) // 2
+    scans = [first * entry] + [
+        sum(stack.layers[s].nbytes for s in range(3, t))
         + sizes[t - 1] * stack.deltas.itemsize + (sizes[t - 1] - 1) // 2 * entry
-        for t in range(3, 8)]
+        for t in range(4, 8)]
     assert peak <= stack.deltas.nbytes + max(scans) + 16 * w._SCAN_CHUNK
 
 
@@ -1169,8 +1249,9 @@ def test_plateau_peak_outside_layer1_is_located():
     assert stack.layers[1] is None and np.array_equal(_layer(stack, 1), P)
     report = verify_star_property(stack)
     assert _report_of(report) == _report_of(_star_reference(stack))
-    assert _report_of(verify_star_property(_with_layer1(stack))) == \
-        _report_of(report)
+    for k in (1, 2):
+        assert _report_of(verify_star_property(_with_stored(stack, k))) == \
+            _report_of(report)
     assert report.counterexample == {
         "check": "star", "layer": 1, "left": i, "right": j,
         "position": i + 2, "reason": "interior delta not dominated"}
@@ -1242,12 +1323,17 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
         # as built, and with one delta corrupted
         corrupt = stack.deltas.copy()
         corrupt[int(rng.integers(corrupt.size))] = int(rng.integers(D + 2))
-        for deltas in (stack.deltas, corrupt):
-            # corrupted deltas keep layer 1 as built, stored
-            layers = (stack.layers if deltas is stack.deltas else
-                      _with_layer1(stack).layers)
+        for deltas, k in ((stack.deltas, 0), (corrupt, 1), (corrupt, 2)):
+            # corrupted deltas keep layers 1..k as built, stored, and
+            # with k = 1 move an implicit layer 2 with them, which may
+            # leave layer 3 outside it
+            layers = _with_stored(stack, k).layers
             s1 = LayerStack(q=q, deltas=deltas, layers=layers, n=n,
                             beta=stack.beta)
+            if _first_unnested(s1) is not None:
+                with pytest.raises(InvalidParams, match="layer 3 "):
+                    verify_star_property(s1)
+                continue
             first, *rest = [_report_of(r) for r in (
                 verify_star_property(s1), _star_reference(s1),
                 _star_reference(_explicit_base(s1)))]
@@ -1274,25 +1360,29 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
 
 
 def test_corrupted_interior_delta_is_caught():
-    # layer 1 stored, so that it stays what it was built as
-    stack = _with_layer1(build_layers(RULER, 5))
-    stack.deltas = stack.deltas.copy()
-    stack.deltas[2] = 9
-    report = verify_star_property(stack)
-    assert not report.ok
-    assert report.counterexample == {
-        "check": "star", "layer": 1, "left": 1, "right": 3, "position": 2,
-        "reason": "interior delta not dominated"}
+    # layers 1..k stored, so that they stay what they were built as
+    for k in (1, 2):
+        stack = _with_stored(build_layers(RULER, 5), k)
+        stack.deltas = stack.deltas.copy()
+        stack.deltas[2] = 9
+        report = verify_star_property(stack)
+        assert not report.ok
+        assert report.counterexample == {
+            "check": "star", "layer": 1, "left": 1, "right": 3,
+            "position": 2, "reason": "interior delta not dominated"}
 
 
 def test_corrupted_neighborhood_is_caught_by_observation_check():
-    stack = _with_layer1(build_layers(RULER, 5))
-    stack.deltas = stack.deltas.copy()
-    stack.deltas[0] = 5
-    report = verify_star_property(stack)
-    assert not report.ok
-    assert report.counterexample["check"] == "drop_dominance"
-    assert report.counterexample["position"] == 1
+    # with layer 2 implicit, layer 1's drop is found by regenerating it
+    for k in (1, 2):
+        stack = _with_stored(build_layers(RULER, 5), k)
+        stack.deltas = stack.deltas.copy()
+        stack.deltas[0] = 5
+        report = verify_star_property(stack)
+        assert not report.ok
+        assert report.counterexample == {
+            "check": "drop_dominance", "layer": 1, "position": 1, "left": 0,
+            "right": 2, "reason": "neighborhood not dominated"}
 
 
 # --- Q sampling and files -----------------------------------------------------
