@@ -654,11 +654,12 @@ def test_guarantee_scale_trial_at_n7():
     Q was drawn: the sampler's, Q and its bit map of the 2^27 vertices,
     and the stack's, Q, the int8 deltas and layers 3-7 at five bytes per
     element (int32 positions, and the values a scan reads and writes).
-    It peaks at 1.00 GiB (995 MB above the baseline, against a stack
-    bound of 1,021 MB), most of it the stack as built; 1.07 GiB while
+    It peaks at 999 MiB RSS (994 MB above the baseline, against a stack
+    bound of 1,021 MB), most of it the stack as built; 1,068 MiB while
     layer 2 was stored and the sampler's map took a byte per vertex,
-    1.26 GiB while layer 1 was stored, 1.37 GiB with index rows into the
-    layer below, 1.46 GiB while the star check copied whole layers.
+    and earlier 1.26 GiB while layer 1 was stored, 1.37 GiB with index
+    rows into the layer below, 1.46 GiB while the star check copied
+    whole layers.
     """
     src = os.path.dirname(os.path.dirname(w.__file__))
     proc = subprocess.run(
