@@ -170,7 +170,7 @@ def check_stepping_properties(vertices: Sequence[int]) -> PropertyReport:
 # and the exponent field of the float is the delta; above that a
 # bit-smearing cascade plus popcount stays exact for the full uint64 range.
 
-_CHUNK = 1 << 16  # consecutive_deltas works in cache-sized slices
+_CHUNK = 1 << 14  # consecutive_deltas works in cache-sized slices
 
 
 def delta_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:

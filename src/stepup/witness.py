@@ -25,7 +25,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .coloring import PairColoring, find_good_triple
-from .delta import PropertyReport, consecutive_deltas, delta_sequence
+from .delta import (
+    PropertyReport,
+    consecutive_deltas,
+    delta_array,
+    delta_sequence,
+)
 from .errors import (
     InsufficientLayers,
     InvalidD,
@@ -112,13 +117,17 @@ class LayerStack:
     layers[0] is every position; layers[t] holds the positions of delta
     values that are strict local maxima with respect to layers[t-1].
     A layer that is None is implicit: layer 0 means every position in
-    [0, deltas.size), and any other the interior strict local maxima of
-    the layer below, regenerated where it is read.  build_layers leaves
+    [0, |Q| - 1), and any other the interior strict local maxima of the
+    layer below, regenerated where it is read.  build_layers leaves
     layers 0, 1 and 2 implicit and stores layers 3-7 as int32 positions.
-    Every reader gets a layer, however it is held, in windows from
-    _windows.  build_layers records the sizes of layers 1 and 2; a stack
-    built by hand has an implicit layer's size counted from its windows.
-    beta keeps the targets
+    deltas None, as build_layers leaves it, means that the value at a
+    position p is delta(Q[p], Q[p+1]), computed from Q where it is read:
+    layer 0 window by window, a stored layer at its positions.  A stack
+    built by hand may pass its own deltas instead (then layer 0 is
+    [0, deltas.size)), which are read in their place.  Every reader gets
+    a layer, however it is held, in windows from _windows.  build_layers
+    records the sizes of layers 1 and 2; a stack built by hand has an
+    implicit layer's size counted from its windows.  beta keeps the targets
     (m-1)/(2n)^t as diagnostics only: the all-maxima policy makes each
     layer a superset of the first-beta_t prefix the counting argument
     reasons about, and observed sizes are recorded, not asserted.
@@ -128,7 +137,7 @@ class LayerStack:
     """
 
     q: np.ndarray
-    deltas: np.ndarray
+    deltas: Optional[np.ndarray]
     layers: list[Optional[np.ndarray]]
     n: int
     beta: tuple[float, ...]
@@ -139,7 +148,7 @@ class LayerStack:
 
     @property
     def layer_sizes(self) -> list[int]:
-        sizes = [self.deltas.size]
+        sizes = [_layer0_size(self)]
         for t, layer in enumerate(self.layers[1:], 1):
             if layer is not None:
                 sizes.append(int(layer.size))
@@ -246,30 +255,34 @@ def _windows(stack: LayerStack, t: int, chunk: int,
     chunk elements: (positions, values), the values the deltas there.
 
     The one place that knows how a layer is held.  Layer 0, implicit, is
-    read as slices of the deltas, positions given by the first (see _at).
-    Any other implicit layer is regenerated: _Maxima over the layer below,
-    read one element past each end of the range, that is, for layer 1
-    from one position before lo to one after hi, and above it from the
-    nearest element left of lo to the nearest right of hi - 1 (_neighbor),
-    or from the layer's start or to its end where there is none.  A
-    stored layer is read in slices with the deltas taken there.  A range
-    end that is None means the layer's start or end (sorted or not).
+    read in windows of consecutive positions, given by the first (see
+    _at): the deltas of the window's pairs of Q, each window computed by
+    consecutive_deltas from the slice of Q that holds them, or slices of
+    the stack's own deltas where it holds them.  Any other implicit layer
+    is regenerated: _Maxima over the layer below, read one element past
+    each end of the range, that is, for layer 1 from one position before
+    lo to one after hi, and above it from the nearest element left of lo
+    to the nearest right of hi - 1 (_neighbor), or from the layer's start
+    or to its end where there is none.  A stored layer is read in slices
+    with the deltas taken there (_values).  A range end that is None
+    means the layer's start or end (sorted or not).
     """
-    deltas = stack.deltas
     P = _stored(stack, t)
     if P is not None:
         a = 0 if lo is None else _rank(P, lo)
         b = P.size if hi is None else _rank(P, hi)
         for s in range(a, b, chunk):
             rows = P[s:min(s + chunk, b)]
-            # clipped, since a corrupted layer is read before it is refused
-            yield rows, deltas.take(rows, mode="clip")
+            yield rows, _values(stack, rows)
         return
     if t == 0:
+        size = _layer0_size(stack)
         lo = 0 if lo is None else max(lo, 0)
-        hi = deltas.size if hi is None else min(hi, deltas.size)
+        hi = size if hi is None else min(hi, size)
         for s in range(lo, hi, chunk):
-            yield s, deltas[s:min(s + chunk, hi)]
+            e = min(s + chunk, hi)
+            yield s, (consecutive_deltas(stack.q[s:e + 1])
+                      if stack.deltas is None else stack.deltas[s:e])
         return
     if t == 1:
         a = None if lo is None else lo - 1
@@ -279,6 +292,23 @@ def _windows(stack: LayerStack, t: int, chunk: int,
         b = None if hi is None else _neighbor(stack, hi - 1, t - 1, "right")
         b = None if b is None else b + 1
     yield from _Maxima(_windows(stack, t - 1, chunk, a, b))
+
+
+def _layer0_size(stack: LayerStack) -> int:
+    """Q's count of consecutive pairs, or of the stack's own deltas where
+    it holds them."""
+    return stack.q.size - 1 if stack.deltas is None else stack.deltas.size
+
+
+def _values(stack: LayerStack, rows: np.ndarray) -> np.ndarray:
+    """The deltas at positions rows, clipped into layer 0, since a
+    corrupted layer is read before it is refused: the stack's own deltas
+    there, or where it holds none, those of Q's pairs at rows."""
+    if stack.deltas is not None:
+        return stack.deltas.take(rows, mode="clip")
+    q = stack.q
+    rows = np.clip(rows, 0, q.size - 2)
+    return delta_array(q.take(rows), q.take(rows + 1)).astype(np.int8)
 
 
 def _stored(stack: LayerStack, t: int) -> Optional[np.ndarray]:
@@ -300,7 +330,8 @@ def _read(stack: LayerStack, t: int, lo: Optional[int] = None,
     if len(parts) == 1:
         return parts[0]
     if not parts:
-        return np.empty(0, _POSITION), stack.deltas[:0]
+        none = np.empty(0, _POSITION)
+        return none, _values(stack, none)
     return (_join(None, [p for p, _ in parts], 0),
             np.concatenate([v for _, v in parts]))
 
@@ -361,6 +392,7 @@ def _padded(windows, least: int = 1, pad: int = 1):
         held = (rows + start if isinstance(rows, int) else rows[start:].copy(),
                 win[start:].copy())
         c -= start
+        del rows, win   # not held while the next window is read
 
 
 class _Maxima:
@@ -404,19 +436,29 @@ class _Maxima:
                 yield out
 
 
-def _store(windows, bound: int) -> np.ndarray:
-    """The positions of windows, written into one buffer of bound elements
-    that is cut to length in place at the end: collecting the windows and
-    concatenating them would hold the layer twice.  np.empty commits no
-    pages that are never written."""
-    buf = np.empty(max(bound, 0), _POSITION)
+def _store(windows, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions and values of windows, each written into one buffer
+    of bound elements that is cut to length in place at the end:
+    collecting the windows and concatenating them would hold the layer
+    twice.  np.empty commits no pages that are never written."""
+    pos = np.empty(max(bound, 0), _POSITION)
+    vals = np.empty(pos.size, np.int8)
     kept = 0
-    for pos, _ in windows:
-        buf[kept:kept + pos.size] = pos
-        kept += pos.size
-    # no views of the buffer remain, so none can see the memory go
-    buf.resize(kept, refcheck=False)
-    return buf
+    for P, V in windows:
+        pos[kept:kept + P.size] = P
+        vals[kept:kept + P.size] = V
+        kept += P.size
+    # no views of the buffers remain, so none can see the memory go
+    pos.resize(kept, refcheck=False)
+    vals.resize(kept, refcheck=False)
+    return pos, vals
+
+
+def _slices(pos: np.ndarray, vals: np.ndarray, chunk: int):
+    """The windows of a layer as _store wrote it; the buffers are let go
+    when the last is read."""
+    for s in range(0, pos.size, chunk):
+        yield pos[s:s + chunk], vals[s:s + chunk]
 
 
 def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
@@ -428,39 +470,45 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     interior strict local maxima of the previous layer, a superset of the
     prefix the counting argument needs, which keeps the builder total for
     small Q as well.  The filter _Maxima is chained seven times: one read
-    of the deltas runs layers 0, 1 and 2 through it, leaving all three
-    implicit, and stores layer 3; each later read stores the next layer.
-    A layer of s elements has at most (s - 1) // 2 interior maxima.
+    of Q runs layers 0, 1 and 2 through it, leaving all three implicit,
+    and stores layer 3; each later read stores the next layer.  Q is read
+    once: the stack holds no deltas, layer 0's are computed from Q window
+    by window, and a read of a stored layer takes its values from what
+    the read before wrote beside its positions, which are let go once
+    read.  A Q that is not strictly increasing raises MalformedTuple from
+    the window that shows it.  A layer of s elements has at most
+    (s - 1) // 2 interior maxima.
     """
     if n < 3:
         raise InvalidN(f"run-length parameter must be >= 3, got {n}")
     q = _as_vertex_array(Q)
     if q.size < 2:
         raise SetTooSmall(f"need at least 2 vertices, got {q.size}")
-    deltas = consecutive_deltas(q)
     m = int(q.size)
     beta = tuple((m - 1) / (2 * n) ** t for t in range(LAYER_DEPTH + 1))
-    stack = LayerStack(q=q, deltas=deltas, layers=[None] * _FIRST_STORED,
+    stack = LayerStack(q=q, deltas=None, layers=[None] * _FIRST_STORED,
                        n=n, beta=beta)
-    filters, below, bound = [], _windows(stack, 0, _SCAN_CHUNK), deltas.size
+    filters, below, bound = [], _windows(stack, 0, _SCAN_CHUNK), m - 1
     for t in range(1, LAYER_DEPTH + 1):
         filters.append(_Maxima(below, n, t - 1))
         bound = (bound - 1) // 2
         if t < _FIRST_STORED:   # an implicit layer straight from its filter
             below = filters[-1]
             continue
-        stack.layers.append(_store(filters[-1], bound))
+        pos, vals = _store(filters[-1], bound)
+        stack.layers.append(pos)
         for f in filters:
             if f.run is not None:
                 return f.run
-        sizes = [f.size for f in filters] + [int(stack.layers[t].size)]
+        sizes = [f.size for f in filters] + [int(pos.size)]
         if 0 in sizes:
             k = sizes.index(0)
             raise InsufficientLayers(
                 f"layer {k} came out empty: |Q| = {m} cannot sustain depth "
                 f"{LAYER_DEPTH} and has no monotone run of length {n}",
                 trace={"layer": k, "sizes": sizes[:k]})
-        below, bound = _windows(stack, t, _SCAN_CHUNK), sizes[-1]
+        below, bound = _slices(pos, vals, _SCAN_CHUNK), sizes[-1]
+        del pos, vals   # held by below until it is read
     stack._counted = {t: filters[t].size for t in range(1, _FIRST_STORED)}
     return stack
 
@@ -512,7 +560,7 @@ def _neighbor(stack: LayerStack, pos: int, level: int,
     if layer is not None:
         i = _rank(layer, pos) - 1 if left else _rank(layer, pos + 1)
         return int(layer[i]) if 0 <= i < layer.size else None
-    size = stack.deltas.size
+    size = _layer0_size(stack)
     end, span = (pos if left else pos + 1), 64
     while 0 < end if left else end < size:
         lo, hi = ((max(end - span, 0), end) if left else
@@ -533,13 +581,17 @@ def _neighbor_in(stack: LayerStack, pos: int, level: int, side: str) -> int:
     return found
 
 
-def _require_order(ok: bool, chain: str, dl: np.ndarray, **at: int) -> None:
+def _deltas_at(stack: LayerStack, at: dict) -> dict:
+    """The deltas at the named positions of at, by the same names."""
+    vals = _values(stack, np.array(list(at.values()), dtype=np.intp))
+    return {k: int(v) for k, v in zip(at, vals)}
+
+
+def _require_order(ok: bool, chain: str, at: dict, deltas: dict) -> None:
     """ProofGapTrap, with the chain's positions and deltas, unless ok."""
     if not ok:
-        raise ProofGapTrap(
-            f"{chain} positions or deltas out of order",
-            trace={"positions": at,
-                   "deltas": {k: int(dl[p]) for k, p in at.items()}})
+        raise ProofGapTrap(f"{chain} positions or deltas out of order",
+                           trace={"positions": at, "deltas": deltas})
 
 
 def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
@@ -553,14 +605,16 @@ def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
         raise InsufficientLayers(
             f"anchor selection needs {LAYER_DEPTH + 1} layers, stack has "
             f"{len(stack.layers)}")
-    dl = stack.deltas
     a = _neighbor_in(stack, -1, 7, "right")   # layer 7's first
     b1 = _neighbor_in(stack, a, 6, "left")
     b2 = _neighbor_in(stack, b1, 5, "right")
     b3 = _neighbor_in(stack, b2, 4, "right")
-    _require_order(b1 < b2 < b3 < a and dl[b3] < dl[b2] < dl[b1] < dl[a],
-                   "anchor", dl, a=a, b1=b1, b2=b2, b3=b3)
-    colors = [int(phi.color(int(dl[b]), int(dl[a]))) for b in (b1, b2, b3)]
+    top = {"a": a, "b1": b1, "b2": b2, "b3": b3}
+    dl = _deltas_at(stack, top)
+    _require_order(b1 < b2 < b3 < a
+                   and dl["b3"] < dl["b2"] < dl["b1"] < dl["a"],
+                   "anchor", top, dl)
+    colors = [int(phi.color(dl[b], dl["a"])) for b in ("b1", "b2", "b3")]
     for i, j in ((1, 3), (1, 2), (2, 3)):
         if colors[i - 1] == colors[j - 1]:
             pair = (i, j)
@@ -572,17 +626,18 @@ def select_anchors(stack: LayerStack, phi: PairColoring) -> Anchors:
     d = _neighbor_in(stack, c, ell - 2, "right")
     e = _neighbor_in(stack, d, ell - 3, "left")
     f = _neighbor_in(stack, e, ell - 4, "right")
+    chain = {"B3": B3, "c": c, "d": d, "e": e, "f": f}
+    dc = _deltas_at(stack, chain)
     _require_order(c < e < f < d < B3
-                   and dl[B3] > dl[c] > dl[d] > dl[e] > dl[f],
-                   "descent chain", dl, B3=B3, c=c, d=d, e=e, f=f)
-    names = {"a": a, "b1": b1, "b2": b2, "b3": b3,
-             "B1": B1, "B3": B3, "c": c, "d": d, "e": e, "f": f}
+                   and dc["B3"] > dc["c"] > dc["d"] > dc["e"] > dc["f"],
+                   "descent chain", chain, dc)
+    dl.update(dc, B1=dl[f"b{pair[0]}"])
     levels = {"a": 7, "b1": 6, "b2": 5, "b3": 4, "B1": 7 - pair[0],
               "B3": ell, "c": ell - 1, "d": ell - 2, "e": ell - 3,
               "f": ell - 4}
     return Anchors(a=a, b1=b1, b2=b2, b3=b3, B1=B1, B3=B3,
                    c=c, d=d, e=e, f=f, pigeonhole_pair=pair, levels=levels,
-                   deltas={k: int(dl[v]) for k, v in names.items()})
+                   deltas={k: dl[k] for k in levels})
 
 
 def _anchor_candidates(A: Anchors) -> list[tuple[int, int, int, int]]:
@@ -737,8 +792,11 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     Layer t is checked from the deltas of layer t-1 (see the note above),
     in a cascade of one stage per layer (_LayerCheck) that reads every
     layer once, in windows, so that nothing the check holds grows with
-    |Q|.  This is an induction on t: a failure in layer t-1 is the one
-    reported, and the layers above it then count only for their shape.
+    |Q|: on a stack that holds no deltas, layer 0's are computed from Q
+    window by window, and a Q that is not strictly increasing raises
+    MalformedTuple.  This is an induction on t: a failure in layer t-1
+    is the one reported, and the layers above it then count only for
+    their shape.
     Counting the peaks of layer t-1 inside layer t stands in for the
     interior check.  A build_layers stack has every peak in the layer
     above, since its layers hold every strict local maximum and a peak
@@ -788,19 +846,20 @@ class _LayerCheck:
 
     Iterating it reads layer t-1 in padded windows (_padded) of the
     windows below, joined to at least a quarter of _STAR_CHUNK elements.
-    A stored layer t is read from its source, up to the element after
-    each window's own; an implicit one is the window's own strict peaks,
-    as the source would regenerate it.  It yields layer t as read: the
-    windows below of the stage of layer t+1.  A window's deltas give the
-    count of layer t-1's peaks among its own elements and its strict
-    peaks there.  On a stack as built, layer t's elements in the window
-    are exactly the positions of the strict peaks.  Otherwise their
-    indices are looked up in the window, and layer t must strictly
-    increase inside the window's own elements.  A layer out of shape is
-    kept as refused, an InvalidParams naming it, and ends the stage.
-    Layer t+1, which says which elements layer t drops, has its own
-    stage, so one out of shape only leads here to a failure that is
-    never reported.
+    A stored layer t's positions are sliced up to the element after each
+    window's own, and its values taken from the window at their indices
+    there, so that Q is read only for layer 0; an implicit layer t is the
+    window's own strict peaks, as the source would regenerate it.  It
+    yields layer t as read: the windows below of the stage of layer t+1.
+    A window's deltas give the count of layer t-1's peaks among its own
+    elements and its strict peaks there.  On a stack as built, layer t's
+    elements in the window are exactly the positions of the strict
+    peaks.  Otherwise their indices are looked up in the window, and
+    layer t must strictly increase inside the window's own elements.  A
+    layer out of shape is kept as refused, an InvalidParams naming it,
+    and ends the stage.  Layer t+1, which says which elements layer t
+    drops, has its own stage, so one out of shape only leads here to a
+    failure that is never reported.
     """
 
     def __init__(self, stack: LayerStack, t: int, below):
@@ -820,7 +879,7 @@ class _LayerCheck:
         self.head = self.last = None     # layer t's first, last with its delta
 
     def __iter__(self):
-        lo = None
+        a = 0   # the index in a stored layer t of its first element not read
         try:
             for rows, win, c, e, at_end in _padded(self.below,
                                                    _STAR_CHUNK // 4):
@@ -828,13 +887,12 @@ class _LayerCheck:
                     self.first = int(_at(rows, 0))
                 if at_end:
                     self.final = int(_at(rows, win.size - 1))
-                Pj = vals = None
-                if not self.implicit:
-                    hi = None if at_end else _at(rows, e)
-                    # in one part: the window holds at least as many positions
-                    Pj, vals = _read(self.stack, self.t, lo, hi, win.size + 2)
-                    lo = hi
-                Pj, vals = self._window(rows, win, c, e, Pj, vals)
+                Pj = None
+                if not self.implicit:   # up to the element after the own ones
+                    P = _stored(self.stack, self.t)
+                    b = P.size if at_end else _rank(P, _at(rows, e))
+                    Pj, a = P[a:b], b
+                Pj, vals = self._window(rows, win, c, e, Pj)
                 del rows, win   # not held while the stage above reads
                 if Pj.size:
                     self._equal(Pj, vals)
@@ -859,11 +917,12 @@ class _LayerCheck:
                 if k >= 0:
                     self.equal = int(Pj[k]), int(Pj[k + 1])
 
-    def _window(self, rows, win, c: int, e: int, Pj, vals) -> tuple:
+    def _window(self, rows, win, c: int, e: int, Pj) -> tuple:
         """Count a window's peaks and those among layer t's elements Pj,
         and keep its first undominated drop; layer t's positions and
         values in the window, which for an implicit layer (Pj None) are
-        its own strict peaks."""
+        its own strict peaks.  The values are taken from the window, at
+        Pj's indices there."""
         up = win[1:] > win[:-1]
         down = win[1:] < win[:-1]
         # window index i is a peak unless win[i] falls from i-1 or rises
@@ -882,8 +941,9 @@ class _LayerCheck:
                 return _at(rows, rel), win.take(rel)
             if rel.size == Pj.size and bool((rows[rel] == Pj).all()):
                 self.taken += rel.size   # as in a build_layers stack
-                return Pj, vals
+                return Pj, win.take(rel)
         rel = _located(Pj, rows, c, e, self.t)
+        vals = win.take(rel)
         top = strict.take(rel)
         if top.all():
             self.taken += rel.size
@@ -923,7 +983,7 @@ class _LayerCheck:
         if self.taken != self.peaks:
             pair = _first_undominated(self.stack, t)
             if pair is not None:
-                return _undominated(self.stack.deltas, t, *pair)
+                return _undominated(self.stack, t, *pair)
         if size > kept:   # a longer layer t+1 is refused with it
             # only the ends can lack a neighbor below
             ends = (above.head, above.last[0]) if kept else (None, None)
@@ -945,19 +1005,37 @@ class _LayerCheck:
 def _first_undominated(stack: LayerStack, t: int) -> Optional[tuple[int, int]]:
     """The first consecutive positions of layer t with some delta of layer
     t-1 between them at least the larger of theirs, or None.  This is the
-    failure-locating path, the one read of layers t and t-1 whole, each
-    in one window (so layer 0's values are the deltas, not a copy)."""
-    whole = stack.deltas.size
-    P = _read(stack, t, chunk=whole)[0]
-    rows, d = _read(stack, t - 1, chunk=whole)
-    k = _first_undominated_pair(d, _index(rows, P))
-    return None if k < 0 else (int(P[k]), int(P[k + 1]))
+    failure-locating path, which reads layer t-1 again, in windows, and
+    layer t over each window's span.  Layer t's last element so far, and
+    the largest delta of layer t-1 since, are joined before the next
+    window, so that a pair across windows is checked whole."""
+    held_p, held_d = np.empty(0, _POSITION), np.empty(0, np.int8)
+    for rows, d in _windows(stack, t - 1, _STAR_CHUNK):
+        lo, hi = int(_at(rows, 0)), int(_at(rows, d.size - 1)) + 1
+        P = _read(stack, t, lo, hi)[0]
+        loc = np.concatenate((np.zeros(held_p.size, np.intp),
+                              _index(rows, P) + held_d.size))
+        P, d = np.concatenate((held_p, P)), np.concatenate((held_d, d))
+        k = _first_undominated_pair(d, loc)
+        if k >= 0:
+            return int(P[k]), int(P[k + 1])
+        if P.size:
+            end = int(loc[-1])
+            held_p = P[-1:]
+            held_d = np.concatenate((d[end:end + 1],
+                                     d[end + 1:].max(keepdims=True)
+                                     if end + 1 < d.size else d[:0]))
+    return None
 
 
-def _undominated(deltas: np.ndarray, t: int, lo: int, hi: int) -> dict:
+def _undominated(stack: LayerStack, t: int, lo: int, hi: int) -> dict:
     """The interior failure of layer t's pair lo < hi, at the first
-    largest delta between them."""
-    x = lo + 1 + int(np.argmax(deltas[lo + 1:hi]))
+    largest delta between them, read in windows of layer 0."""
+    x = top = None
+    for s, v in _windows(stack, 0, _STAR_CHUNK, lo + 1, hi):
+        k = int(np.argmax(v))
+        if top is None or v[k] > top:
+            x, top = s + k, v[k]
     return {"check": "star", "layer": t, "left": lo, "right": hi,
             "position": x, "reason": "interior delta not dominated"}
 

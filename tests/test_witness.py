@@ -72,17 +72,25 @@ def constant_graph(D, color=0):
     return StepUpHypergraph(phi)
 
 
+def _deltas(stack):
+    """The stack's deltas as one array: its own, or where it holds none
+    (as built), those of Q."""
+    if stack.deltas is None:
+        return w.consecutive_deltas(stack.q)
+    return stack.deltas
+
+
 def _layer(stack, t):
     """Layer t as a position array, materialising an implicit layer: layer
     0 is every position, and any other the interior strict maxima, by the
-    stack's own deltas, of the materialised layer below."""
+    stack's deltas (_deltas), of the materialised layer below."""
     layer = stack.layers[t]
     if layer is not None:
         return layer
     if t == 0:
-        return np.arange(stack.deltas.size, dtype=np.int32)
+        return np.arange(_deltas(stack).size, dtype=np.int32)
     below = _layer(stack, t - 1)
-    return below[_strict_maxima(stack.deltas[below])]
+    return below[_strict_maxima(_deltas(stack)[below])]
 
 
 def _strict_maxima(d):
@@ -92,7 +100,7 @@ def _strict_maxima(d):
 
 
 def _with_stored(stack, k):
-    """The same stack with layers 1..k stored, read from its own deltas."""
+    """The same stack with layers 1..k stored, read from its deltas."""
     return replace(stack, layers=[None] + [_layer(stack, t) for t in
                                            range(1, k + 1)]
                    + stack.layers[k + 1:])
@@ -381,6 +389,7 @@ def test_select_anchors_traps_an_out_of_order_chain():
     # a typed error with the chain rather than an assert that python -O
     # strips
     stack = build_layers(random_subset(12, 2000, seed=4), 5)
+    stack = replace(stack, deltas=w.consecutive_deltas(stack.q))
     a = int(stack.layers[7][0])
     stack.deltas[a] = 0
     with pytest.raises(ProofGapTrap, match="anchor") as exc:
@@ -423,8 +432,8 @@ def test_layer1_neighbors_match_the_stored_layer(monkeypatch):
     assert sum(look[2] == 2 for look in lookups) == len(stacks)
     for stack in stacks[:10]:
         for side in ("left", "right"):
-            end = 0 if side == "left" else stack.deltas.size - 1
-            at = [int(p) for p in rng.integers(stack.deltas.size, size=20)]
+            end = 0 if side == "left" else stack.q.size - 2
+            at = [int(p) for p in rng.integers(stack.q.size - 1, size=20)]
             for level in range(8):
                 lookups += [(stack, p, level, side, None) for p in at + [end]]
     ends = 0
@@ -456,7 +465,7 @@ def test_implicit_layer_over_stored_ones_is_regenerated(certified12):
     want = (full.layer_sizes, select_anchors(full, H.coloring).as_dict(),
             _report_of(verify_star_property(full)))
     assert want[2][0]
-    size = stack.deltas.size
+    size = stack.q.size - 1
     for t in range(1, 8):
         layers = list(full.layers)
         layers[t] = None
@@ -470,7 +479,7 @@ def test_implicit_layer_over_stored_ones_is_regenerated(certified12):
             for chunk in (2, w._STAR_CHUNK):
                 got, vals = w._read(hand, t, lo, hi, chunk)
                 assert np.array_equal(got, P[(P >= lo) & (P < hi)])
-                assert np.array_equal(vals, stack.deltas[got])
+                assert np.array_equal(vals, _deltas(stack)[got])
 
 
 # --- extract_edge -------------------------------------------------------------
@@ -583,8 +592,8 @@ def test_extraction_hands_back_what_it_built(certified12):
         if kind is MonotoneRun:
             assert built == fresh and wit.trace["run"] == built.as_dict()
             continue
-        assert np.array_equal(built.q, q) and np.array_equal(built.deltas,
-                                                              fresh.deltas)
+        assert np.array_equal(built.q, q)
+        assert built.deltas is None and fresh.deltas is None
         assert built.layers[:3] == [None] * 3
         assert built.layer_sizes == fresh.layer_sizes
         for t in range(3, len(fresh.layers)):
@@ -652,14 +661,15 @@ def test_guarantee_scale_trial_at_n7():
     runs in a fresh interpreter, whose peak RSS must stay within the
     larger of its two phases, on top of what the interpreter held before
     Q was drawn: the sampler's, Q and its bit map of the 2^27 vertices,
-    and the stack's, Q, the int8 deltas and layers 3-7 at five bytes per
-    element (int32 positions, and the values a scan reads and writes).
-    It peaks at 999 MiB RSS (994 MB above the baseline, against a stack
-    bound of 1,021 MB), most of it the stack as built; 1,068 MiB while
-    layer 2 was stored and the sampler's map took a byte per vertex,
-    and earlier 1.26 GiB while layer 1 was stored, 1.37 GiB with index
-    rows into the layer below, 1.46 GiB while the star check copied
-    whole layers.
+    and the stack's, Q and layers 3-7 at five bytes per element (int32
+    positions, and the values a scan reads and writes); the stack holds
+    no deltas.  It peaks at 903 MiB RSS (913 MB above the baseline,
+    against a stack bound of 915 MB), most of it the stack as built;
+    999 MiB while the stack held its int8 deltas (then bounded by
+    1,021 MB), 1,068 MiB while layer 2 was stored and the sampler's map
+    took a byte per vertex, and earlier 1.26 GiB while layer 1 was
+    stored, 1.37 GiB with index rows into the layer below, 1.46 GiB
+    while the star check copied whole layers.
     """
     src = os.path.dirname(os.path.dirname(w.__file__))
     proc = subprocess.run(
@@ -673,8 +683,57 @@ def test_guarantee_scale_trial_at_n7():
     stack = out["q_bytes"]
     if "sizes" in out:
         assert out["star_ok"] and not out["implicit_held"]
-        stack += out["sizes"][0] + 5 * sum(out["sizes"][3:])
+        stack += 5 * sum(out["sizes"][3:])
     assert out["peak"] - out["baseline"] <= max(sampler, stack)
+
+
+_STACK_PEAK = """
+import json, resource
+from stepup.cli import derive_seed
+from stepup.coloring import paley_coloring
+from stepup.hypergraph import StepUpHypergraph
+from stepup.witness import (LayerStack, build_layers, extract_edge,
+                            guarantee_threshold, random_subset,
+                            verify_star_property)
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+H = StepUpHypergraph(paley_coloring(27, 26))
+out = {"baseline": peak()}
+q = random_subset(26, guarantee_threshold(6), derive_seed(0, "q"))
+out["q_bytes"] = int(q.nbytes)
+out["branch"] = extract_edge(H, q, 6).branch
+built = build_layers(q, 6)
+out["stack"] = isinstance(built, LayerStack)
+out["sizes"] = built.layer_sizes
+out["star_ok"] = bool(verify_star_property(built).ok)
+out["peak"] = peak()
+print(json.dumps(out))
+"""
+
+
+def test_guarantee_trial_stack_holds_q_and_stored_layers():
+    """A criterion-6 trial at (26, 6) on an anchor-chain Q: extraction,
+    build and star check peak in a fresh interpreter within Q, five bytes
+    per element of layers 3-7 and 8 MiB of windows above the baseline.
+
+    No whole delta array is held (34 MiB of int8 here).  The draw of Q
+    peaks lower, at Q, its 8 MiB bit map and about 5.5 MiB more
+    (test_dense_sampler_holds_q_and_a_bit_map), so the peak is the stack's.
+    It measured 294-295 MiB above the baseline against a bound of
+    301 MiB, and 328-329 MiB while the stack held its int8 deltas.
+    """
+    src = os.path.dirname(os.path.dirname(w.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STACK_PEAK], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["branch"] == "AnchorChainBranch" and out["stack"]
+    assert out["star_ok"]
+    bound = out["q_bytes"] + 5 * sum(out["sizes"][3:]) + (8 << 20)
+    assert out["peak"] - out["baseline"] <= bound
 
 
 _SAMPLER_PEAK = """
@@ -743,7 +802,7 @@ def _star_reference(stack):
     """verify_star_property's reference oracle: each pair and each dropped
     element checked against the full delta sequence, on any stack whose
     layer 0 is implicit or an array, nested or not."""
-    deltas = stack.deltas
+    deltas = _deltas(stack)
     dpad = np.concatenate([deltas, np.array([-1], dtype=deltas.dtype)])
     checks = {"star_pairs": 0, "drop_dominance": 0}
 
@@ -853,8 +912,8 @@ def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
 def _local_maxima_stack(q):
     """All seven local-maxima layers, built without the run shortcut.
 
-    The stack has the shape build_layers gives it: layers 0, 1 and 2
-    implicit and int32 positions in every other layer.
+    The stack has the shape build_layers gives it: no deltas, layers 0,
+    1 and 2 implicit and int32 positions in every other layer.
     """
     d = w.consecutive_deltas(q)
     layers = [None]
@@ -866,7 +925,7 @@ def _local_maxima_stack(q):
             break
         prev = prev[idx]
         layers.append(None if t < 3 else prev)
-    return LayerStack(q=q, deltas=d, layers=layers, n=5, beta=())
+    return LayerStack(q=q, deltas=None, layers=layers, n=5, beta=())
 
 
 def _with_element_added(stack, rng):
@@ -928,7 +987,7 @@ def _random_stack(rng):
 
 def _with_corrupted_deltas(stack, D, rng):
     """The stack with one to three deltas set to random values."""
-    deltas = stack.deltas.copy()
+    deltas = _deltas(stack).copy()
     idx = rng.integers(deltas.size, size=int(rng.integers(1, 4)))
     deltas[idx] = rng.integers(0, D + 2, size=idx.size)
     return replace(stack, deltas=deltas)
@@ -1080,7 +1139,7 @@ def test_stale_layer_is_refused_before_a_lower_failure(monkeypatch, chunk):
         stacks += 1
         P = _layer(stack, 1)
         k = int(np.argmax(P[1:] - P[:-1] >= 2))
-        deltas = stack.deltas.copy()
+        deltas = _deltas(stack).copy()
         deltas[P[k] + 1] = 100              # above every delta
         # layer 1 stored, so that it stays what it was built as
         low = replace(stack, deltas=deltas,
@@ -1126,17 +1185,17 @@ def test_layer_stack_memory_stays_lean():
 def test_build_layers_holds_positions_and_values_only():
     """build_layers' traced peak is within what its reads may hold.
 
-    One read of the deltas runs layers 0, 1 and 2 through the filter
-    and may hold layer 3's buffer, sized for the most strict maxima a
-    layer 2 can have: b_3, where b_0 = |layer 0| and b_t = (b_{t-1} -
-    1) // 2.  While a layer t >= 4 is read, the build may hold the
-    deltas, the positions of layers 3..t-1, the deltas at layer t-1's
-    positions and layer t's buffer, sized for (|layer t-1| - 1) // 2;
-    the bound gives each buffer five bytes per element, though the build
-    keeps four (int32 positions) and takes the deltas window by window.
-    A window adds its flags, indices and the elements it finds, under 16
-    bytes per delta of a window.  No term holds layer 1 or 2: the
-    positions of either would not fit.
+    One read of Q runs layers 0, 1 and 2 through the filter and may hold
+    layer 3's buffers, sized for the most strict maxima a layer 2 can
+    have: b_3, where b_0 = |layer 0| and b_t = (b_{t-1} - 1) // 2.
+    While a layer t >= 4 is read, the build may hold the positions of
+    layers 3..t-1, the int8 deltas at layer t-1's positions and layer
+    t's buffers, sized for (|layer t-1| - 1) // 2; each buffer takes five
+    bytes per element (int32 positions and int8 values).  No term holds
+    the deltas: the build computes them window by window.  A window adds
+    its deltas, flags, indices and the elements it finds, under 16 bytes
+    per delta of a window.  No term holds layer 1 or 2: the positions of
+    either would not fit.
     """
     q = random_subset(24, 1 << 23, seed=0)
     tracemalloc.start()
@@ -1149,15 +1208,16 @@ def test_build_layers_holds_positions_and_values_only():
     assert not hasattr(stack, "parents")
     assert stack.layers[:3] == [None] * 3
     sizes = stack.layer_sizes
-    entry = stack.layers[3].itemsize + stack.deltas.itemsize
+    value = np.dtype(np.int8).itemsize
+    entry = stack.layers[3].itemsize + value
     first = sizes[0]
     for _ in range(3):
         first = (first - 1) // 2
     scans = [first * entry] + [
         sum(stack.layers[s].nbytes for s in range(3, t))
-        + sizes[t - 1] * stack.deltas.itemsize + (sizes[t - 1] - 1) // 2 * entry
+        + sizes[t - 1] * value + (sizes[t - 1] - 1) // 2 * entry
         for t in range(4, 8)]
-    assert peak <= stack.deltas.nbytes + max(scans) + 16 * w._SCAN_CHUNK
+    assert peak <= max(scans) + 16 * w._SCAN_CHUNK
 
 
 def test_q_file_io_holds_one_copy(tmp_path):
@@ -1196,7 +1256,7 @@ def test_star_check_allocates_nothing_that_grows_with_q():
               build_layers(np.arange(1 << 21, dtype=np.uint64), 6)]
     for stack in stacks:
         assert isinstance(stack, LayerStack) and len(stack.layers) == 8
-    top = np.array([np.argmax(stack.deltas)], dtype=np.int32)
+    top = np.array([np.argmax(_deltas(stack))], dtype=np.int32)
     stacks.append(replace(stack, layers=[None, top]))
     for stack in stacks:
         tracemalloc.start()
@@ -1241,7 +1301,7 @@ def test_plateau_peak_outside_layer1_is_located():
     k = int(np.argmax(P[1:] - P[:-1] >= 5))
     i, j = int(P[k]), int(P[k + 1])
     assert j - i >= 5
-    stack.deltas = stack.deltas.copy()
+    stack.deltas = _deltas(stack).copy()
     stack.deltas[i + 2] = stack.deltas[i + 3] = 20   # above every delta
     # the neighbors of i and j stay below them, and layer 1, left
     # implicit, is what it was built as
@@ -1271,7 +1331,7 @@ def test_layer_end_does_not_stand_in_for_a_left_out_peak():
     k = int(np.argmax(P[1:] - P[:-1] >= 5))
     i, j = int(P[k]), int(P[k + 1])
     assert P[0] == 2 and j - i >= 5
-    deltas = stack.deltas.copy()
+    deltas = _deltas(stack).copy()
     deltas[0] = deltas[2] + 1       # above d[1], unequal to d[2]
     deltas[i + 2] = 20
     s = replace(stack, deltas=deltas,
@@ -1322,7 +1382,7 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
             assert select_anchors(stack, H.coloring).as_dict() == \
                 select_anchors(full, H.coloring).as_dict()
         # as built, and with one delta corrupted
-        corrupt = stack.deltas.copy()
+        corrupt = _deltas(stack).copy()
         corrupt[int(rng.integers(corrupt.size))] = int(rng.integers(D + 2))
         for deltas, k in ((stack.deltas, 0), (corrupt, 1), (corrupt, 2)):
             # corrupted deltas keep layers 1..k as built, stored, and
@@ -1360,11 +1420,111 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
                for x in want) > 3
 
 
+@pytest.mark.parametrize("chunk", [2, None])
+def test_deltas_read_from_q_match_explicit_deltas(monkeypatch, certified12,
+                                                  chunk):
+    """A stack that holds no deltas, as build_layers leaves it, reads as the
+    same stack with deltas=consecutive_deltas(q): the same layer sizes,
+    anchors (with their deltas), witness and star report.
+
+    Seeded (12, 5) Qs reach both extraction branches; the stack of a Q
+    with a monotone run is its seven local-maxima layers.  Interval Qs
+    are compared too, one of them above 2^53, where the delta kernel
+    takes its exact path.  Windows of 2 put a window boundary at every
+    delta; chunk None keeps the default windows.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
+    H = certified12
+    rng = np.random.default_rng(53)
+
+    def outcome(stack):
+        anchors = (select_anchors(stack, H.coloring).as_dict()
+                   if len(stack.layers) == 8 else None)
+        return (stack.layer_sizes, anchors,
+                _report_of(verify_star_property(stack)))
+
+    def assert_parity(stack):
+        assert stack.deltas is None
+        explicit = replace(stack, deltas=w.consecutive_deltas(stack.q))
+        assert outcome(stack) == outcome(explicit)
+
+    qs = [random_subset(12, int(rng.integers(300, 3000)),
+                        int(rng.integers(1 << 30))) for _ in range(16)]
+    branches = {"MonotoneRunBranch": 0, "AnchorChainBranch": 0}
+    for q in qs:
+        built = build_layers(q, 5)
+        assert_parity(built if isinstance(built, LayerStack)
+                      else _local_maxima_stack(q))
+        got = _extraction(H, q, 5)
+        if isinstance(got, dict):
+            branches[got["branch"]] += 1
+    for start, m in ((0, 1024), (1000, 3000), (2 ** 60, 2000)):
+        q = np.arange(start, start + m, dtype=np.uint64)
+        assert_parity(build_layers(q, 5))
+    assert min(branches.values()) >= 5
+
+    # the witness, with every stack given its deltas explicitly
+    implicit = build_layers
+
+    def explicit(q, n):
+        built = implicit(q, n)
+        if isinstance(built, LayerStack):
+            return replace(built, deltas=w.consecutive_deltas(built.q))
+        return built
+
+    qs.append(np.arange(1000, 4000, dtype=np.uint64))
+    want = [_extraction(H, q, 5) for q in qs]
+    monkeypatch.setattr(w, "build_layers", explicit)
+    assert [_extraction(H, q, 5) for q in qs] == want
+
+
+def _stops_increasing(q, p):
+    """Q with vertices p and p + 1 swapped: it falls at position p only."""
+    bad = q.copy()
+    bad[p], bad[p + 1] = q[p + 1], q[p]
+    return bad
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("where", ["interior", "seam", "last"])
+def test_q_that_stops_increasing_is_malformed(monkeypatch, chunk, where):
+    """A Q that falls at one pair raises MalformedTuple from build_layers,
+    extract_edge and verify_star_property (on an honest stack given the
+    broken Q), wherever the pair is: inside a window, at the seam of two
+    windows (the last pair one window reads and the first of the next),
+    or only in the last window, which is read last.  Windows of 7, and
+    the default ones on a Q of three and a half windows.
+    """
+    if chunk is None:
+        size, D = 7 * w._SCAN_CHUNK // 2, 20
+    else:
+        monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
+        size, D = 2000, 12
+    C = w._SCAN_CHUNK
+    q = random_subset(D, size, seed=4)
+    H = StepUpHypergraph(sample_coloring(D, seed=3))
+    stack = _local_maxima_stack(q)
+    assert len(stack.layers) == 8
+    at = {"interior": [C + C // 2], "seam": [C - 1, C],
+          "last": [q.size - 2]}[where]
+    for p in at:
+        bad = _stops_increasing(q, p)
+        with pytest.raises(MalformedTuple):
+            build_layers(bad, 5)
+        with pytest.raises(MalformedTuple):
+            extract_edge(H, bad, 5)
+        with pytest.raises(MalformedTuple):
+            verify_star_property(replace(stack, q=bad))
+
+
 def test_corrupted_interior_delta_is_caught():
     # layers 1..k stored, so that they stay what they were built as
     for k in (1, 2):
         stack = _with_stored(build_layers(RULER, 5), k)
-        stack.deltas = stack.deltas.copy()
+        stack.deltas = _deltas(stack).copy()
         stack.deltas[2] = 9
         report = verify_star_property(stack)
         assert not report.ok
@@ -1377,7 +1537,7 @@ def test_corrupted_neighborhood_is_caught_by_observation_check():
     # with layer 2 implicit, layer 1's drop is found by regenerating it
     for k in (1, 2):
         stack = _with_stored(build_layers(RULER, 5), k)
-        stack.deltas = stack.deltas.copy()
+        stack.deltas = _deltas(stack).copy()
         stack.deltas[0] = 5
         report = verify_star_property(stack)
         assert not report.ok
