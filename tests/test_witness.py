@@ -663,8 +663,8 @@ def test_guarantee_scale_trial_at_n7():
     Q was drawn: the sampler's, Q and its bit map of the 2^27 vertices,
     and the stack's, Q and layers 3-7 at five bytes per element (int32
     positions, and the values a scan reads and writes); the stack holds
-    no deltas.  It peaks at 903 MiB RSS (913 MB above the baseline,
-    against a stack bound of 915 MB), most of it the stack as built;
+    no deltas.  It peaks at 901-903 MiB RSS (912-913 MB above the
+    baseline, against a stack bound of 915 MB), most of it the stack;
     999 MiB while the stack held its int8 deltas (then bounded by
     1,021 MB), 1,068 MiB while layer 2 was stored and the sampler's map
     took a byte per vertex, and earlier 1.26 GiB while layer 1 was
