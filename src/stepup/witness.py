@@ -120,38 +120,40 @@ class LayerStack:
     [0, |Q| - 1), and any other the interior strict local maxima of the
     layer below, regenerated where it is read.  build_layers leaves
     layers 0, 1 and 2 implicit and stores layers 3-7 as int32 positions.
-    deltas None, as build_layers leaves it, means that the value at a
-    position p is delta(Q[p], Q[p+1]), computed from Q where it is read:
-    layer 0 window by window, a stored layer at its positions.  A stack
-    built by hand may pass its own deltas instead (then layer 0 is
-    [0, deltas.size)), which are read in their place.  Every reader gets
-    a layer, however it is held, in windows from _windows.  build_layers
+    The stack holds no deltas: the value at a position p is
+    delta(Q[p], Q[p+1]), computed from Q where it is read, layer 0 window
+    by window and a stored layer at its positions.  Every reader gets a
+    layer, however it is held, in windows from _windows.  build_layers
     records the sizes of layers 1 and 2; a stack built by hand has an
-    implicit layer's size counted from its windows.  beta keeps the targets
-    (m-1)/(2n)^t as diagnostics only: the all-maxima policy makes each
-    layer a superset of the first-beta_t prefix the counting argument
-    reasons about, and observed sizes are recorded, not asserted.
-    verify_star_property raises InvalidParams on a stack with an explicit
-    layer 0 or with a layer that does not strictly increase inside the
-    one below.
+    implicit layer's size counted from its windows.  beta gives the
+    targets (|Q|-1)/(2n)^t as diagnostics only: the all-maxima policy
+    makes each layer a superset of the first-beta_t prefix the counting
+    argument reasons about, and observed sizes are recorded, not
+    asserted.  verify_star_property raises InvalidParams on a stack with
+    an explicit layer 0 or with a layer that does not strictly increase
+    inside the one below.
     """
 
     q: np.ndarray
-    deltas: Optional[np.ndarray]
     layers: list[Optional[np.ndarray]]
     n: int
-    beta: tuple[float, ...]
     # implicit layers' sizes as built, by layer; not copied by
     # dataclasses.replace
     _counted: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     @property
+    def beta(self) -> tuple[float, ...]:
+        return tuple((self.q.size - 1) / (2 * self.n) ** t
+                     for t in range(LAYER_DEPTH + 1))
+
+    @property
     def layer_sizes(self) -> list[int]:
-        sizes = [_layer0_size(self)]
-        for t, layer in enumerate(self.layers[1:], 1):
-            if layer is not None:
-                sizes.append(int(layer.size))
+        sizes = [self.q.size - 1]
+        for t in range(1, len(self.layers)):
+            P = _stored(self, t)
+            if P is not None:
+                sizes.append(P.size)
             elif t in self._counted:
                 sizes.append(self._counted[t])
             else:
@@ -160,12 +162,10 @@ class LayerStack:
         return sizes
 
     def beta_report(self) -> list[dict]:
-        out = []
-        for t, size in enumerate(self.layer_sizes):
-            target = self.beta[t] if t < len(self.beta) else 0.0
-            out.append({"layer": t, "size": size, "beta": target,
-                        "meets_beta": size >= target})
-        return out
+        beta = self.beta
+        return [{"layer": t, "size": size, "beta": beta[t],
+                 "meets_beta": size >= beta[t]}
+                for t, size in enumerate(self.layer_sizes)]
 
     def as_dict(self) -> dict:
         return {"size": int(self.q.size), "n": self.n,
@@ -257,15 +257,15 @@ def _windows(stack: LayerStack, t: int, chunk: int,
     The one place that knows how a layer is held.  Layer 0, implicit, is
     read in windows of consecutive positions, given by the first (see
     _at): the deltas of the window's pairs of Q, each window computed by
-    consecutive_deltas from the slice of Q that holds them, or slices of
-    the stack's own deltas where it holds them.  Any other implicit layer
-    is regenerated: _Maxima over the layer below, read one element past
-    each end of the range, that is, for layer 1 from one position before
-    lo to one after hi, and above it from the nearest element left of lo
-    to the nearest right of hi - 1 (_neighbor), or from the layer's start
-    or to its end where there is none.  A stored layer is read in slices
-    with the deltas taken there (_values).  A range end that is None
-    means the layer's start or end (sorted or not).
+    consecutive_deltas from the slice of Q that holds them.  Any other
+    implicit layer is regenerated: _Maxima over the layer below, read one
+    element past each end of the range, that is, for layer 1 from one
+    position before lo to one after hi, and above it from the nearest
+    element left of lo to the nearest right of hi - 1 (_neighbor), or
+    from the layer's start or to its end where there is none.  A stored
+    layer is read in slices with the deltas taken there (_values).  A
+    range end that is None means the layer's start or end (sorted or
+    not).
     """
     P = _stored(stack, t)
     if P is not None:
@@ -276,13 +276,12 @@ def _windows(stack: LayerStack, t: int, chunk: int,
             yield rows, _values(stack, rows)
         return
     if t == 0:
-        size = _layer0_size(stack)
+        size = stack.q.size - 1
         lo = 0 if lo is None else max(lo, 0)
         hi = size if hi is None else min(hi, size)
         for s in range(lo, hi, chunk):
             e = min(s + chunk, hi)
-            yield s, (consecutive_deltas(stack.q[s:e + 1])
-                      if stack.deltas is None else stack.deltas[s:e])
+            yield s, consecutive_deltas(stack.q[s:e + 1])
         return
     if t == 1:
         a = None if lo is None else lo - 1
@@ -294,18 +293,9 @@ def _windows(stack: LayerStack, t: int, chunk: int,
     yield from _Maxima(_windows(stack, t - 1, chunk, a, b))
 
 
-def _layer0_size(stack: LayerStack) -> int:
-    """Q's count of consecutive pairs, or of the stack's own deltas where
-    it holds them."""
-    return stack.q.size - 1 if stack.deltas is None else stack.deltas.size
-
-
 def _values(stack: LayerStack, rows: np.ndarray) -> np.ndarray:
-    """The deltas at positions rows, clipped into layer 0, since a
-    corrupted layer is read before it is refused: the stack's own deltas
-    there, or where it holds none, those of Q's pairs at rows."""
-    if stack.deltas is not None:
-        return stack.deltas.take(rows, mode="clip")
+    """The deltas of Q's pairs at positions rows, clipped into layer 0,
+    since a corrupted layer is read before it is refused."""
     q = stack.q
     rows = np.clip(rows, 0, q.size - 2)
     return delta_array(q.take(rows), q.take(rows + 1)).astype(np.int8)
@@ -485,9 +475,7 @@ def build_layers(Q, n: int) -> Union[LayerStack, MonotoneRun]:
     if q.size < 2:
         raise SetTooSmall(f"need at least 2 vertices, got {q.size}")
     m = int(q.size)
-    beta = tuple((m - 1) / (2 * n) ** t for t in range(LAYER_DEPTH + 1))
-    stack = LayerStack(q=q, deltas=None, layers=[None] * _FIRST_STORED,
-                       n=n, beta=beta)
+    stack = LayerStack(q=q, layers=[None] * _FIRST_STORED, n=n)
     filters, below, bound = [], _windows(stack, 0, _SCAN_CHUNK), m - 1
     for t in range(1, LAYER_DEPTH + 1):
         filters.append(_Maxima(below, n, t - 1))
@@ -555,12 +543,12 @@ def _neighbor(stack: LayerStack, pos: int, level: int,
     of pos, or None: by searchsorted in a stored layer, and in an implicit
     one by reading the layer outward from pos in ranges that double in
     length."""
-    layer = stack.layers[level]
+    layer = _stored(stack, level)
     left = side == "left"
     if layer is not None:
         i = _rank(layer, pos) - 1 if left else _rank(layer, pos + 1)
         return int(layer[i]) if 0 <= i < layer.size else None
-    size = _layer0_size(stack)
+    size = stack.q.size - 1
     end, span = (pos if left else pos + 1), 64
     while 0 < end if left else end < size:
         lo, hi = ((max(end - span, 0), end) if left else
@@ -792,11 +780,10 @@ def verify_star_property(stack: LayerStack) -> PropertyReport:
     Layer t is checked from the deltas of layer t-1 (see the note above),
     in a cascade of one stage per layer (_LayerCheck) that reads every
     layer once, in windows, so that nothing the check holds grows with
-    |Q|: on a stack that holds no deltas, layer 0's are computed from Q
-    window by window, and a Q that is not strictly increasing raises
-    MalformedTuple.  This is an induction on t: a failure in layer t-1
-    is the one reported, and the layers above it then count only for
-    their shape.
+    |Q|: layer 0's deltas are computed from Q window by window, and a Q
+    that is not strictly increasing raises MalformedTuple.  This is an
+    induction on t: a failure in layer t-1 is the one reported, and the
+    layers above it then count only for their shape.
     Counting the peaks of layer t-1 inside layer t stands in for the
     interior check.  A build_layers stack has every peak in the layer
     above, since its layers hold every strict local maximum and a peak

@@ -1,11 +1,13 @@
-"""Golden extract-witness reports: the cases, and a script that rewrites them.
+"""Golden CLI reports: the cases, and a script that rewrites them.
 
     PYTHONPATH=src python tests/regen_golden.py           # rewrite tests/golden/
     PYTHONPATH=src python tests/regen_golden.py --check   # compare, exit 1 on a change
 
-Each case runs ``stepup extract-witness`` in process, in a directory that
-holds its input colorings under fixed names, so that the config echo of
-the report does not depend on where it ran.  The report's ``timings``
+Each case runs one ``stepup`` command line in process, in a directory
+that holds its input colorings under fixed names, so that the config
+echo of the report does not depend on where it ran; the cases that take
+``--threads`` pass it, so that the echo does not depend on
+STEPUP_THREADS either.  The report's ``timings``
 block is removed and the rest is written as sorted, indented JSON.  A
 report longer than GOLDEN_MAX_BYTES is stored as its sha256 instead.
 test_golden.py compares every case byte for byte; a change that moves a
@@ -23,35 +25,59 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from stepup.cli import main
-from stepup.coloring import paley_coloring, save_coloring, search_certified_coloring
+from stepup.coloring import (
+    PairColoring,
+    paley_coloring,
+    save_coloring,
+    search_certified_coloring,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_MAX_BYTES = 8192
 
-_STAR_12_5 = ["--coloring", "phi12.bin", "--n", "5", "--q-size", "2000",
-              "--check-star"]
+_STAR_12_5 = ["extract-witness", "--coloring", "phi12.bin", "--n", "5",
+              "--q-size", "2000", "--check-star"]
 
-# name -> extract-witness arguments
+# name -> stepup argv
 CASES = {
     **{f"star_12_5_q{s}": _STAR_12_5 + ["--q-seed", str(s)] for s in range(5)},
-    "direct_12_5_q0_24": ["--coloring", "phi12.bin", "--n", "5", "--q-seed",
-                          "0", "--q-size", "24", "--check-star"],
-    "paley21_6_q0_2p20": ["--coloring", "paley21.bin", "--n", "6", "--q-seed",
-                          "0", "--q-size", str(1 << 20), "--check-star"],
-    "paley26_6_q0_trial": ["--coloring", "paley26.bin", "--n", "6",
-                           "--q-seed", "0", "--check-star"],
+    "direct_12_5_q0_24": ["extract-witness", "--coloring", "phi12.bin", "--n",
+                          "5", "--q-seed", "0", "--q-size", "24",
+                          "--check-star"],
+    "paley21_6_q0_2p20": ["extract-witness", "--coloring", "paley21.bin",
+                          "--n", "6", "--q-seed", "0", "--q-size",
+                          str(1 << 20), "--check-star"],
+    "paley26_6_q0_trial": ["extract-witness", "--coloring", "paley26.bin",
+                           "--n", "6", "--q-seed", "0", "--check-star"],
+    "check_k5_5_all": ["check-k5", "--bits", "5", "--all-colorings",
+                       "--threads", "1"],
+    "check_k5_7_s3": ["check-k5", "--bits", "7", "--seed", "3",
+                      "--threads", "1"],
+    "check_k5_64_s0_force": ["check-k5", "--bits", "64", "--seed", "0",
+                             "--force", "--threads", "1"],
+    "verify_12_5": ["verify-coloring", "--coloring", "phi12.bin", "--n", "5"],
+    "alpha_5_s2": ["alpha", "--bits", "5", "--seed", "2"],
+    "alpha_const21": ["alpha", "--coloring", "const21.bin"],
+    "independent_5_s2": ["independent", "--bits", "5", "--seed", "2",
+                         "--vertices", ",".join(map(str, range(32)))],
+    "steiner_40_s7": ["steiner", "--n", "40", "--seed", "7"],
+    "bound_12_5": ["bound", "--bits", "12", "--n", "5", "--cprime", "0.4"],
 }
 
 
 def write_inputs(directory: Path) -> None:
     """The colorings the cases read: the (12, 5) search of
-    ``gen-coloring --bits 12 --n 5 --search --seed 0`` and the Paley
-    GF(27) tournament cut to 21 and to 26."""
+    ``gen-coloring --bits 12 --n 5 --search --seed 0``, the Paley GF(27)
+    tournament cut to 21 and to 26, and the constant coloring at D = 21."""
     res = search_certified_coloring(12, 5, attempts=16, base_seed=0)
     save_coloring(res.coloring, directory / "phi12.bin")
     save_coloring(paley_coloring(27, 21), directory / "paley21.bin")
     save_coloring(paley_coloring(27, 26), directory / "paley26.bin")
+    save_coloring(PairColoring(21, np.zeros(21 * 20 // 2, dtype=np.uint8)),
+                  directory / "const21.bin")
 
 
 def report_text(name: str, directory: Path) -> str:
@@ -61,7 +87,7 @@ def report_text(name: str, directory: Path) -> str:
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out):
-            code = main(["extract-witness", *CASES[name]])
+            code = main(CASES[name])
     finally:
         os.chdir(here)
     report = json.loads(out.getvalue())

@@ -1,4 +1,4 @@
-"""Golden extract-witness reports, reproduced byte for byte.
+"""Golden CLI reports, reproduced byte for byte.
 
 The cases and their inputs are in regen_golden.py.  A failure is raised
 with pytest.fail, not assert, so that the test still checks under

@@ -1,12 +1,13 @@
 """Tests for layered witness extraction."""
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -73,11 +74,45 @@ def constant_graph(D, color=0):
 
 
 def _deltas(stack):
-    """The stack's deltas as one array: its own, or where it holds none
-    (as built), those of Q."""
-    if stack.deltas is None:
-        return w.consecutive_deltas(stack.q)
-    return stack.deltas
+    """The deltas of Q's consecutive pairs as one array, as witness reads
+    them (see _reads_deltas)."""
+    return w.consecutive_deltas(stack.q)
+
+
+@contextlib.contextmanager
+def _reads_deltas(q, deltas):
+    """Inside it, witness reads deltas, such as corrupted ones, as the
+    deltas of Q's consecutive pairs; None leaves Q's own.
+
+    Its two delta kernels, the only way it reads deltas, are faked:
+    consecutive_deltas of a slice q[p:e] gives deltas[p:e - 1], and
+    delta_array of pairs (q[p], q[p + 1]) gives deltas[p].  On any other
+    input they stay real.  The test helpers here read deltas through the
+    same kernels, so they see the same deltas.
+    """
+    if deltas is None:
+        yield
+        return
+    real_run, real_pairs = w.consecutive_deltas, w.delta_array
+
+    def run(x):
+        # x, a slice of the strictly increasing q, is told by its ends
+        p = int(q.searchsorted(x[0])) if x.size > 1 else q.size
+        e = p + x.size - 1
+        if e < q.size and q[p] == x[0] and q[e] == x[-1]:
+            return deltas[p:e].copy()
+        return real_run(x)
+
+    def pairs(a, b):
+        p = np.minimum(np.searchsorted(q, a), q.size - 2)
+        if a.size and (q[p] == a).all() and (q[p + 1] == b).all():
+            return deltas[p]
+        return real_pairs(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(w, "consecutive_deltas", run)
+        mp.setattr(w, "delta_array", pairs)
+        yield
 
 
 def _layer(stack, t):
@@ -88,7 +123,7 @@ def _layer(stack, t):
     if layer is not None:
         return layer
     if t == 0:
-        return np.arange(_deltas(stack).size, dtype=np.int32)
+        return np.arange(stack.q.size - 1, dtype=np.int32)
     below = _layer(stack, t - 1)
     return below[_strict_maxima(_deltas(stack)[below])]
 
@@ -141,6 +176,8 @@ def test_ruler_stack_has_halving_layers():
         layer = _layer(stack, t)
         step = 1 << t
         assert layer[0] == step - 1 and np.all(np.diff(layer) == step)
+    # beta is computed from |Q| and n, the only fields besides the layers
+    assert [f.name for f in fields(LayerStack) if f.init] == ["q", "layers", "n"]
     assert [round(b, 4) for b in stack.beta[:3]] == [1023, 102.3, 10.23]
     assert all(entry["meets_beta"] for entry in stack.beta_report())
 
@@ -378,8 +415,7 @@ def test_pigeonhole_pair_priority_and_descent_chain():
 
 def test_select_anchors_requires_full_stack():
     stack = build_layers(RULER, 5)
-    shallow = LayerStack(q=stack.q, deltas=stack.deltas,
-                         layers=stack.layers[:7], n=5, beta=stack.beta)
+    shallow = LayerStack(q=stack.q, layers=stack.layers[:7], n=5)
     with pytest.raises(InsufficientLayers):
         select_anchors(shallow, sample_coloring(10, seed=3))
 
@@ -389,15 +425,16 @@ def test_select_anchors_traps_an_out_of_order_chain():
     # a typed error with the chain rather than an assert that python -O
     # strips
     stack = build_layers(random_subset(12, 2000, seed=4), 5)
-    stack = replace(stack, deltas=w.consecutive_deltas(stack.q))
+    deltas = _deltas(stack)
     a = int(stack.layers[7][0])
-    stack.deltas[a] = 0
-    with pytest.raises(ProofGapTrap, match="anchor") as exc:
+    deltas[a] = 0
+    with _reads_deltas(stack.q, deltas), \
+            pytest.raises(ProofGapTrap, match="anchor") as exc:
         select_anchors(stack, sample_coloring(12, seed=3))
     positions = exc.value.trace["positions"]
     assert positions["a"] == a
     assert exc.value.trace["deltas"] == {
-        k: int(stack.deltas[p]) for k, p in positions.items()}
+        k: int(deltas[p]) for k, p in positions.items()}
     assert exc.value.trace["deltas"]["a"] == 0
 
 
@@ -469,8 +506,7 @@ def test_implicit_layer_over_stored_ones_is_regenerated(certified12):
     for t in range(1, 8):
         layers = list(full.layers)
         layers[t] = None
-        hand = LayerStack(q=stack.q, deltas=stack.deltas, layers=layers,
-                          n=stack.n, beta=stack.beta)
+        hand = LayerStack(q=stack.q, layers=layers, n=stack.n)
         assert (hand.layer_sizes, select_anchors(hand, H.coloring).as_dict(),
                 _report_of(verify_star_property(hand))) == want
         P = full.layers[t]
@@ -480,6 +516,23 @@ def test_implicit_layer_over_stored_ones_is_regenerated(certified12):
                 got, vals = w._read(hand, t, lo, hi, chunk)
                 assert np.array_equal(got, P[(P >= lo) & (P < hi)])
                 assert np.array_equal(vals, _deltas(stack)[got])
+
+
+def test_layer_not_held_as_an_array_is_refused(certified12):
+    """A stored layer that is not an integer position array, such as a
+    Python list, raises InvalidParams naming it from layer_sizes,
+    select_anchors and verify_star_property alike, at each stored
+    layer."""
+    stack = build_layers(random_subset(12, 2000, seed=4), 5)
+    for t in range(3, 8):
+        layers = list(stack.layers)
+        layers[t] = layers[t].tolist()
+        hand = LayerStack(q=stack.q, layers=layers, n=stack.n)
+        for read in (lambda s: s.layer_sizes,
+                     lambda s: select_anchors(s, certified12.coloring),
+                     verify_star_property):
+            with pytest.raises(InvalidParams, match=f"layer {t} is not"):
+                read(hand)
 
 
 # --- extract_edge -------------------------------------------------------------
@@ -593,7 +646,6 @@ def test_extraction_hands_back_what_it_built(certified12):
             assert built == fresh and wit.trace["run"] == built.as_dict()
             continue
         assert np.array_equal(built.q, q)
-        assert built.deltas is None and fresh.deltas is None
         assert built.layers[:3] == [None] * 3
         assert built.layer_sizes == fresh.layer_sizes
         for t in range(3, len(fresh.layers)):
@@ -912,8 +964,8 @@ def test_build_layers_does_not_depend_on_scan_slices(monkeypatch):
 def _local_maxima_stack(q):
     """All seven local-maxima layers, built without the run shortcut.
 
-    The stack has the shape build_layers gives it: no deltas, layers 0,
-    1 and 2 implicit and int32 positions in every other layer.
+    The stack has the shape build_layers gives it: layers 0, 1 and 2
+    implicit and int32 positions in every other layer.
     """
     d = w.consecutive_deltas(q)
     layers = [None]
@@ -925,7 +977,7 @@ def _local_maxima_stack(q):
             break
         prev = prev[idx]
         layers.append(None if t < 3 else prev)
-    return LayerStack(q=q, deltas=None, layers=layers, n=5, beta=())
+    return LayerStack(q=q, layers=layers, n=5)
 
 
 def _with_element_added(stack, rng):
@@ -985,12 +1037,13 @@ def _random_stack(rng):
     return D, stack
 
 
-def _with_corrupted_deltas(stack, D, rng):
-    """The stack with one to three deltas set to random values."""
-    deltas = _deltas(stack).copy()
+def _corrupted(stack, D, rng):
+    """The stack's deltas with one to three set to random values, to be
+    read through _reads_deltas."""
+    deltas = _deltas(stack)
     idx = rng.integers(deltas.size, size=int(rng.integers(1, 4)))
     deltas[idx] = rng.integers(0, D + 2, size=idx.size)
-    return replace(stack, deltas=deltas)
+    return deltas
 
 
 @pytest.mark.parametrize("chunk", [2, None])
@@ -1016,12 +1069,11 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
     for i in range(800):
         D, stack = _random_stack(rng)
         kind = int(rng.integers(7))
-        bad_layer = None
+        bad_layer = deltas = None
         if kind == 1:
             # layers 1..k stored, so that they stay what they were built as
-            stack = _with_corrupted_deltas(_with_stored(stack, 1 + i % 2), D,
-                                           rng)
-            bad_layer = _first_unnested(stack)
+            stack = _with_stored(stack, 1 + i % 2)
+            deltas = _corrupted(stack, D, rng)
         elif kind == 2 and len(stack.layers) > 1:
             stack = _with_element_removed(stack, rng)
         elif kind == 3 and len(stack.layers) > 1:
@@ -1059,17 +1111,19 @@ def test_nested_star_check_agrees_with_direct_scan(monkeypatch, chunk):
                 stack.layers[bad_layer] = P + (np.arange(P.size) == P.size // 2)
             else:
                 bad_layer = None
-        reference = _star_reference(stack)
-        if kind == 2:
-            bad_layer = _first_unnested(stack)
-            # a removal only unnests a stack the reference scan fails
-            assert bad_layer is None or not reference.ok
-        if bad_layer is not None:
-            with pytest.raises(InvalidParams, match=f"layer {bad_layer} "):
-                verify_star_property(stack)
-            refused += 1
-            continue
-        assert _report_of(verify_star_property(stack)) == _report_of(reference)
+        with _reads_deltas(stack.q, deltas):
+            reference = _star_reference(stack)
+            if kind in (1, 2):
+                bad_layer = _first_unnested(stack)
+                # a removal only unnests a stack the reference scan fails
+                assert kind == 1 or bad_layer is None or not reference.ok
+            if bad_layer is not None:
+                with pytest.raises(InvalidParams, match=f"layer {bad_layer} "):
+                    verify_star_property(stack)
+                refused += 1
+                continue
+            got = _report_of(verify_star_property(stack))
+        assert got == _report_of(reference)
         compared += 1
         failing += not reference.ok
     assert compared > 350 and failing > 200 and refused > 300
@@ -1100,17 +1154,18 @@ def test_implicit_layer1_matches_its_stored_form(monkeypatch, chunk):
     rng = np.random.default_rng(17)
     reports = failing = refused = 0
     for _ in range(200):
-        D, built = _random_stack(rng)
-        for stack in (built, _with_corrupted_deltas(built, D, rng)):
-            assert stack.layers[1] is None and stack.layers[2] is None
-            got = _outcome(stack)
-            for k in (1, 2):
-                assert got == _outcome(_with_stored(stack, k))
-            if isinstance(got, str):
-                assert "layer 3 " in got
-                refused += 1
-                continue
-            assert got == _report_of(_star_reference(stack))
+        D, stack = _random_stack(rng)
+        assert stack.layers[1] is None and stack.layers[2] is None
+        for deltas in (None, _corrupted(stack, D, rng)):
+            with _reads_deltas(stack.q, deltas):
+                got = _outcome(stack)
+                for k in (1, 2):
+                    assert got == _outcome(_with_stored(stack, k))
+                if isinstance(got, str):
+                    assert "layer 3 " in got
+                    refused += 1
+                    continue
+                assert got == _report_of(_star_reference(stack))
             reports += 1
             failing += not got[0]
     assert reports > 250 and failing > 60 and refused > 40
@@ -1139,23 +1194,24 @@ def test_stale_layer_is_refused_before_a_lower_failure(monkeypatch, chunk):
         stacks += 1
         P = _layer(stack, 1)
         k = int(np.argmax(P[1:] - P[:-1] >= 2))
-        deltas = _deltas(stack).copy()
+        deltas = _deltas(stack)
         deltas[P[k] + 1] = 100              # above every delta
         # layer 1 stored, so that it stays what it was built as
-        low = replace(stack, deltas=deltas,
-                      layers=[None, P] + stack.layers[2:])
-        reference = _star_reference(low)
-        assert reference.counterexample["layer"] == 1
-        assert _report_of(verify_star_property(low)) == _report_of(reference)
-        t = int(rng.integers(3, len(stack.layers)))
-        layers = list(low.layers)
-        P = layers[t]
-        if rng.integers(2) and P.size > 1:
-            layers[t] = P[::-1].copy()
-        else:
-            layers[t] = P + (np.arange(P.size) == int(rng.integers(P.size)))
-        with pytest.raises(InvalidParams, match=f"layer {t} "):
-            verify_star_property(replace(low, layers=layers))
+        low = replace(stack, layers=[None, P] + stack.layers[2:])
+        with _reads_deltas(q, deltas):
+            reference = _star_reference(low)
+            assert reference.counterexample["layer"] == 1
+            assert _report_of(verify_star_property(low)) == \
+                _report_of(reference)
+            t = int(rng.integers(3, len(stack.layers)))
+            layers = list(low.layers)
+            P = layers[t]
+            if rng.integers(2) and P.size > 1:
+                layers[t] = P[::-1].copy()
+            else:
+                layers[t] = P + (np.arange(P.size) == int(rng.integers(P.size)))
+            with pytest.raises(InvalidParams, match=f"layer {t} "):
+                verify_star_property(replace(low, layers=layers))
 
 
 def test_layer_stack_memory_stays_lean():
@@ -1272,9 +1328,8 @@ def test_star_check_allocates_nothing_that_grows_with_q():
 
 def _explicit_base(stack):
     """The same stack with layer 0 stored as an array of every position."""
-    return LayerStack(q=stack.q, deltas=stack.deltas,
-                      layers=[_layer(stack, 0)] + list(stack.layers[1:]),
-                      n=stack.n, beta=stack.beta)
+    return LayerStack(q=stack.q, n=stack.n,
+                      layers=[_layer(stack, 0)] + list(stack.layers[1:]))
 
 
 def _report_of(rep):
@@ -1301,18 +1356,18 @@ def test_plateau_peak_outside_layer1_is_located():
     k = int(np.argmax(P[1:] - P[:-1] >= 5))
     i, j = int(P[k]), int(P[k + 1])
     assert j - i >= 5
-    stack.deltas = _deltas(stack).copy()
-    stack.deltas[i + 2] = stack.deltas[i + 3] = 20   # above every delta
+    deltas = _deltas(stack)
+    deltas[i + 2] = deltas[i + 3] = 20   # above every delta
     # the neighbors of i and j stay below them, and layer 1, left
     # implicit, is what it was built as
-    assert max(stack.deltas[i + 1], stack.deltas[j - 1]) < \
-        max(stack.deltas[i], stack.deltas[j])
-    assert stack.layers[1] is None and np.array_equal(_layer(stack, 1), P)
-    report = verify_star_property(stack)
-    assert _report_of(report) == _report_of(_star_reference(stack))
-    for k in (1, 2):
-        assert _report_of(verify_star_property(_with_stored(stack, k))) == \
-            _report_of(report)
+    assert max(deltas[i + 1], deltas[j - 1]) < max(deltas[i], deltas[j])
+    with _reads_deltas(stack.q, deltas):
+        assert stack.layers[1] is None and np.array_equal(_layer(stack, 1), P)
+        report = verify_star_property(stack)
+        assert _report_of(report) == _report_of(_star_reference(stack))
+        for k in (1, 2):
+            assert _report_of(verify_star_property(_with_stored(stack, k))) \
+                == _report_of(report)
     assert report.counterexample == {
         "check": "star", "layer": 1, "left": i, "right": j,
         "position": i + 2, "reason": "interior delta not dominated"}
@@ -1331,13 +1386,13 @@ def test_layer_end_does_not_stand_in_for_a_left_out_peak():
     k = int(np.argmax(P[1:] - P[:-1] >= 5))
     i, j = int(P[k]), int(P[k + 1])
     assert P[0] == 2 and j - i >= 5
-    deltas = _deltas(stack).copy()
+    deltas = _deltas(stack)
     deltas[0] = deltas[2] + 1       # above d[1], unequal to d[2]
     deltas[i + 2] = 20
-    s = replace(stack, deltas=deltas,
-                layers=[None, np.insert(P, 0, 0)] + stack.layers[2:])
-    report = verify_star_property(s)
-    assert _report_of(report) == _report_of(_star_reference(s))
+    s = replace(stack, layers=[None, np.insert(P, 0, 0)] + stack.layers[2:])
+    with _reads_deltas(s.q, deltas):
+        report = verify_star_property(s)
+        assert _report_of(report) == _report_of(_star_reference(s))
     assert report.counterexample == {
         "check": "star", "layer": 1, "left": i, "right": j,
         "position": i + 2, "reason": "interior delta not dominated"}
@@ -1345,19 +1400,19 @@ def test_layer_end_does_not_stand_in_for_a_left_out_peak():
 
 @pytest.mark.parametrize("chunk", [2, None])
 def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
-    """Layer 0 left implicit reads exactly like an np.arange layer 0.
+    """Layer 0 left implicit reads exactly like a stored np.arange layer 0.
 
-    Anchors and extraction agree on the two forms; the star check takes
-    only the implicit one, and reports what the reference scan reports
-    on either.  chunk None keeps the default slice sizes; 2 puts slice
-    boundaries inside every run and gap.
+    The two forms give the same layer sizes, as_dict, anchors and
+    extraction; the star check takes only the implicit one.  chunk None
+    keeps the default slice sizes; 2 puts slice boundaries inside every
+    run and gap.
     """
     if chunk is not None:
         monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
         monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
     rng = np.random.default_rng(29)
     H = certified12
-    stacks = failing = 0
+    stacks = 0
     for _ in range(100):
         D = int(rng.integers(6, 13))
         m = int(rng.integers(40, min(1 << D, 2000)))
@@ -1381,28 +1436,7 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
         if len(stack.layers) == 8:
             assert select_anchors(stack, H.coloring).as_dict() == \
                 select_anchors(full, H.coloring).as_dict()
-        # as built, and with one delta corrupted
-        corrupt = _deltas(stack).copy()
-        corrupt[int(rng.integers(corrupt.size))] = int(rng.integers(D + 2))
-        for deltas, k in ((stack.deltas, 0), (corrupt, 1), (corrupt, 2)):
-            # corrupted deltas keep layers 1..k as built, stored, and
-            # with k = 1 move an implicit layer 2 with them, which may
-            # leave layer 3 outside it
-            layers = _with_stored(stack, k).layers
-            s1 = LayerStack(q=q, deltas=deltas, layers=layers, n=n,
-                            beta=stack.beta)
-            if _first_unnested(s1) is not None:
-                with pytest.raises(InvalidParams, match="layer 3 "):
-                    verify_star_property(s1)
-                continue
-            first, *rest = [_report_of(r) for r in (
-                verify_star_property(s1), _star_reference(s1),
-                _star_reference(_explicit_base(s1)))]
-            assert all(r == first for r in rest)
-            if deltas is stack.deltas:
-                assert first[0]
-            failing += not first[0]
-    assert stacks > 25 and failing > 10
+    assert stacks > 25
 
     # extract_edge on the explicit form gives the same witness or error
     implicit = build_layers
@@ -1418,66 +1452,6 @@ def test_implicit_layer0_matches_explicit(monkeypatch, certified12, chunk):
     assert [_extraction(H, q, 5) for q in qs] == want
     assert sum(isinstance(x, dict) and x["branch"] == "AnchorChainBranch"
                for x in want) > 3
-
-
-@pytest.mark.parametrize("chunk", [2, None])
-def test_deltas_read_from_q_match_explicit_deltas(monkeypatch, certified12,
-                                                  chunk):
-    """A stack that holds no deltas, as build_layers leaves it, reads as the
-    same stack with deltas=consecutive_deltas(q): the same layer sizes,
-    anchors (with their deltas), witness and star report.
-
-    Seeded (12, 5) Qs reach both extraction branches; the stack of a Q
-    with a monotone run is its seven local-maxima layers.  Interval Qs
-    are compared too, one of them above 2^53, where the delta kernel
-    takes its exact path.  Windows of 2 put a window boundary at every
-    delta; chunk None keeps the default windows.
-    """
-    if chunk is not None:
-        monkeypatch.setattr(w, "_SCAN_CHUNK", chunk)
-        monkeypatch.setattr(w, "_STAR_CHUNK", chunk)
-    H = certified12
-    rng = np.random.default_rng(53)
-
-    def outcome(stack):
-        anchors = (select_anchors(stack, H.coloring).as_dict()
-                   if len(stack.layers) == 8 else None)
-        return (stack.layer_sizes, anchors,
-                _report_of(verify_star_property(stack)))
-
-    def assert_parity(stack):
-        assert stack.deltas is None
-        explicit = replace(stack, deltas=w.consecutive_deltas(stack.q))
-        assert outcome(stack) == outcome(explicit)
-
-    qs = [random_subset(12, int(rng.integers(300, 3000)),
-                        int(rng.integers(1 << 30))) for _ in range(16)]
-    branches = {"MonotoneRunBranch": 0, "AnchorChainBranch": 0}
-    for q in qs:
-        built = build_layers(q, 5)
-        assert_parity(built if isinstance(built, LayerStack)
-                      else _local_maxima_stack(q))
-        got = _extraction(H, q, 5)
-        if isinstance(got, dict):
-            branches[got["branch"]] += 1
-    for start, m in ((0, 1024), (1000, 3000), (2 ** 60, 2000)):
-        q = np.arange(start, start + m, dtype=np.uint64)
-        assert_parity(build_layers(q, 5))
-    assert min(branches.values()) >= 5
-
-    # the witness, with every stack given its deltas explicitly
-    implicit = build_layers
-
-    def explicit(q, n):
-        built = implicit(q, n)
-        if isinstance(built, LayerStack):
-            return replace(built, deltas=w.consecutive_deltas(built.q))
-        return built
-
-    qs.append(np.arange(1000, 4000, dtype=np.uint64))
-    want = [_extraction(H, q, 5) for q in qs]
-    monkeypatch.setattr(w, "build_layers", explicit)
-    assert [_extraction(H, q, 5) for q in qs] == want
 
 
 def _stops_increasing(q, p):
@@ -1524,9 +1498,10 @@ def test_corrupted_interior_delta_is_caught():
     # layers 1..k stored, so that they stay what they were built as
     for k in (1, 2):
         stack = _with_stored(build_layers(RULER, 5), k)
-        stack.deltas = _deltas(stack).copy()
-        stack.deltas[2] = 9
-        report = verify_star_property(stack)
+        deltas = _deltas(stack)
+        deltas[2] = 9
+        with _reads_deltas(stack.q, deltas):
+            report = verify_star_property(stack)
         assert not report.ok
         assert report.counterexample == {
             "check": "star", "layer": 1, "left": 1, "right": 3,
@@ -1537,9 +1512,10 @@ def test_corrupted_neighborhood_is_caught_by_observation_check():
     # with layer 2 implicit, layer 1's drop is found by regenerating it
     for k in (1, 2):
         stack = _with_stored(build_layers(RULER, 5), k)
-        stack.deltas = _deltas(stack).copy()
-        stack.deltas[0] = 5
-        report = verify_star_property(stack)
+        deltas = _deltas(stack)
+        deltas[0] = 5
+        with _reads_deltas(stack.q, deltas):
+            report = verify_star_property(stack)
         assert not report.ok
         assert report.counterexample == {
             "check": "drop_dominance", "layer": 1, "position": 1, "left": 0,
