@@ -3,29 +3,26 @@
 Subcommands cover the full pipeline: sampling and certifying pair
 colorings, exhaustively checking K5(4)-freeness, exact independence
 numbers, independence queries, witness extraction from large vertex
-sets, Steiner packing, the failure-probability bound, and benchmarks.
+sets, Steiner packing, and the failure-probability bound.
 
-Reports are JSON on stdout (CSV for bench); verdict fields are a pure
-function of the echoed config, so re-running a report's config
-reproduces everything except the timings block.  Exit codes: 0 for
+Reports are JSON on stdout; verdict fields are a pure function of the
+echoed config, so re-running a report's config reproduces everything
+except the timings block.  Exit codes: 0 for
 certified / violation-free / witness-found outcomes, 1 for refuted /
 violation / extraction-failure outcomes, 2 for usage and I/O errors.
 
 Every randomized task derives its stream from the master ``--seed`` by
 labeled splitting (blake2s over "seed:label"), so unrelated tasks never
-share draws and thread count cannot reorder them.
+share draws.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import math
-import os
 import resource
 import sys
 import time
@@ -49,7 +46,6 @@ from .coloring import (
 )
 from .errors import (
     BudgetExceeded,
-    EngineDisagreement,
     ExtractorError,
     InsufficientLayers,
     IoError,
@@ -79,26 +75,10 @@ from .witness import (
     verify_star_property,
 )
 
-BENCH_COLUMNS = ["task", "bits", "items", "threads", "seconds", "rate", "verdict"]
-
-
 def derive_seed(master: int, label: str) -> int:
     """Labeled substream of a master seed, stable across platforms."""
     digest = hashlib.blake2s(f"{master}:{label}".encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "little")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("STEPUP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"STEPUP_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise UsageError(f"STEPUP_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -349,42 +329,6 @@ def _cmd_bound(args) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_bench(args) -> tuple[int, dict]:
-    rows = []
-    phi = sample_coloring(args.bits, derive_seed(args.seed, "bench-coloring"))
-    H = StepUpHypergraph(phi)
-
-    verdicts = set()
-    for threads in (1, args.threads) if args.threads > 1 else (1,):
-        stats = {}
-        t0 = time.perf_counter()
-        v = check_k5_free(H, budget=args.budget, force=args.force,
-                          threads=threads, stats=stats)
-        dt = time.perf_counter() - t0
-        items = stats.get("classes_checked", 0)
-        verdict = "NoViolation" if v is None else "Violation"
-        verdicts.add(verdict)
-        rows.append(["k5-check", args.bits, items, threads, round(dt, 4),
-                     round(items / dt) if dt else 0, verdict])
-    if len(verdicts) > 1:
-        raise EngineDisagreement(
-            f"K5 verdict changed with thread count: {sorted(verdicts)}")
-
-    q = random_subset(args.q_bits, args.q_size,
-                      derive_seed(args.seed, "bench-q"))
-    t0 = time.perf_counter()
-    built = build_layers(q, args.n)
-    dt = time.perf_counter() - t0
-    kind = "run" if not isinstance(built, LayerStack) else "stack"
-    rows.append(["layer-build", args.q_bits, int(q.size), 1, round(dt, 4),
-                 round(q.size / dt) if dt else 0, kind])
-
-    report = {"command": "bench", "config": _config_echo(args),
-              "verdict": "Benchmarked", "columns": BENCH_COLUMNS,
-              "rows": rows}
-    return 0, report
-
-
 # --- parser and entry ----------------------------------------------------------
 
 
@@ -441,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-cap", type=int, default=None)
     p.add_argument("--budget", type=int, default=K5_BUDGET_DEFAULT)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; no effect")
     p.set_defaults(handler=_cmd_check_k5)
 
@@ -482,19 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cprime", type=float, required=True)
     p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser("bench", help="throughput benchmarks, CSV output")
-    p.add_argument("--bits", type=int, default=6)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--q-bits", type=int, default=24)
-    p.add_argument("--q-size", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=K5_BUDGET_DEFAULT)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; no effect")
-    p.add_argument("--csv", metavar="FILE", default=None)
-    p.set_defaults(handler=_cmd_bench)
 
     for sp in sub.choices.values():
         sp.add_argument("--report", metavar="FILE", default=None,
@@ -574,21 +505,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit(args: argparse.Namespace, report: dict) -> None:
-    """Encode the report once and write the files before stdout, so a file
-    that cannot be written leaves stdout empty."""
+    """Encode the report once and write the report file before stdout, so
+    a file that cannot be written leaves stdout empty."""
     text = _encode(report) + "\n"
-    out = text
-    if args.command == "bench":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report["columns"])
-        writer.writerows(report["rows"])
-        out = buf.getvalue()
-        if args.csv:
-            _write_text(args.csv, out)
     if args.report:
         _write_text(args.report, text)
-    sys.stdout.write(out)
+    sys.stdout.write(text)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -599,8 +521,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     t0 = time.perf_counter()
     try:
-        if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-            args.threads = _default_threads()
         code, report = args.handler(args)
         report.setdefault("timings", {})["total_s"] = round(
             time.perf_counter() - t0, 6)

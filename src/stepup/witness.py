@@ -1170,10 +1170,33 @@ def _dense_subset(rng: np.random.Generator, D: int, m: int) -> np.ndarray:
     return q
 
 
+def _increasing(q: np.ndarray) -> bool:
+    """Whether q is strictly increasing, compared a window at a time so that
+    no array the size of q is made."""
+    for s in range(0, q.size - 1, _SCAN_CHUNK):
+        e = min(s + _SCAN_CHUNK, q.size - 1)
+        if not (q[s:e] < q[s + 1:e + 1]).all():
+            return False
+    return True
+
+
 def save_q(q: np.ndarray, D: int, path) -> None:
-    """Write Q as a STEPUP-Q v1 file, straight from the vertex array."""
+    """Write Q as a STEPUP-Q v1 file, straight from the vertex array.
+
+    What load_q would refuse is refused before the file is opened: D
+    outside 2..64, an empty Q, and a Q that is not strictly increasing or
+    holds a vertex outside [0, 2^D).
+    """
     # no copy on a little-endian machine
     q = np.asarray(_as_vertex_array(q), dtype="<u8")
+    if not 2 <= D <= 64:
+        raise InvalidD(f"need 2 <= D <= 64, got {D}")
+    if q.size == 0:
+        raise SetTooSmall("Q must hold at least one vertex")
+    if not _increasing(q):
+        raise MalformedTuple("Q must be strictly increasing")
+    if int(q[-1]) >= 1 << int(D):
+        raise MalformedTuple(f"vertex {int(q[-1])} outside [0, 2^{D})")
     header = f"STEPUP-Q v1 count={q.size} bits={D}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -1206,10 +1229,8 @@ def load_q(path) -> tuple[np.ndarray, int]:
     q = q.astype(np.uint64, copy=False)
     if count == 0:
         raise IoError(f"{path}: empty vertex list")
-    for s in range(0, count - 1, _SCAN_CHUNK):
-        e = min(s + _SCAN_CHUNK, count - 1)
-        if not (q[s:e] < q[s + 1:e + 1]).all():
-            raise IoError(f"{path}: vertices not strictly increasing")
+    if not _increasing(q):
+        raise IoError(f"{path}: vertices not strictly increasing")
     if int(q[-1]) >= (1 << D):
         raise IoError(f"{path}: vertex {int(q[-1])} outside [0, 2^{D})")
     return q, D

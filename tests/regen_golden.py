@@ -5,11 +5,10 @@
 
 Each case runs one ``stepup`` command line in process, in a directory
 that holds its input colorings under fixed names, so that the config
-echo of the report does not depend on where it ran; the cases that take
-``--threads`` pass it, so that the echo does not depend on
-STEPUP_THREADS either.  The report's ``timings``
-block is removed and the rest is written as sorted, indented JSON.  A
-report longer than GOLDEN_MAX_BYTES is stored as its sha256 instead.
+echo of the report does not depend on where it ran.  The report's
+``timings`` block is removed and the rest is written as sorted, indented
+JSON.  A report longer than GOLDEN_MAX_BYTES is stored as its sha256
+instead.
 test_golden.py compares every case byte for byte; a change that moves a
 golden report rewrites it with this script and names it in CHANGES.md.
 """
@@ -65,6 +64,9 @@ CASES = {
                          "--vertices", ",".join(map(str, range(32)))],
     "steiner_40_s7": ["steiner", "--n", "40", "--seed", "7"],
     "bound_12_5": ["bound", "--bits", "12", "--n", "5", "--cprime", "0.4"],
+    **{f"search_{b}_5": ["gen-coloring", "--bits", str(b), "--n", "5",
+                         "--search", "--seed", "0", "--out", f"search_{b}_5.bin"]
+       for b in (12, 13, 16, 24)},
 }
 
 

@@ -1,8 +1,6 @@
 """Tests for the command-line harness: exit codes, reports, reproducibility."""
 
 import argparse
-import csv
-import io
 import json
 import os
 import subprocess
@@ -16,7 +14,7 @@ from hypothesis import strategies as st
 
 import stepup.hypergraph as hg
 from stepup import cli
-from stepup.cli import BENCH_COLUMNS, derive_seed, main
+from stepup.cli import derive_seed, main
 from stepup.coloring import (
     PairColoring,
     load_coloring,
@@ -80,6 +78,9 @@ def test_check_k5_single_coloring_and_threads(capsys):
     assert code1 == code2 == 0
     assert rep1["verdict"] == rep2["verdict"] == "NoViolation"
     assert rep1["counters"]["five_sets_each"] == 201376
+    # --threads is echoed, 1 unless given, and changes nothing else
+    assert (rep1["config"]["threads"], rep2["config"]["threads"]) == (1, 2)
+    assert rep1["counters"] == rep2["counters"]
 
 
 def test_check_k5_all_colorings_at_four_bits(capsys):
@@ -421,55 +422,6 @@ def test_bound_command_matches_library(capsys):
         failure_probability_bound(10, 5, 0.0833333333333333))
 
 
-def test_bench_emits_fixed_csv_schema(capsys, tmp_path):
-    csv_path, report = tmp_path / "bench.csv", tmp_path / "bench.json"
-    code = main(["bench", "--bits", "4", "--threads", "2", "--q-bits", "16",
-                 "--q-size", "20000", "--csv", str(csv_path),
-                 "--report", str(report)])
-    out = capsys.readouterr().out
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == BENCH_COLUMNS
-    assert all(len(r) == len(BENCH_COLUMNS) for r in rows[1:])
-    k5 = [r for r in rows[1:] if r[0] == "k5-check"]
-    assert len(k5) == 2 and k5[0][6] == k5[1][6]
-    assert csv_path.read_text() == out
-    # the CSV holds the rows as the JSON report writes them
-    rep = json.loads(report.read_text())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rep["columns"])
-    writer.writerows(rep["rows"])
-    assert out == buf.getvalue()
-    assert report.read_text() == json.dumps(rep, indent=2,
-                                            sort_keys=True) + "\n"
-
-
-def test_bench_k5_rows_count_the_patterns_checked(capsys):
-    # at every D the check decides from the 1,616 pattern classes, not
-    # from binom(2^D, 5) vertex 5-sets or the delta patterns over [0, D)
-    for bits, classes in ((4, 1616), (5, 1616)):
-        code = main(["bench", "--bits", str(bits), "--threads", "2",
-                     "--q-bits", "16", "--q-size", "2000"])
-        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert code == 0
-        k5 = [r for r in rows[1:] if r[0] == "k5-check"]
-        assert [(r[2], r[3]) for r in k5] == [(str(classes), "1"),
-                                              (str(classes), "2")]
-
-
-def test_bench_verdict_change_with_threads_is_a_typed_error(capsys,
-                                                           monkeypatch):
-    def k5_by_threads(H, *args, threads=1, stats=None, **kwargs):
-        return None if threads == 1 else object()
-
-    monkeypatch.setattr(cli, "check_k5_free", k5_by_threads)
-    code, out, err = run_raw(capsys, ["bench", "--bits", "4", "--threads", "2",
-                                      "--q-bits", "16", "--q-size", "2000"])
-    assert code == 2 and out == ""
-    assert "error: EngineDisagreement: K5 verdict changed with thread count" in err
-
-
 def test_gen_coloring_search_says_when_no_certified_coloring_exists(
         capsys, tmp_path):
     # the search fails, as it must at D >= 14, without annealing
@@ -500,6 +452,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+    assert main(["bench"]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
     assert main(["independent", "--bits", "4", "--seed", "1",
                  "--vertices", "1,two,3"]) == 2
     capsys.readouterr()
@@ -518,15 +472,6 @@ def test_bits_coloring_mismatch_is_usage_error(capsys, certified12_file):
                                       "--coloring", certified12_file])
     assert code == 2
     assert "disagrees" in err
-
-
-def test_env_threads_default(capsys, monkeypatch):
-    monkeypatch.setenv("STEPUP_THREADS", "2")
-    code, rep = run_json(capsys, ["check-k5", "--bits", "4", "--seed", "1"])
-    assert code == 0 and rep["config"]["threads"] == 2
-    monkeypatch.setenv("STEPUP_THREADS", "banana")
-    code, out, err = run_raw(capsys, ["check-k5", "--bits", "4", "--seed", "1"])
-    assert code == 2 and "STEPUP_THREADS" in err
 
 
 def test_reports_reproduce_modulo_timings(capsys, certified12_file, tmp_path):
@@ -549,8 +494,8 @@ def test_reports_reproduce_modulo_timings(capsys, certified12_file, tmp_path):
 
 
 def test_report_file_matches_stdout(capsys, certified12_file, tmp_path):
-    # every subcommand but bench (CSV on stdout), and both outcomes: the
-    # report file holds stdout's bytes, the standard indented encoding
+    # every subcommand, and both outcomes: the report file holds stdout's
+    # bytes, the standard indented encoding
     qpath = tmp_path / "q.bin"
     save_q(random_subset(12, 20, seed=5), 12, qpath)
     extract = ["extract-witness", "--coloring", certified12_file, "--n", "5"]

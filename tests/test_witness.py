@@ -1634,6 +1634,30 @@ def test_q_file_rejects_malformed_input(tmp_path):
             load_q(path)
 
 
+def test_save_q_refuses_what_load_q_refuses(tmp_path):
+    """Each Q here, written by hand in the v1 format, is refused by load_q;
+    save_q raises a typed error before it opens the path."""
+    cases = [([3, 1], 4, MalformedTuple), ([1, 40], 4, MalformedTuple),
+             ([1, 1], 4, MalformedTuple), ([], 4, SetTooSmall),
+             ([1, 2], 70, InvalidD), ([1, 2], 1, InvalidD)]
+    for i, (vertices, D, error) in enumerate(cases):
+        q = np.array(vertices, dtype=np.uint64)
+        by_hand = tmp_path / f"by_hand{i}.bin"
+        by_hand.write_bytes(f"STEPUP-Q v1 count={q.size} bits={D}\n".encode()
+                            + q.astype("<u8").tobytes())
+        with pytest.raises(IoError):
+            load_q(by_hand)
+        path = tmp_path / f"q{i}.bin"
+        with pytest.raises(error):
+            save_q(q, D, path)
+        if path.exists():  # checked under python -O too
+            pytest.fail(f"save_q({vertices}, {D}) left a file")
+    # the largest vertex of 2^64 is still saved and read back
+    top = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    save_q(top, 64, tmp_path / "top.bin")
+    assert np.array_equal(load_q(tmp_path / "top.bin")[0], top)
+
+
 def test_guarantee_threshold_value():
     assert guarantee_threshold(5) == 10_000_001
     assert guarantee_threshold(3) == 6 ** 7 + 1
