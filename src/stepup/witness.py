@@ -1183,14 +1183,14 @@ def _increasing(q: np.ndarray) -> bool:
 def save_q(q: np.ndarray, D: int, path) -> None:
     """Write Q as a STEPUP-Q v1 file, straight from the vertex array.
 
-    What load_q would refuse is refused before the file is opened: D
-    outside 2..64, an empty Q, and a Q that is not strictly increasing or
-    holds a vertex outside [0, 2^D).
+    What load_q would refuse is refused before the file is opened: a D
+    that is not an integer in 2..64, an empty Q, and a Q that is not
+    strictly increasing or holds a vertex outside [0, 2^D).
     """
     # no copy on a little-endian machine
     q = np.asarray(_as_vertex_array(q), dtype="<u8")
-    if not 2 <= D <= 64:
-        raise InvalidD(f"need 2 <= D <= 64, got {D}")
+    if not (isinstance(D, (int, np.integer)) and 2 <= D <= 64):
+        raise InvalidD(f"need an integer 2 <= D <= 64, got {D!r}")
     if q.size == 0:
         raise SetTooSmall("Q must hold at least one vertex")
     if not _increasing(q):

@@ -1639,7 +1639,8 @@ def test_save_q_refuses_what_load_q_refuses(tmp_path):
     save_q raises a typed error before it opens the path."""
     cases = [([3, 1], 4, MalformedTuple), ([1, 40], 4, MalformedTuple),
              ([1, 1], 4, MalformedTuple), ([], 4, SetTooSmall),
-             ([1, 2], 70, InvalidD), ([1, 2], 1, InvalidD)]
+             ([1, 2], 70, InvalidD), ([1, 2], 1, InvalidD),
+             ([1, 2], 24.5, InvalidD)]
     for i, (vertices, D, error) in enumerate(cases):
         q = np.array(vertices, dtype=np.uint64)
         by_hand = tmp_path / f"by_hand{i}.bin"
