@@ -332,6 +332,17 @@ def _cmd_bound(args) -> tuple[int, dict]:
 # --- parser and entry ----------------------------------------------------------
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_phi_source(p: argparse.ArgumentParser, bits_required: bool = False):
     p.add_argument("--bits", type=int, required=bits_required,
                    help="bit-width D; vertices live in [0, 2^D)")
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-cap", type=int, default=None)
     p.add_argument("--budget", type=int, default=K5_BUDGET_DEFAULT)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_at_least_one, default=1,
                    help="accepted for compatibility; no effect")
     p.set_defaults(handler=_cmd_check_k5)
 

@@ -10,10 +10,11 @@ A good triple is then a cyclic triangle, and "certified at n" means "no
 transitive subtournament on n vertices", which exact certification checks
 by a depth-first search over transitive prefixes.  Random colorings have this
 property only when binom(D,n)*(3/4)^(n choose 3 packing) is small, so
-besides plain seeded sampling there is a search loop that repairs
-near-misses by simulated annealing on the count of good-triple-free
-subsets, and falls back to Paley tournament colorings, whose transitive
-subtournaments are small; every result is re-certified from scratch.
+the search certifies, after one seeded draw, known tournaments whose
+transitive subtournaments are small (the extremal ones of n <= 6, then
+Paley tournaments), and only then repairs near-misses by simulated
+annealing on the count of good-triple-free subsets; every result is
+re-certified from scratch.
 
 Also here: the greedy partial Steiner (n,3,2) packing and the log-space
 failure probability bound, both small self-contained proof ingredients.
@@ -648,8 +649,10 @@ def _anneal_repair(bits: np.ndarray, D: int, n: int, rng: np.random.Generator,
 # The Paley tournament of order q (q = 3 mod 4, so -1 is a non-square) has
 # x -> y iff y - x is a nonzero square of GF(q).  Its transitive
 # subtournaments are small: GF(27) has none on 6 vertices (Sanchez-Flores
-# 1994), while every 14-vertex tournament has one on 5 and every 28-vertex
-# tournament one on 6 (Erdos-Moser 1964; Reid-Parker 1970).
+# 1994), while every 28-vertex tournament has one on 6 (Erdos-Moser 1964;
+# Reid-Parker 1970).  For prime q it is a circulant tournament: x -> y iff
+# (y - x) mod q lies in an arc set S with S and -S splitting the nonzero
+# residues.
 #
 # GF(27) = GF(3)[x] / (x^3 + 2x + 1).  Integer k stands for the element with
 # coefficients (k mod 3, k div 3 mod 3, k div 9), constant term first.
@@ -682,6 +685,14 @@ def _is_paley_order(q: int) -> bool:
     return q % 4 == 3 and all(q % p for p in range(2, math.isqrt(q) + 1))
 
 
+def _circulant_coloring(m: int, arcs, D: int) -> PairColoring:
+    """The circulant tournament on Z_m with arc set arcs, cut to its first D
+    elements: the pair a < b is Red iff (b - a) mod m is in arcs."""
+    bits = [RED if (b - a) % m in arcs else BLUE
+            for a, b in combinations(range(D), 2)]
+    return PairColoring(D, np.array(bits, dtype=np.uint8))
+
+
 def paley_coloring(q: int, D: int) -> PairColoring:
     """Paley tournament coloring of order q cut to its first D elements.
 
@@ -695,25 +706,31 @@ def paley_coloring(q: int, D: int) -> PairColoring:
             f"Paley order must be 27 or a prime = 3 mod 4, got q={q}")
     if not 2 <= D <= q:
         raise InvalidD(f"need 2 <= D <= q={q}, got D={D}")
-    if q == 27:
-        squares = {_gf27_code(_gf27_mul(_gf27(k), _gf27(k))) for k in range(1, 27)}
-
-        def diff(b, a):
-            return _gf27_code([(x - y) % 3 for x, y in zip(_gf27(b), _gf27(a))])
-    else:
-        squares = {k * k % q for k in range(1, q)}
-
-        def diff(b, a):
-            return (b - a) % q
-    bits = [RED if diff(b, a) in squares else BLUE
+    if q != 27:
+        return _circulant_coloring(q, {k * k % q for k in range(1, q)}, D)
+    squares = {_gf27_code(_gf27_mul(_gf27(k), _gf27(k))) for k in range(1, 27)}
+    bits = [RED if _gf27_code([(x - y) % 3 for x, y in zip(_gf27(b), _gf27(a))])
+            in squares else BLUE
             for a, b in combinations(range(D), 2)]
     return PairColoring(D, np.array(bits, dtype=np.uint8))
 
 
-# v(n): every tournament on v(n) vertices has a transitive subtournament on
-# n, and some tournament on v(n) - 1 has none (Erdos-Moser 1964; Reid-Parker
-# 1970; Sanchez-Flores 1994).  Known exactly only up to n = 6.
-_TT_FORCING_ORDER = {3: 4, 4: 8, 5: 14, 6: 28}
+# The circulant tournament on Z_13 with this arc set has no transitive
+# 5-subtournament.
+_Z13_ARCS = frozenset({1, 2, 3, 5, 6, 9})
+
+# n -> (v(n), the extremal tournament's strategy name, and that tournament
+# cut to its first D vertices).  Every tournament on v(n) vertices has a
+# transitive subtournament on n, and the extremal one, on v(n) - 1
+# vertices, has none (Erdos-Moser 1964; Reid-Parker 1970; Sanchez-Flores
+# 1994).  Known exactly only up to n = 6.
+_TT_FORCING = {
+    3: (4, "paley-3", lambda D: paley_coloring(3, D)),
+    4: (8, "paley-7", lambda D: paley_coloring(7, D)),
+    5: (14, "circulant-13",
+        lambda D: _circulant_coloring(13, _Z13_ARCS, D)),
+    6: (28, "paley-27", lambda D: paley_coloring(27, D)),
+}
 
 
 def tt_forcing_order(n: int) -> Optional[int]:
@@ -722,7 +739,22 @@ def tt_forcing_order(n: int) -> Optional[int]:
     Known for n <= 6 (4, 8, 14, 28); from this D on every tournament has
     a transitive n-subtournament, so every coloring is refuted.
     """
-    return _TT_FORCING_ORDER.get(n)
+    known = _TT_FORCING.get(n)
+    return None if known is None else known[0]
+
+
+def _constructions(D: int, n: int):
+    """(strategy, coloring) for each construction the search certifies
+    before it anneals, for D below tt_forcing_order(n): the extremal
+    tournament of n cut to D, then the Paley colorings of orders
+    D <= q <= 2D.  Beyond q = 2D the first D elements are a small slice of
+    the tournament; the bound keeps a failing step to a handful of exact
+    scans."""
+    if n in _TT_FORCING:
+        _, name, build = _TT_FORCING[n]
+        yield name, build(D)
+    for q in filter(_is_paley_order, range(D, 2 * D + 1)):
+        yield f"paley-{q}", paley_coloring(q, D)
 
 
 @dataclass
@@ -734,7 +766,7 @@ class SearchResult:
     repaired: bool
     anneal_steps: int
     best_bad_count: int
-    strategy: str               # seeded | annealed | paley-<q>
+    strategy: str               # seeded | annealed | paley-<q> | circulant-13
     anneal_accepted: int = 0    # accepted flips of the reported attempt
 
     @property
@@ -770,21 +802,23 @@ def search_certified_coloring(
     """Search for a coloring certified in Exact mode at (D, n).
 
     Attempt k draws sample_coloring(D, base_seed + k) and certifies it.
-    A refuted draw is repaired by seeded annealing on the bad-subset
-    count; a repair that reaches zero is independently re-certified from
-    scratch before being accepted (the annealer's bookkeeping is never
-    trusted as a verdict).  When every attempt fails, the Paley colorings
-    of orders D <= q <= 2D (see paley_coloring) are certified in ascending
-    order.  Returns the first certified coloring, or the annealed coloring
-    with the fewest bad subsets, with its own exact Refuted certificate,
-    and success=False.  `strategy` names where the coloring came from:
-    seeded, annealed or paley-<q>.  A Paley result reports the steps,
-    accepted flips and bad-subset count of the annealed attempt that kept
-    the fewest bad subsets, as the failing result does.
+    When attempt 1's draw is refuted, the constructions come next, before
+    any anneal: the extremal tournament of n <= 6 cut to D (paley-3,
+    paley-7, circulant-13 or paley-27), then the Paley colorings of orders
+    D <= q <= 2D (see paley_coloring), each certified exactly; the first
+    certified one is returned with attempts 1 and 0 in the anneal fields.
+    Only when none certifies is a refuted draw repaired by seeded
+    annealing on the bad-subset count; a repair that reaches zero is
+    independently re-certified from scratch before being accepted (the
+    annealer's bookkeeping is never trusted as a verdict).  Returns the
+    first certified coloring, or the annealed coloring with the fewest bad
+    subsets, with its own exact Refuted certificate, and success=False.
+    `strategy` names where the coloring came from: seeded, annealed, or
+    the construction (paley-<q>, circulant-13).
 
     From D = tt_forcing_order(n) on, every coloring is refuted, so each
-    draw is certified but neither annealed nor followed by the Paley
-    fallback: the result is the draw with the fewest bad subsets (the
+    draw is certified but neither annealed nor followed by the
+    constructions: the result is the draw with the fewest bad subsets (the
     annealer's starting count), with its own refutation, strategy seeded.
     """
     if not 3 <= n <= D:
@@ -801,6 +835,12 @@ def search_certified_coloring(
         res = certify_good_property(phi, n, "exact", cap=cap)
         if res.certified:
             return SearchResult(True, phi, res, k + 1, False, 0, 0, "seeded")
+        if k == 0 and not hopeless:
+            for name, built in _constructions(D, n):
+                built_res = certify_good_property(built, n, "exact", cap=cap)
+                if built_res.certified:
+                    return SearchResult(True, built, built_res, 1, False, 0, 0,
+                                        name)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         new_bits, steps_used, nbad, accepted = _anneal_repair(
             phi.bits, D, n, rng, 0 if hopeless else repair_steps)
@@ -820,14 +860,6 @@ def search_certified_coloring(
         nbad, _, _, _, phi, res = best
         return SearchResult(False, phi, res, attempts, False, 0, nbad, "seeded")
     nbad, bits, steps_used, accepted, _, _ = best
-    # Beyond q = 2D the first D elements are a small slice of the tournament;
-    # the bound keeps a failing fallback to a handful of exact scans.
-    for q in filter(_is_paley_order, range(D, 2 * D + 1)):
-        paley = paley_coloring(q, D)
-        res = certify_good_property(paley, n, "exact", cap=cap)
-        if res.certified:
-            return SearchResult(True, paley, res, attempts, False, steps_used,
-                                nbad, f"paley-{q}", accepted)
     annealed = PairColoring(D, bits, seed=-1)
     res = certify_good_property(annealed, n, "exact", cap=cap)
     if res.certified:

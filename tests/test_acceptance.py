@@ -323,7 +323,7 @@ def test_criterion_6_extractor_end_to_end_at_guarantee_scale():
         if repair26.success:
             phi, scale = repair26.coloring, (26, 6)
         diagnostics.append(
-            f"(26,6) anneal repair x2: best bad-subset count "
+            f"(26,6) search x2: best bad-subset count "
             f"{repair26.best_bad_count} of {math.comb(26, 6):,}, "
             f"strategy {repair26.strategy}")
 
@@ -331,8 +331,9 @@ def test_criterion_6_extractor_end_to_end_at_guarantee_scale():
         detail = (
             "no certified coloring found at either scale; tried: "
             + "; ".join(diagnostics)
-            + " (the (26,6) search also certifies the Paley colorings of "
-            "orders 26..52). A guarantee-sized Q needs "
+            + " (the (26,6) search also certifies, before any anneal, the "
+            "Paley coloring of GF(27), then those of orders 26..52). "
+            "A guarantee-sized Q needs "
             f"|Q| = (2n)^7+1 = {guarantee_threshold(5):,} <= 2^D, forcing "
             "D >= 24 at n = 5, and (24,5) is impossible: read as a "
             "tournament, a good-triple-free 5-subset is a transitive "

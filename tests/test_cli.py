@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from regen_golden import annealed_12_5
 
 import stepup.hypergraph as hg
 from stepup import cli
@@ -50,9 +51,7 @@ def run_raw(capsys, argv):
 @pytest.fixture(scope="module")
 def certified12_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("phi") / "phi12.bin"
-    code = main(["gen-coloring", "--bits", "12", "--seed", "0",
-                 "--search", "--n", "5", "--out", str(path)])
-    assert code == 0
+    save_coloring(annealed_12_5(), path)
     return str(path)
 
 
@@ -441,8 +440,10 @@ def test_gen_coloring_search_report_has_no_note_when_certifiable(
                                   str(tmp_path / "phi.bin")])
     assert code == 0 and rep["search"]["certifiable"] is True
     assert "note" not in rep
+    # the circulant tournament on Z_13 certifies before any anneal
+    assert rep["search"]["strategy"] == "circulant-13"
     assert (rep["search"]["anneal_steps"],
-            rep["search"]["anneal_accepted"]) == (36129, 5983)
+            rep["search"]["anneal_accepted"]) == (0, 0)
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):
@@ -454,6 +455,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
     assert main(["bench"]) == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+    for threads, why in (("-3", "must be at least 1, got -3"),
+                         ("0", "must be at least 1, got 0"),
+                         ("two", "invalid int value: 'two'")):
+        assert main(["check-k5", "--bits", "5", "--seed", "2",
+                     "--threads", threads]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --threads: {why}" in err
     assert main(["independent", "--bits", "4", "--seed", "1",
                  "--vertices", "1,two,3"]) == 2
     capsys.readouterr()

@@ -250,7 +250,14 @@ def test_random_seed_scan_at_8_5_first_hit_is_seed_17():
     assert certify_good_property(sample_coloring(8, 17), 5).certified
 
 
-def test_search_certified_12_5_first_attempt_repairs():
+@pytest.fixture
+def no_constructions(monkeypatch):
+    """The search with its construction step yielding nothing, so that it
+    anneals every refuted draw below tt_forcing_order(n)."""
+    monkeypatch.setattr(coloring, "_constructions", lambda D, n: ())
+
+
+def test_search_certified_12_5_first_attempt_repairs(no_constructions):
     sr = search_certified_coloring(12, 5, attempts=4, repair_steps=120_000,
                                    base_seed=0)
     assert sr.success
@@ -274,11 +281,11 @@ def test_search_failure_path_returns_best_effort():
     assert find_good_triple(sr.coloring, sr.certification.counterexample) is None
 
 
-def test_search_failure_returns_the_annealed_coloring():
+def test_search_failure_returns_the_annealed_coloring(no_constructions):
     # The failure result is the best annealed coloring, not the raw draw:
     # its own bad-subset count is best_bad_count.  At D = 13 < 14 a
-    # certified coloring exists, so the search anneals; 15,000 steps fall
-    # short of it.
+    # certified coloring exists (circulant-13), so without the
+    # constructions the search anneals; 15,000 steps fall short of it.
     sr = search_certified_coloring(13, 5, attempts=2, repair_steps=15_000,
                                    base_seed=0)
     assert not sr.success and sr.strategy == "annealed" and sr.repaired
@@ -322,13 +329,69 @@ def test_search_falls_back_to_paley_27_at_26_6():
     sr = search_certified_coloring(26, 6, attempts=1, repair_steps=1_000)
     assert sr.success
     assert sr.strategy == "paley-27" and not sr.repaired
-    # the annealing that preceded the fallback, as a failing search reports it
-    assert (sr.anneal_steps, sr.anneal_accepted, sr.best_bad_count) == (
-        1_000, 87, 911)
+    # the extremal tournament of n = 6 certifies before any anneal
+    assert (sr.attempts, sr.anneal_steps, sr.anneal_accepted,
+            sr.best_bad_count) == (1, 0, 0, 0)
     assert sr.as_dict()["strategy"] == "paley-27"
     assert sr.coloring == paley_coloring(27, 26)
     assert sr.coloring.seed == -1
     assert certify_good_property(sr.coloring, 6).certified
+
+
+# --- constructions tried before any anneal --------------------------------
+
+def test_construction_extremal_tournaments_are_refuted_below_n():
+    # the extremal tournament of n has v(n) - 1 vertices, no transitive
+    # n-subtournament, and a transitive (n-1)-subtournament (at n = 3 a
+    # transitive pair is any arc)
+    names = {}
+    for n, (v, name, build) in coloring._TT_FORCING.items():
+        phi = build(v - 1)
+        assert phi.D == v - 1 == tt_forcing_order(n) - 1
+        assert certify_good_property(phi, n).certified, name
+        if n > 3:
+            assert certify_good_property(phi, n - 1).verdict == "Refuted", name
+        names[n] = name
+    assert names == {3: "paley-3", 4: "paley-7", 5: "circulant-13",
+                     6: "paley-27"}
+
+
+def test_construction_every_cut_is_certified():
+    for n, (v, name, build) in coloring._TT_FORCING.items():
+        for D in range(n, v):
+            phi = build(D)
+            assert phi.D == D and phi.seed == -1
+            assert certify_good_property(phi, n).certified, (name, D)
+
+
+def test_construction_circulant_arc_set_is_a_tournament():
+    arcs = coloring._Z13_ARCS
+    assert len(arcs) == 6 and not arcs & {(-s) % 13 for s in arcs}
+    phi = coloring._TT_FORCING[5][2](13)
+    assert [b for b in range(1, 13) if phi.color(0, b) == RED] == sorted(arcs)
+
+
+def test_construction_decides_every_certifiable_search_below_n_7():
+    # every (D, n) with n <= 6 and n <= D < v(n): 36 searches, each decided
+    # by the seeded draw or the extremal tournament, without an anneal step
+    searches = 0
+    for n, (v, name, _) in coloring._TT_FORCING.items():
+        for D in range(n, v):
+            sr = search_certified_coloring(D, n)
+            assert sr.success and sr.certification.certified, (D, n)
+            assert sr.strategy in ("seeded", name), (D, n, sr.strategy)
+            assert (sr.attempts, sr.repaired, sr.anneal_steps,
+                    sr.anneal_accepted, sr.best_bad_count) == (
+                        1, False, 0, 0, 0), (D, n)
+            searches += 1
+    assert searches == 36
+
+
+def test_construction_certifies_20_6_without_annealing():
+    sr = search_certified_coloring(20, 6)
+    assert sr.success and sr.strategy == "paley-27"
+    assert sr.coloring == paley_coloring(27, 20)
+    assert sr.anneal_steps == 0
 
 
 def test_dfs_certify_matches_scalar_oracle():
@@ -374,8 +437,9 @@ def test_certification_reports_prefixes_visited():
     assert est.prefixes_visited == 0 == est.as_dict()["prefixes_visited"]
 
 
-# The benchmark's (12, 5) search panel: anneal_steps and the sha256 of the
-# certified coloring, so any change to the annealer's trajectory fails here.
+# The benchmark's (12, 5) search panel, annealed with the construction step
+# patched out: anneal_steps and the sha256 of the certified coloring, so any
+# change to the annealer's trajectory fails here.
 PANEL = {
     0: (36129, "cf28668c7c5a7cf2"),
     1000: (30469, "ed54fa9f8cb0f452"),
@@ -392,7 +456,7 @@ def _bits_sha(phi):
 
 
 @pytest.mark.parametrize("base_seed", sorted(PANEL))
-def test_search_panel_trajectory_is_pinned(base_seed):
+def test_search_panel_trajectory_is_pinned(base_seed, no_constructions):
     sr = search_certified_coloring(12, 5, base_seed=base_seed)
     assert sr.success and sr.attempts == 1 and sr.strategy == "annealed"
     assert (sr.anneal_steps, _bits_sha(sr.coloring)[:16]) == PANEL[base_seed]
@@ -756,7 +820,7 @@ def test_sampled_counterexample_holding_a_good_triple_is_a_typed_error(
 
 
 def test_annealer_zero_that_certification_refutes_is_a_typed_error(
-        monkeypatch):
+        monkeypatch, no_constructions):
     # the annealer claims a repair but hands back the refuted draw
     monkeypatch.setattr(coloring, "_anneal_repair",
                         lambda bits, D, n, rng, steps: (bits.copy(), 7, 0, 7))
@@ -767,14 +831,13 @@ def test_annealer_zero_that_certification_refutes_is_a_typed_error(
 
 
 def test_annealer_bad_count_that_certification_clears_is_a_typed_error(
-        monkeypatch):
+        monkeypatch, no_constructions):
     # the annealer claims 3 bad subsets left on a certified coloring, and no
-    # Paley fallback is tried
+    # construction is tried
     assert not certify_good_property(sample_coloring(7, 0), 4).certified
     qr7 = paley_coloring(7, 7)
     monkeypatch.setattr(coloring, "_anneal_repair",
                         lambda bits, D, n, rng, steps: (qr7.bits.copy(), 7, 3, 7))
-    monkeypatch.setattr(coloring, "_is_paley_order", lambda q: False)
     with pytest.raises(EngineDisagreement, match="kept 3 bad subsets") as exc:
         search_certified_coloring(7, 4, attempts=1, base_seed=0)
     assert exc.value.coloring == qr7

@@ -14,6 +14,7 @@ import pytest
 from conftest import tuple_from_distinct_deltas
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from regen_golden import annealed_12_5
 
 import stepup.witness as w
 from stepup.coloring import (
@@ -143,9 +144,7 @@ def _with_stored(stack, k):
 
 @pytest.fixture(scope="module")
 def certified12():
-    res = search_certified_coloring(12, 5)
-    assert res.success
-    return StepUpHypergraph(res.coloring)
+    return StepUpHypergraph(annealed_12_5())
 
 
 # --- build_layers -------------------------------------------------------------
