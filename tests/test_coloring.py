@@ -387,13 +387,6 @@ def test_construction_decides_every_certifiable_search_below_n_7():
     assert searches == 36
 
 
-def test_construction_certifies_20_6_without_annealing():
-    sr = search_certified_coloring(20, 6)
-    assert sr.success and sr.strategy == "paley-27"
-    assert sr.coloring == paley_coloring(27, 20)
-    assert sr.anneal_steps == 0
-
-
 def test_dfs_certify_matches_scalar_oracle():
     # verdict, counterexample, subsets_checked and total against the plain
     # enumeration: all-red, QR7, QR11, and random colorings at every D <= 12
