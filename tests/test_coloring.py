@@ -387,6 +387,16 @@ def test_construction_decides_every_certifiable_search_below_n_7():
     assert searches == 36
 
 
+@pytest.mark.parametrize("D, n, q", [(19, 7, 19), (29, 8, 31)])
+def test_construction_paley_orders_decide_searches_above_n_6(D, n, q):
+    # no extremal tournament is known at n >= 7; the Paley orders
+    # D <= q <= 2D come next, still before any anneal
+    sr = search_certified_coloring(D, n)
+    assert sr.success and sr.strategy == f"paley-{q}"
+    assert sr.coloring == paley_coloring(q, D)
+    assert (sr.attempts, sr.repaired, sr.anneal_steps) == (1, False, 0)
+
+
 def test_dfs_certify_matches_scalar_oracle():
     # verdict, counterexample, subsets_checked and total against the plain
     # enumeration: all-red, QR7, QR11, and random colorings at every D <= 12
